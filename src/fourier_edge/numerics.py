@@ -12,7 +12,10 @@ precision produce identical output.
 
 from __future__ import annotations
 
+import cmath
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -161,6 +164,63 @@ class ComplexPoly:
         return f"ComplexPoly(degree={self.degree})"
 
 
+# Float phase of poly_roots: sweep cap, stop threshold on the relative update
+# norm, and the level below which an update norm that rises again counts as
+# having reached the float64 noise floor.  Far from the roots the norm can
+# sit near a constant or rise for many sweeps, so a rise there is no stop.
+_FLOAT_MAXITER = 200
+_FLOAT_STOP = 1e-13
+_FLOAT_FLOOR = 1e-6
+
+# Inside a _root_stats block, poly_roots appends the (sweeps, stalled) pair
+# of its full-precision phase to the list held here.
+_ROOT_STATS: ContextVar = ContextVar("fourier_edge_root_stats", default=None)
+
+
+def _float_seeds(coeffs: list):
+    """Aberth-Ehrlich roots in Python ``complex``, or None if unusable.
+
+    ``coeffs`` are ascending mpc values with a nonzero constant term.  They
+    are divided by their largest modulus so none overflows.  None means
+    float64 cannot represent the polynomial (a nonzero coefficient flushes
+    to zero) or the iteration ended on non-finite or coincident points.
+    """
+    top = max(abs(c) for c in coeffs)
+    cf = [complex(c / top) for c in coeffs]
+    if any(f == 0 for f, c in zip(cf, coeffs) if c != 0):
+        return None
+    m = len(cf) - 1
+    radius = max(1.0, max(abs(c) for c in cf[:-1]) / abs(cf[-1]))
+    z = [
+        radius * cmath.exp(1j * math.pi * (2 * k / m + 0.3779))
+        for k in range(m)
+    ]
+    prev = math.inf
+    try:
+        for _ in range(_FLOAT_MAXITER):
+            shift = 0.0
+            for i in range(m):
+                zi = z[i]
+                p, dp = cf[-1], 0j
+                for c in reversed(cf[:-1]):
+                    dp = dp * zi + p
+                    p = p * zi + c
+                ratio = p / dp
+                s = sum(1 / (zi - z[j]) for j in range(m) if j != i)
+                denom = 1 - ratio * s
+                w = ratio if denom == 0 else ratio / denom
+                z[i] = zi - w
+                shift = max(shift, abs(w) / max(1.0, abs(z[i])))
+            if shift < _FLOAT_STOP or _FLOAT_FLOOR > shift >= prev:
+                break
+            prev = shift
+    except ZeroDivisionError:
+        return None
+    if not all(cmath.isfinite(r) for r in z) or len(set(z)) < m:
+        return None
+    return z
+
+
 def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
     """All complex roots of ``poly`` by Aberth-Ehrlich simultaneous iteration.
 
@@ -168,15 +228,23 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
     real part, then imaginary part.  Exact zero roots are factored out before
     iteration, which also handles pure monomials like z**m instantly.
 
-    Initialization places the starting points on a circle of radius
-    max(1, max_j |c_j / c_n|) with a fixed irrational phase offset; no
-    randomness, so results are reproducible bit for bit at a given precision.
+    The iteration runs twice.  It first runs in Python ``complex`` on the
+    coefficients divided by their largest modulus, from points on a circle
+    of radius max(1, max_j |c_j / c_n|) with a fixed irrational phase
+    offset, until the update norm drops below about 1e-13 or stops falling.
+    It then polishes those roots at full precision until the update norm
+    drops below 10**-(precision_digits + 5).  When float64 cannot represent
+    the polynomial or ends on non-finite or coincident roots, the
+    full-precision phase starts from the same circle instead.  No
+    randomness, so results are reproducible bit for bit at a given
+    precision.
 
     Raises
     ------
     RootFindingError
         If the iteration cap is reached before the update norm drops below
-        the stopping threshold, or if an accepted root violates
+        the stopping threshold, if two iterates coincide, or if an accepted
+        root violates
         |p(r)| <= root_tolerance * max|coeff| * max(1, |r|)**degree.
     """
     n = poly.degree
@@ -199,20 +267,26 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
         roots = [mp.mpc(0)] * zero_roots
 
         m = len(coeffs) - 1
+        sweeps, stalled = 0, False
         if m > 0:
             p = ComplexPoly(coeffs)
             dp = p.derivative()
-            lead = abs(coeffs[-1])
-            radius = max(mp.mpf(1), max(abs(c) for c in coeffs[:-1]) / lead)
-            # Fixed non-symmetric phase offset; see docstring.
-            z = [
-                radius * mp.expjpi(mp.mpf(2 * k) / m + mp.mpf("0.3779"))
-                for k in range(m)
-            ]
+            seeds = _float_seeds(coeffs)
+            if seeds is not None:
+                z = [mp.mpc(s) for s in seeds]
+            else:
+                lead = abs(coeffs[-1])
+                radius = max(
+                    mp.mpf(1), max(abs(c) for c in coeffs[:-1]) / lead
+                )
+                z = [
+                    radius * mp.expjpi(mp.mpf(2 * k) / m + mp.mpf("0.3779"))
+                    for k in range(m)
+                ]
             stop = mp.mpf(10) ** (-(ctx.precision_digits + 5))
             maxiter = 200 + 15 * ctx.precision_digits
             history = []
-            for _ in range(maxiter):
+            for sweeps in range(1, maxiter + 1):
                 shift = mp.mpf(0)
                 for i in range(m):
                     pz = p(z[i])
@@ -224,9 +298,14 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
                         continue
                     ratio = pz / dpz
                     s = mp.mpc(0)
-                    for j in range(m):
-                        if j != i:
-                            s += 1 / (z[i] - z[j])
+                    try:
+                        for j in range(m):
+                            if j != i:
+                                s += 1 / (z[i] - z[j])
+                    except ZeroDivisionError:
+                        raise RootFindingError(
+                            f"two Aberth iterates coincide (degree {m})"
+                        ) from None
                     denom = 1 - ratio * s
                     w = ratio if denom == 0 else ratio / denom
                     z[i] = z[i] - w
@@ -243,6 +322,7 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
                     and shift < mp.mpf("1e-6")
                     and min(history[-12:]) >= mp.mpf("0.5") * min(history[-24:-12])
                 ):
+                    stalled = True
                     break
             else:
                 raise RootFindingError(
@@ -261,7 +341,29 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
                     f"{mp.nstr(bound, 8)}"
                 )
         roots.sort(key=lambda r: (r.real, r.imag))
+        sink = _ROOT_STATS.get()
+        if sink is not None:
+            sink.append((sweeps, stalled))
         return roots
+
+
+@contextmanager
+def _root_stats():
+    """Collect two facts about each ``poly_roots`` call made inside the block.
+
+    Yields a list that receives one (sweeps, stalled) pair per call that
+    returns roots: the number of full-precision sweeps run (0 when only
+    exact zero roots remain), and whether the stall rule for root clusters
+    ended them rather than the stopping threshold.  ``poly_roots`` keeps
+    its signature and return value, so callers and anything that wraps it
+    are unaffected.
+    """
+    sink: list = []
+    token = _ROOT_STATS.set(sink)
+    try:
+        yield sink
+    finally:
+        _ROOT_STATS.reset(token)
 
 
 @lru_cache(maxsize=32)

@@ -27,7 +27,13 @@ from mpmath import mp
 
 from .kernels import v_fourier_coeff, v_kernel
 from .model1d import CoeffVector1D
-from .numerics import ArithmeticContext, ComplexPoly, poly_roots, vandermonde_solve
+from .numerics import (
+    ArithmeticContext,
+    ComplexPoly,
+    _root_stats,
+    poly_roots,
+    vandermonde_solve,
+)
 
 __all__ = [
     "BranchAmbiguityError",
@@ -116,17 +122,41 @@ class HalfOrderEstimate:
     xi_h: object  # mpf in [-pi, pi)
     d1: int
     circle_distance: float
+    root_sweeps: int = 0
+    root_stalled: bool = False
 
 
-def _closest_to_circle(roots):
-    """(root, | |root|-1 |) minimizing distance of |root| to 1."""
-    best = None
-    best_dist = None
-    for r in roots:
-        dist = abs(abs(r) - 1)
-        if best_dist is None or dist < best_dist:
-            best, best_dist = r, dist
-    return best, best_dist
+def _circle_root(mom: Moments, ctx: ArithmeticContext):
+    """Root of the annihilation polynomial of ``mom`` closest to the unit circle.
+
+    The polynomial is sum_j (-1)^j C(deg, j) mom.values[j] u^(deg-j) with
+    deg = len(mom.values) - 1.  Returns (z, dist, root_diag): the root, its
+    distance | |z| - 1 |, and the root finder's full-precision sweep count
+    and stall flag as ``root_sweeps`` and ``root_stalled``.  Callers hold
+    the working precision of ``ctx``.
+
+    Raises
+    ------
+    LocalizationError
+        If the polynomial has no roots, or none lies within the circle band.
+    """
+    deg = len(mom.values) - 1
+    coeffs = [mp.mpc(0)] * (deg + 1)
+    for j in range(deg + 1):
+        sign = -1 if j % 2 else 1
+        coeffs[deg - j] = sign * math.comb(deg, j) * mom.values[j]
+    with _root_stats() as stats:
+        roots = poly_roots(ComplexPoly(coeffs), ctx)
+    if not roots:
+        raise LocalizationError("degenerate annihilation polynomial")
+    sweeps, stalled = stats[-1]
+    z = min(roots, key=lambda r: abs(abs(r) - 1))
+    dist = abs(abs(z) - 1)
+    if dist > _CIRCLE_BAND:
+        raise LocalizationError(
+            f"closest root modulus {mp.nstr(abs(z), 6)} outside circle band"
+        )
+    return z, dist, {"root_sweeps": sweeps, "root_stalled": stalled}
 
 
 def half_order_localize(
@@ -160,24 +190,12 @@ def half_order_localize(
         )
     mom = moments(c, range(k0, k0 + d1 + 2), d1, ctx)
     with ctx.workprec():
-        deg = d1 + 1
-        coeffs = [mp.mpc(0)] * (deg + 1)
-        for j in range(deg + 1):
-            sign = -1 if j % 2 else 1
-            coeffs[deg - j] = sign * math.comb(deg, j) * mom.values[j]
-        roots = poly_roots(ComplexPoly(coeffs), ctx)
-        if not roots:
-            raise LocalizationError("degenerate annihilation polynomial")
-        z, dist = _closest_to_circle(roots)
-        if dist > _CIRCLE_BAND:
-            raise LocalizationError(
-                f"closest root modulus {mp.nstr(abs(z), 6)} outside circle band"
-            )
+        z, dist, root_diag = _circle_root(mom, ctx)
         kappa = z / abs(z)
         xi = -mp.arg(kappa)
         if xi >= mp.pi:  # canonical half-open wrap
             xi -= 2 * mp.pi
-        return HalfOrderEstimate(kappa, xi, d1, float(dist))
+        return HalfOrderEstimate(kappa, xi, d1, float(dist), **root_diag)
 
 
 def full_order_localize(
@@ -221,19 +239,7 @@ def full_order_localize(
         )
     mom = moments(c, [(j + 1) * N1 for j in range(d + 2)], d, ctx)
     with ctx.workprec():
-        deg = d + 1
-        coeffs = [mp.mpc(0)] * (deg + 1)
-        for j in range(deg + 1):
-            sign = -1 if j % 2 else 1
-            coeffs[deg - j] = sign * math.comb(deg, j) * mom.values[j]
-        roots = poly_roots(ComplexPoly(coeffs), ctx)
-        if not roots:
-            raise LocalizationError("degenerate annihilation polynomial")
-        z, dist = _closest_to_circle(roots)
-        if dist > _CIRCLE_BAND:
-            raise LocalizationError(
-                f"closest root modulus {mp.nstr(abs(z), 6)} outside circle band"
-            )
+        z, dist, root_diag = _circle_root(mom, ctx)
         theta = mp.arg(z)
         best = None
         best_gap = None
@@ -257,6 +263,7 @@ def full_order_localize(
             "branch_index": best_r,
             "branch_gap": float(best_gap),
             "hint_xi": float(hint.xi_h),
+            **root_diag,
         }
         return best, xi, diagnostics
 
@@ -441,7 +448,14 @@ def reconstruct1d(
             hint = half_order_localize(c, d1_eff, ctx)
             kappa, xi, loc_diag = full_order_localize(c, d, hint, ctx)
             mags = solve_magnitudes(c, d, kappa, ctx, loc_diag["N1"])
-            diagnostics = {"stage": "full", "d": d, "d1": d1_eff, **loc_diag}
+            diagnostics = {
+                "stage": "full",
+                "d": d,
+                "d1": d1_eff,
+                "half_root_sweeps": hint.root_sweeps,
+                "half_root_stalled": hint.root_stalled,
+                **loc_diag,
+            }
         res = residual_coeffs(c, xi, mags, ctx)
         rec = Reconstruction1D(
             xi_tilde=xi,

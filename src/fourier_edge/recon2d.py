@@ -24,7 +24,7 @@ from mpmath import mp
 
 from .model1d import CoeffVector1D
 from .model2d import CoeffGrid2D
-from .numerics import ArithmeticContext
+from .numerics import ArithmeticContext, RootFindingError
 from .recon1d import (
     Reconstruction1D,
     ReconstructionError,
@@ -88,7 +88,7 @@ def _reconstruct_row(args):
                 row, d_psi, ctx, known_jump=-mp.pi, assume_real=False
             )
             return wy, rec, None
-        except (ReconstructionError, ValueError, ArithmeticError) as exc:
+        except (ReconstructionError, RootFindingError) as exc:
             return wy, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -100,7 +100,9 @@ def reconstruct_psi_set(
 ) -> PsiReconstructionSet:
     """Run the jump-known stage on every grid row wy = -N..N.
 
-    Per-row failures are recorded as degraded rows, not raised.  With
+    Per-row reconstruction failures (``ReconstructionError`` and
+    ``RootFindingError``) are recorded as degraded rows, not raised; any
+    other exception is a programming error and propagates.  With
     jobs > 1 rows are distributed over a process pool (mpmath precision is
     process-global, so threads are not an option).
     """
@@ -212,7 +214,8 @@ def reconstruct_field(
 
     Emits a warning when N^2 > M (the row stage then limits the overall
     accuracy and the slice-stage rates are not guaranteed).  Slice failures
-    are contained per x.
+    (``ReconstructionError`` and ``RootFindingError``) are contained per x;
+    any other exception propagates.
     """
     if grid.N ** 2 > grid.M:
         warnings.warn(
@@ -226,7 +229,7 @@ def reconstruct_field(
     for x in x_points:
         try:
             slices[float(x)] = reconstruct_slice(psi, x, d, ctx, d1=d1)
-        except (ReconstructionError, ValueError, ArithmeticError) as exc:
+        except (ReconstructionError, RootFindingError) as exc:
             failures[float(x)] = f"{type(exc).__name__}: {exc}"
     return FieldReconstruction(
         psi=psi,

@@ -24,6 +24,8 @@ from fourier_edge import (
     poly_roots,
     vandermonde_solve,
 )
+from fourier_edge import numerics
+from fourier_edge.numerics import _float_seeds
 
 
 # -- context -----------------------------------------------------------------
@@ -156,18 +158,22 @@ def _assert_root_sets_match(got, want, tol):
         remaining.remove(best)
 
 
+def _expand(roots):
+    """Coefficients of prod (z - r), ascending, expanded term by term."""
+    coeffs = [mp.mpc(1)]
+    for r in roots:
+        nxt = [mp.mpc(0)] * (len(coeffs) + 1)
+        for j, c in enumerate(coeffs):
+            nxt[j + 1] += c
+            nxt[j] -= r * c
+        coeffs = nxt
+    return coeffs
+
+
 def test_roots_of_expanded_product(ctx30):
     with ctx30.workprec():
         true = [mp.mpc(1, 1), mp.mpc(-2, 0.5), mp.mpc(0.25, -3)]
-        # expand (z - r1)(z - r2)(z - r3) term by term
-        coeffs = [mp.mpc(1)]
-        for r in true:
-            nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-            for j, c in enumerate(coeffs):
-                nxt[j + 1] += c
-                nxt[j] -= r * c
-            coeffs = nxt
-        roots = poly_roots(ComplexPoly(coeffs), ctx30)
+        roots = poly_roots(ComplexPoly(_expand(true)), ctx30)
         _assert_root_sets_match(roots, true, mp.mpf(10) ** -25)
 
 
@@ -198,6 +204,41 @@ def test_roots_deterministic(ctx15):
     assert a == b
 
 
+def test_roots_invariant_under_extreme_coefficient_scaling(ctx30):
+    # 1e400 and 1e-400 lie outside float64; the float phase divides by the
+    # largest modulus first, so it still seeds the full-precision phase
+    with ctx30.workprec():
+        true = [mp.mpc(0.5), mp.mpc(3, 1), mp.mpc(0, -40), mp.mpc(1000),
+                mp.mpc(-2, -0.25)]
+        coeffs = _expand(true)
+        plain = poly_roots(ComplexPoly(coeffs), ctx30)
+        _assert_root_sets_match(plain, true, mp.mpf(10) ** -24)
+        for scale in (mp.mpf("1e400"), mp.mpf("1e-400")):
+            scaled = [c * scale for c in coeffs]
+            assert _float_seeds(scaled) is not None
+            roots = poly_roots(ComplexPoly(scaled), ctx30)
+            _assert_root_sets_match(roots, plain, mp.mpf(10) ** -24)
+
+
+def test_roots_fall_back_to_circle_start(ctx30):
+    # z^2 + 1e-400: the constant term flushes to zero in float64, where the
+    # polynomial becomes z^2 with coincident roots at 0, so the
+    # full-precision phase starts from the circle and the gate still holds
+    with ctx30.workprec():
+        coeffs = [mp.mpc("1e-400"), mp.mpc(0), mp.mpc(1)]
+        assert _float_seeds(coeffs) is None
+        roots = poly_roots(ComplexPoly(coeffs), ctx30)  # raises on a bad root
+        assert len(roots) == 2
+        assert all(abs(r) < mp.mpf(10) ** -30 for r in roots)
+
+
+def test_coincident_iterates_raise_root_finding_error(ctx15, monkeypatch):
+    # coincident seeds would divide by zero in the Aberth correction
+    monkeypatch.setattr(numerics, "_float_seeds", lambda coeffs: [1j, 1j])
+    with pytest.raises(RootFindingError, match="coincide"):
+        poly_roots(ComplexPoly([-4, 0, 1]), ctx15)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
@@ -212,14 +253,7 @@ def test_roots_recover_integer_lattice_products(pairs):
     ctx = ArithmeticContext(precision_digits=25)
     with ctx.workprec():
         true = [mp.mpc(a, b) for a, b in pairs]
-        coeffs = [mp.mpc(1)]
-        for r in true:
-            nxt = [mp.mpc(0)] * (len(coeffs) + 1)
-            for j, c in enumerate(coeffs):
-                nxt[j + 1] += c
-                nxt[j] -= r * c
-            coeffs = nxt
-        roots = poly_roots(ComplexPoly(coeffs), ctx)
+        roots = poly_roots(ComplexPoly(_expand(true)), ctx)
         _assert_root_sets_match(roots, true, mp.mpf(10) ** -18)
 
 

@@ -114,6 +114,37 @@ def test_full_order_recovers_location(ctx30):
         assert 0 <= diag["branch_index"] < 8
 
 
+@pytest.fixture(scope="module")
+def c1_style_coeffs(ctx50):
+    # a C1-style pure-jump model at the top order: d = 9, M = 200, 50 digits
+    mags = (1.31, -0.72, 1.94, 0.25, -1.58, 0.66, -1.12, 1.47, -0.39, 0.83)
+    with ctx50.workprec():
+        return synth_coeffs(JumpModel1D(-2.4, mags), 200, ctx50)
+
+
+def test_root_diagnostics_flag_the_half_order_cluster(c1_style_coeffs, ctx50):
+    # at d1 = 4 the moments are nearly polynomial of degree d1 in k, so the
+    # half-order root is a (d1+1)-fold cluster that ends on the stall rule;
+    # the full-order root is simple and meets the stopping threshold
+    rec = reconstruct1d(c1_style_coeffs, 9, ctx50)
+    diag = rec.diagnostics
+    assert diag["half_root_stalled"] is True
+    assert diag["half_root_sweeps"] >= 24  # the stall rule's window
+    assert diag["root_stalled"] is False
+    assert 1 <= diag["root_sweeps"] < diag["half_root_sweeps"]
+
+
+def test_full_order_root_polish_needs_few_sweeps(c1_style_coeffs, ctx50):
+    # float64 seeds leave only a few full-precision sweeps; the count is
+    # deterministic, so this guards the root finder's cost without timing
+    with ctx50.workprec():
+        hint = half_order_localize(c1_style_coeffs, 4, ctx50)
+        _, xi, diag = full_order_localize(c1_style_coeffs, 9, hint, ctx50)
+        assert abs(xi - mp.mpf(-2.4)) < mp.mpf(10) ** -25
+    assert diag["root_sweeps"] <= 5
+    assert diag["root_stalled"] is False
+
+
 def test_full_order_needs_wide_enough_band(ctx15):
     with ctx15.workprec():
         c = _pure(0.3, (1.0,), 4, ctx15)

@@ -20,6 +20,7 @@ from fourier_edge import (
     slice_coeff_vector,
     truncated_baseline,
 )
+from fourier_edge import recon2d
 from fourier_edge.model2d import slice_coeff_exact
 
 
@@ -133,6 +134,26 @@ def test_failed_slices_are_contained(ctx40):
     fld = reconstruct_field(zero, d_psi=1, d=1, x_points=(0.5,), ctx=ctx40)
     assert not fld.slices
     assert set(fld.failures) == {0.5}
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError, ZeroDivisionError])
+def test_programming_errors_propagate(error, ctx40, monkeypatch):
+    # only ReconstructionError and RootFindingError are contained; any other
+    # exception is a bug and must not turn into a degraded row or a failed
+    # slice, including the ValueError and ArithmeticError families that a
+    # broad handler would catch
+    grid = coeff_grid(Model2D.canonical(5), 9, 3, ctx40)
+
+    def broken(*args, **kwargs):
+        raise error("broken")
+
+    with monkeypatch.context() as m:
+        m.setattr(recon2d, "reconstruct1d", broken)
+        with pytest.raises(error):
+            reconstruct_psi_set(grid, 1, ctx40)
+    monkeypatch.setattr(recon2d, "reconstruct_slice", broken)
+    with pytest.raises(error):
+        reconstruct_field(grid, d_psi=1, d=1, x_points=(0.5,), ctx=ctx40)
 
 
 def test_truncated_baseline_equals_dense_sum(ctx40):
