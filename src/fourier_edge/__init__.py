@@ -4,75 +4,26 @@ The package recovers jump locations, jump magnitudes, and smooth remainders
 of 1D and 2D piecewise-smooth periodic functions from finitely many Fourier
 coefficients, at algebraic accuracy orders set by the reconstruction degree.
 See README.md for the pipeline layout and the CLI experiment driver.
+
+The public API is the union of the pipeline modules' ``__all__`` lists;
+``fourier_edge.oracle`` and ``fourier_edge.cli`` are imported explicitly.
 """
 
-from .numerics import (
-    ArithmeticContext,
-    ComplexPoly,
-    RootFindingError,
-    ScaledVandermonde,
-    annihilation_sum,
-    binomial,
-    poly_roots,
-    vandermonde_solve,
-)
-from .kernels import (
-    BernoulliBasis,
-    JumpKernelSpec,
-    bernoulli_poly,
-    kernel_scale,
-    u_kernel,
-    v_kernel,
-    v_fourier_coeff,
-)
-from .model1d import (
-    CoeffVector1D,
-    JumpModel1D,
-    TrigBackground,
-    eval_model,
-    quadrature_oracle,
-    synth_coeffs,
-)
-from .recon1d import (
-    BranchAmbiguityError,
-    HalfOrderEstimate,
-    LocalizationError,
-    Moments,
-    Reconstruction1D,
-    ReconstructionError,
-    evaluate,
-    evaluate_complex,
-    full_order_localize,
-    half_order_localize,
-    moments,
-    reconstruct1d,
-    residual_coeffs,
-    solve_magnitudes,
-    solve_magnitudes_known_jump,
-)
-from .model2d import (
-    Background2D,
-    CoeffGrid2D,
-    Curve,
-    Model2D,
-    coeff_grid,
-    eval2d,
-    load_grid,
-    quadrature2d_oracle,
-    save_grid,
-    slice_coeff_exact,
-)
-from .recon2d import (
-    FieldReconstruction,
-    PsiReconstructionSet,
-    SliceReconstruction,
-    reconstruct_field,
-    reconstruct_psi_set,
-    reconstruct_slice,
-    slice_coeff_vector,
-    truncated_baseline,
-)
+from . import kernels, model1d, model2d, numerics, recon1d, recon2d
+from .numerics import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .model1d import *  # noqa: F401,F403
+from .recon1d import *  # noqa: F401,F403
+from .model2d import *  # noqa: F401,F403
+from .recon2d import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    *numerics.__all__,
+    *kernels.__all__,
+    *model1d.__all__,
+    *recon1d.__all__,
+    *model2d.__all__,
+    *recon2d.__all__,
+]

@@ -39,10 +39,10 @@ from .model2d import (
     coeff_grid,
     eval2d,
     load_grid,
-    quadrature2d_oracle,
     save_grid,
 )
 from .numerics import ArithmeticContext
+from .oracle import quadrature2d_oracle
 from .recon2d import reconstruct_field, truncated_baseline
 
 __all__ = [
@@ -319,7 +319,16 @@ def _grid_path(out: Path, N: int) -> Path:
 
 
 def _append_metrics(path: Path, cfg: ExperimentConfig, rows, notes=()) -> None:
+    """Append rows to the metrics file, writing its header when it is new.
+
+    An existing file must have the columns of order cfg.d, or the rows would
+    shift under its column names: ValueError before anything is written.
+    """
     fresh = not path.exists()
+    if not fresh and read_metrics(path)[0] != metrics_columns(cfg.d).split(","):
+        raise ValueError(
+            f"{path} holds the metrics of an order other than d={cfg.d}"
+        )
     with open(path, "a") as fh:
         if fresh:
             fh.write(METRICS_HEADER + "\n")
@@ -381,6 +390,12 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
     notes = []
     for N in cfg.sweep_N:
         grid = load_grid(_grid_path(out, N))
+        stored = grid.diagnostics["precision"]
+        if stored < cfg.precision_digits:
+            raise ValueError(
+                f"{_grid_path(out, N)} is stored at {stored} digits, below "
+                f"the {cfg.precision_digits} digits of this run"
+            )
         row = compute_metrics(model, grid, cfg, N)
         rows.append(row)
         if N < cfg.d + 2:

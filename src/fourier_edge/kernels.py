@@ -15,7 +15,6 @@ coefficients once per working precision and run Horner on top.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,10 +24,8 @@ from .numerics import ArithmeticContext
 
 __all__ = [
     "BernoulliBasis",
-    "JumpKernelSpec",
     "bernoulli_poly",
     "kernel_scale",
-    "u_kernel",
     "v_kernel",
     "v_fourier_coeff",
 ]
@@ -122,25 +119,6 @@ def bernoulli_poly(n: int, t, ctx: ArithmeticContext | None = None):
     return basis.eval_mpf(n, t, ctx or ArithmeticContext())
 
 
-@dataclass(frozen=True)
-class JumpKernelSpec:
-    """Order and anchor of one jump kernel.
-
-    The anchor must lie in the canonical period [-pi, pi); the kernel of
-    order l is smooth except at the anchor, where its l-th derivative jumps
-    by one and higher coefficients continue the Bernoulli cascade.
-    """
-
-    l: int
-    x0: float
-
-    def __post_init__(self) -> None:
-        if self.l < 0:
-            raise ValueError(f"kernel order must be >= 0, got {self.l}")
-        if not -math.pi <= float(self.x0) < math.pi:
-            raise ValueError(f"anchor {self.x0} outside [-pi, pi)")
-
-
 def _wrap_offset(x, x0):
     """x - x0 reduced into [0, 2pi); callers hold the precision context."""
     t = mp.mpf(x) - mp.mpf(x0)
@@ -175,29 +153,6 @@ def v_kernel(l: int, x0, x, ctx: ArithmeticContext | None = None):
         u = t / (2 * mp.pi)
         scale = kernel_scale(l, ctx.precision_digits)
         return scale * _BASIS.eval_mpf(l + 1, u, ctx)
-
-
-def u_kernel(n: int, y, ctx: ArithmeticContext | None = None):
-    """Two-branch Bernoulli profile over the doubled period [-2pi, 2pi).
-
-    Branches: B_{n+1}((y + 2pi)/2pi) on [-2pi, 0) and B_{n+1}(y/2pi) on
-    [0, 2pi); y is first wrapped into [-2pi, 2pi).  The two branches glue
-    into the 2pi-periodization of B_{n+1}(y/2pi), so the branch switch at 0
-    is discontinuous only for n = 0 (B_1 jumps by B_1(0) - B_1(1) = -1) and
-    continuous for n >= 1 (B_{n+1}(0) = B_{n+1}(1)).
-    """
-    if n < 0:
-        raise ValueError(f"profile order must be >= 0, got {n}")
-    ctx = ctx or ArithmeticContext()
-    with ctx.workprec():
-        ym = mp.mpf(y)
-        four_pi = 4 * mp.pi
-        ym = ym - four_pi * mp.floor((ym + 2 * mp.pi) / four_pi)
-        if ym < 0:
-            u = (ym + 2 * mp.pi) / (2 * mp.pi)
-        else:
-            u = ym / (2 * mp.pi)
-        return _BASIS.eval_mpf(n + 1, u, ctx)
 
 
 def v_fourier_coeff(l: int, x0, k: int, ctx: ArithmeticContext | None = None):

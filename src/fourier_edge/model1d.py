@@ -2,17 +2,16 @@
 
 A model is one interior jump point carrying a finite stack of jump-kernel
 magnitudes, plus an optional bandlimited smooth background.  Coefficients
-are synthesized in closed form; an independent jump-split quadrature oracle
-exists so closed forms are never tested against themselves.
+are synthesized in closed form; the independent quadrature oracles that
+check them live in :mod:`fourier_edge.oracle`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
 from mpmath import mp
 
 from .kernels import v_fourier_coeff, v_kernel
@@ -23,9 +22,18 @@ __all__ = [
     "JumpModel1D",
     "TrigBackground",
     "eval_model",
-    "quadrature_oracle",
     "synth_coeffs",
 ]
+
+
+def _trig_eval(coeffs, x):
+    """Real trig polynomial with coefficients g_0..g_K (g_{-k} = conj g_k)
+    at x, under the caller's precision."""
+    xm = mp.mpf(x)
+    acc = mp.mpc(coeffs[0]).real + mp.mpf(0)
+    for k in range(1, len(coeffs)):
+        acc += 2 * (mp.mpc(coeffs[k]) * mp.expj(k * xm)).real
+    return acc
 
 
 @dataclass(frozen=True)
@@ -63,11 +71,7 @@ class TrigBackground:
     def eval(self, x, ctx: ArithmeticContext):
         """Pointwise value; real by construction."""
         with ctx.workprec():
-            xm = mp.mpf(x)
-            acc = mp.mpc(self.coeffs[0]).real + mp.mpf(0)
-            for k in range(1, len(self.coeffs)):
-                acc += 2 * (mp.mpc(self.coeffs[k]) * mp.expj(k * xm)).real
-            return acc
+            return _trig_eval(self.coeffs, x)
 
 
 @dataclass(frozen=True)
@@ -153,50 +157,3 @@ def synth_coeffs(m: JumpModel1D, M: int, ctx: ArithmeticContext) -> CoeffVector1
             pos.append(c)
         vals = [mp.conj(pos[-k]) for k in range(-M, 0)] + pos
         return CoeffVector1D(M, tuple(vals))
-
-
-_GL32 = np.polynomial.legendre.leggauss(32)
-
-
-def _composite_gl(f, a, b, nodes: int):
-    """Composite 32-point Gauss-Legendre of f over [a, b] under caller prec."""
-    panels = max(1, math.ceil(nodes / 32))
-    t, w = _GL32
-    a = mp.mpf(a)
-    b = mp.mpf(b)
-    h = (b - a) / panels
-    half = h / 2
-    acc = mp.mpc(0)
-    for p in range(panels):
-        mid = a + p * h + half
-        for ti, wi in zip(t, w):
-            acc += mp.mpf(wi) * f(mid + half * mp.mpf(ti))
-    return acc * half
-
-
-def quadrature_oracle(
-    m: JumpModel1D, k: int, ctx: ArithmeticContext, nodes: int = 1024
-):
-    """Independent (1/2pi) integral of f(x) exp(-ikx) over one period.
-
-    Splits the period at the jump so each segment is smooth, then applies
-    composite 32-point Gauss-Legendre with roughly `nodes` points total
-    (at least 1024).  Float64 node locations; accuracy ~1e-14, far beyond
-    the 1e-8/1e-10 oracle tolerances this backs.
-    """
-    if nodes < 1024:
-        raise ValueError(f"nodes must be >= 1024, got {nodes}")
-    with ctx.workprec():
-        xi = mp.mpf(m.xi)
-        pi = mp.pi
-
-        def g(x):
-            return eval_model(m, x, ctx) * mp.expj(-k * x)
-
-        segs = [(-pi, xi), (xi, pi)] if -pi < xi else [(-pi, pi)]
-        total = mp.mpc(0)
-        for lo, hi in segs:
-            if hi > lo:
-                frac = float((hi - lo) / (2 * pi))
-                total += _composite_gl(g, lo, hi, max(32, round(nodes * frac)))
-        return total / (2 * pi)

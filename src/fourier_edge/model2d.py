@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-import numpy as np
 from mpmath import mp
 
-from .kernels import kernel_scale, u_kernel
-from .model1d import CoeffVector1D, TrigBackground, _GL32
+from .kernels import _I_POW, v_kernel
+from .model1d import CoeffVector1D, TrigBackground, _trig_eval
 from .numerics import ArithmeticContext
 
 __all__ = [
@@ -33,12 +32,9 @@ __all__ = [
     "coeff_grid",
     "eval2d",
     "load_grid",
-    "quadrature2d_oracle",
     "save_grid",
     "slice_coeff_exact",
 ]
-
-_I_POW = (1, 1j, -1, -1j)
 
 Profile = Union[int, float, str, TrigBackground]
 
@@ -68,10 +64,7 @@ class Curve:
         with ctx.workprec():
             if self.kind == "identity":
                 return mp.mpf(x)
-            acc = mp.mpc(self.coeffs[0]).real + mp.mpf(0)
-            for k in range(1, len(self.coeffs)):
-                acc += 2 * (mp.mpc(self.coeffs[k]) * mp.expj(k * mp.mpf(x))).real
-            return acc
+            return _trig_eval(self.coeffs, x)
 
     def slope_bound(self) -> float:
         """Cheap upper bound on sup |xi'|."""
@@ -207,13 +200,12 @@ def eval2d(m: Model2D, x, y, ctx: ArithmeticContext):
     """Pointwise model value (right-continuous across the curve in y)."""
     with ctx.workprec():
         xm = mp.mpf(x)
-        offset = mp.mpf(y) - m.curve.xi(xm, ctx)
+        xi = m.curve.xi(xm, ctx)
         acc = mp.mpf(0)
         for l in range(m.d_model + 1):
             a = m.magnitude_value(l, xm, ctx)
             if a != 0:
-                scale = kernel_scale(l, ctx.precision_digits)
-                acc += a * scale * u_kernel(l, offset, ctx)
+                acc += a * v_kernel(l, xi, y, ctx)
         if m.background is not None:
             acc += m.background.eval(xm, mp.mpf(y), ctx)
         return acc
@@ -270,16 +262,13 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
 
 
 def _trapezoid_grid(
-    m: Model2D, M: int, N: int, ctx: ArithmeticContext, nodes: Optional[int]
+    m: Model2D, M: int, N: int, ctx: ArithmeticContext, T: int
 ):
-    """Periodic trapezoid in x of the exact slice coefficients.
+    """Periodic trapezoid on T nodes in x of the exact slice coefficients.
 
     The integrand is a trig polynomial in y already; in x it is analytic
-    and periodic, so the trapezoid rule converges geometrically.  Node
-    count defaults to 8 * max(M, ceil(N * max(1, sup|xi'|))).
+    and periodic, so the trapezoid rule converges geometrically.
     """
-    slope = max(1.0, m.curve.slope_bound())
-    T = nodes if nodes is not None else 8 * max(M, math.ceil(N * slope), 1)
     with ctx.workprec():
         two_pi = 2 * mp.pi
         xs = [-mp.pi + two_pi * t / T for t in range(T)]
@@ -304,111 +293,37 @@ def coeff_grid(
     M: int,
     N: int,
     ctx: ArithmeticContext,
-    nodes: Optional[int] = None,
-    check_probes: int = 4,
 ) -> CoeffGrid2D:
     """Fourier grid of the model, |wx| <= M, |wy| <= N.
 
     Identity-curve models synthesize in closed form.  Trig-curve models use
-    the periodic trapezoid rule; `check_probes` entries are recomputed at
-    doubled node count and the worst deviation is recorded under
-    diagnostics["doubling_error"].
+    the periodic trapezoid rule on 8 * max(M, ceil(N * max(1, sup|xi'|)))
+    nodes; four entries are recomputed at doubled node count and the worst
+    deviation is recorded under diagnostics["doubling_error"].
     """
     if M < 0 or N < 0:
         raise ValueError("M and N must be >= 0")
     if m.curve.kind == "identity":
         values = _closed_form_grid(m, M, N, ctx)
         return CoeffGrid2D(M, N, tuple(values), {"method": "closed-form"})
-    values = _trapezoid_grid(m, M, N, ctx, nodes)
-    diag = {"method": "trapezoid"}
-    if check_probes > 0:
-        slope = max(1.0, m.curve.slope_bound())
-        T = nodes if nodes is not None else 8 * max(M, math.ceil(N * slope), 1)
-        probes = [
-            (M, N),
-            (max(-M, -3), max(-N, -1)),
-            (min(M, 1), min(N, 1)),
-            (0, min(N, 2)),
-        ][: check_probes]
-        dense = _trapezoid_grid(m, M, N, ctx, 2 * T)
-        with ctx.workprec():
-            worst = mp.mpf(0)
-            for wx, wy in probes:
-                a = values[wx + M][wy + N]
-                b = dense[wx + M][wy + N]
-                worst = max(worst, abs(a - b))
-            diag["doubling_error"] = float(worst)
+    slope = max(1.0, m.curve.slope_bound())
+    T = 8 * max(M, math.ceil(N * slope), 1)
+    values = _trapezoid_grid(m, M, N, ctx, T)
+    probes = [
+        (M, N),
+        (max(-M, -3), max(-N, -1)),
+        (min(M, 1), min(N, 1)),
+        (0, min(N, 2)),
+    ]
+    dense = _trapezoid_grid(m, M, N, ctx, 2 * T)
+    with ctx.workprec():
+        worst = mp.mpf(0)
+        for wx, wy in probes:
+            a = values[wx + M][wy + N]
+            b = dense[wx + M][wy + N]
+            worst = max(worst, abs(a - b))
+    diag = {"method": "trapezoid", "doubling_error": float(worst)}
     return CoeffGrid2D(M, N, tuple(values), diag)
-
-
-_ORACLE_CACHE: dict = {}
-
-
-def _oracle_nodes(m: Model2D, ctx: ArithmeticContext, nodes: int):
-    """Cached 2D quadrature nodes/weights/values with a y-split at the curve."""
-    key = (m, nodes, ctx.precision_digits)
-    hit = _ORACLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    t32, w32 = _GL32
-    with ctx.workprec():
-        pi = mp.pi
-        x_panels = max(1, nodes // 32)
-        hx = 2 * pi / x_panels
-        entries = []
-        for px in range(x_panels):
-            for ti, wi in zip(t32, w32):
-                x = -pi + px * hx + hx / 2 * (1 + mp.mpf(ti))
-                wx_weight = mp.mpf(wi) * hx / 2
-                xi = m.curve.xi(x, ctx)
-                # wrap the split point into the base period
-                xi = xi - 2 * pi * mp.floor((xi + pi) / (2 * pi))
-                inner = []
-                segs = [(-pi, xi), (xi, pi)] if -pi < xi < pi else [(-pi, pi)]
-                for lo, hi in segs:
-                    frac = float((hi - lo) / (2 * pi))
-                    y_panels = max(1, round(nodes * frac / 32))
-                    hy = (hi - lo) / y_panels
-                    for py in range(y_panels):
-                        for tj, wj in zip(t32, w32):
-                            y = lo + py * hy + hy / 2 * (1 + mp.mpf(tj))
-                            wy_weight = mp.mpf(wj) * hy / 2
-                            inner.append((y, wy_weight, eval2d(m, x, y, ctx)))
-                entries.append((x, wx_weight, inner))
-    out = (entries, {})
-    _ORACLE_CACHE[key] = out
-    return out
-
-
-def quadrature2d_oracle(
-    m: Model2D, wx: int, wy: int, ctx: ArithmeticContext, nodes: int = 512
-):
-    """Independent double integral for one grid entry.
-
-    Gauss-Legendre panels on both axes with the y-range split at the curve,
-    ~`nodes` points per axis (>= 512).  Model values are cached per
-    (model, nodes, precision), and inner y-sums are cached per wy, so
-    verifying a batch of entries costs one model sweep plus cheap sums.
-    """
-    if nodes < 512:
-        raise ValueError(f"nodes must be >= 512, got {nodes}")
-    entries, inner_cache = _oracle_nodes(m, ctx, nodes)
-    with ctx.workprec():
-        key = wy
-        sums = inner_cache.get(key)
-        if sums is None:
-            sums = [
-                sum(
-                    (wyw * fv * mp.expj(-wy * y) for y, wyw, fv in inner),
-                    mp.mpc(0),
-                )
-                for _, _, inner in entries
-            ]
-            inner_cache[key] = sums
-        total = mp.mpc(0)
-        for (x, wxw, _), s in zip(entries, sums):
-            total += wxw * s * mp.expj(-wx * x)
-        return total / (4 * mp.pi ** 2)
 
 
 def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
@@ -431,20 +346,33 @@ def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
 
 
 def load_grid(path) -> CoeffGrid2D:
-    """Read a grid file written by :func:`save_grid`."""
+    """Read a grid file written by :func:`save_grid`.
+
+    Raises ValueError, with counts, unless every (omega_x, omega_y) of the
+    header's ranges appears exactly once.
+    """
     with open(path) as fh:
         header = json.loads(fh.readline())
         M, N, prec = header["M"], header["N"], header["precision"]
         with mp.workdps(prec):
-            vals = [
-                [mp.mpc(0)] * (2 * N + 1) for _ in range(2 * M + 1)
-            ]
+            vals = [[None] * (2 * N + 1) for _ in range(2 * M + 1)]
+            duplicate = outside = 0
             for line in fh:
                 if not line.strip():
                     continue
                 swx, swy, sre, sim = (s.strip() for s in line.split(","))
-                vals[int(swx) + M][int(swy) + N] = mp.mpc(
-                    mp.mpf(sre), mp.mpf(sim)
-                )
+                wx, wy = int(swx), int(swy)
+                if abs(wx) > M or abs(wy) > N:
+                    outside += 1
+                elif vals[wx + M][wy + N] is not None:
+                    duplicate += 1
+                else:
+                    vals[wx + M][wy + N] = mp.mpc(mp.mpf(sre), mp.mpf(sim))
+        missing = sum(v is None for col in vals for v in col)
+        if missing or duplicate or outside:
+            raise ValueError(
+                f"{path}: grid M={M}, N={N} has {missing} missing, "
+                f"{duplicate} duplicate and {outside} out-of-range entries"
+            )
         return CoeffGrid2D(M, N, tuple(tuple(col) for col in vals),
                            {"precision": prec})

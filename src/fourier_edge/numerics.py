@@ -27,9 +27,7 @@ __all__ = [
     "ArithmeticContext",
     "ComplexPoly",
     "RootFindingError",
-    "ScaledVandermonde",
     "annihilation_sum",
-    "binomial",
     "poly_roots",
     "vandermonde_solve",
 ]
@@ -79,28 +77,6 @@ class ArithmeticContext:
             if self.root_tolerance is not None:
                 return mp.mpf(self.root_tolerance)
             return mp.mpf(10) ** (-(self.precision_digits - 8))
-
-    def eps(self):
-        """One unit in the last decimal place of the working precision."""
-        with self.workprec():
-            return mp.mpf(10) ** (-self.precision_digits)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k).
-
-    Thin wrapper over math.comb with the domain checks the callers rely on.
-
-    Raises
-    ------
-    ValueError
-        If n < 0, k < 0, or k > n.
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires n, k >= 0, got n={n}, k={k}")
-    if k > n:
-        raise ValueError(f"binomial requires k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
 
 
 def annihilation_sum(l: int, d: int) -> int:
@@ -400,56 +376,42 @@ def _unit_vandermonde_inverse(d: int) -> tuple:
     return tuple(nums), tuple(dens)
 
 
-@dataclass(frozen=True)
-class ScaledVandermonde:
-    """Vandermonde system on the decimated nodes (j+1)*base, j = 0..d.
+def vandermonde_solve(
+    d: int, base: int, rhs: Sequence, ctx: ArithmeticContext
+) -> list:
+    """Solve the Vandermonde system on the decimated nodes (j+1)*base, j = 0..d.
 
     The coefficient matrix V has entries ((j+1)*base)**l.  It factors as
     V1 * diag(base**l) with V1 the integer step-1 matrix, so a solve applies
     the exact integer inverse of V1 (one integer division per unknown) and
     then rescales by base**-l.  Rounding enters only in the final
-    integer-times-complex accumulation.
+    integer-times-complex accumulation.  Returns a list of d+1 mpc values.
+
+    Raises
+    ------
+    ValueError
+        If d < 0, base < 1, or len(rhs) != d + 1.
     """
-
-    d: int
-    base: int
-
-    def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError(f"order must be >= 0, got {self.d}")
-        if self.base < 1:
-            raise ValueError(f"base must be >= 1, got {self.base}")
-
-    def node(self, j: int) -> int:
-        if not 0 <= j <= self.d:
-            raise ValueError(f"node index {j} outside 0..{self.d}")
-        return (j + 1) * self.base
-
-    def solve(self, rhs: Sequence, ctx: ArithmeticContext) -> list:
-        """Solve V x = rhs for complex rhs; returns list of mpc, length d+1."""
-        if len(rhs) != self.d + 1:
-            raise ValueError(
-                f"rhs length {len(rhs)} != {self.d + 1} (order {self.d})"
-            )
-        nums, dens = _unit_vandermonde_inverse(self.d)
-        with ctx.workprec():
-            b = [mp.mpc(v) for v in rhs]
-            out = []
-            for l in range(self.d + 1):
-                acc = mp.mpc(0)
-                for j in range(self.d + 1):
-                    c = nums[l][j]
-                    if c:
-                        acc += c * b[j]
-                acc = acc / dens[l]
-                if l and self.base != 1:
-                    acc = acc / mp.mpf(self.base) ** l
-                out.append(acc)
-            return out
-
-
-def vandermonde_solve(
-    d: int, base: int, rhs: Sequence, ctx: ArithmeticContext
-) -> list:
-    """Functional form of :meth:`ScaledVandermonde.solve`."""
-    return ScaledVandermonde(d, base).solve(rhs, ctx)
+    if d < 0:
+        raise ValueError(f"order must be >= 0, got {d}")
+    if base < 1:
+        raise ValueError(f"base must be >= 1, got {base}")
+    if len(rhs) != d + 1:
+        raise ValueError(
+            f"rhs length {len(rhs)} != {d + 1} (order {d})"
+        )
+    nums, dens = _unit_vandermonde_inverse(d)
+    with ctx.workprec():
+        b = [mp.mpc(v) for v in rhs]
+        out = []
+        for l in range(d + 1):
+            acc = mp.mpc(0)
+            for j in range(d + 1):
+                c = nums[l][j]
+                if c:
+                    acc += c * b[j]
+            acc = acc / dens[l]
+            if l and base != 1:
+                acc = acc / mp.mpf(base) ** l
+            out.append(acc)
+        return out

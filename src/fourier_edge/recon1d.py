@@ -25,7 +25,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .kernels import v_fourier_coeff, v_kernel
+from .kernels import _I_POW, v_kernel
 from .model1d import CoeffVector1D
 from .numerics import (
     ArithmeticContext,
@@ -53,8 +53,6 @@ __all__ = [
     "solve_magnitudes_known_jump",
 ]
 
-_I_POW = (1, 1j, -1, -1j)
-
 # A candidate root counts as "near the unit circle" within this band.
 _CIRCLE_BAND = 0.5
 
@@ -78,9 +76,6 @@ class Moments:
     order: int
     indices: tuple
     values: tuple
-
-    def value_at(self, k: int):
-        return self.values[self.indices.index(k)]
 
 
 def moments(
@@ -163,14 +158,13 @@ def half_order_localize(
     c: CoeffVector1D,
     d1: int,
     ctx: ArithmeticContext,
-    anchor: Optional[int] = None,
 ) -> HalfOrderEstimate:
     """Jump location from consecutive indices at reduced order d1.
 
     Builds the annihilation polynomial
     sum_j (-1)^j C(d1+1, j) mtilde_{k0+j} u^(d1+1-j)
-    on the d1+2 consecutive indices starting at k0 (default M - d1 - 1, the
-    top of the band) with moments scaled at order d1.  For a model whose
+    on the d1+2 consecutive indices starting at k0 = M - d1 - 1, the top of
+    the band, with moments scaled at order d1.  For a model whose
     jump stack has order exactly d1 and no smooth part the true
     kappa = exp(-i xi) is an exact root; in general the estimate carries an
     O(k0^-1) relative moment perturbation and is only a hint.
@@ -183,8 +177,8 @@ def half_order_localize(
     """
     if d1 < 0:
         raise ValueError(f"d1 must be >= 0, got {d1}")
-    k0 = (c.M - d1 - 1) if anchor is None else int(anchor)
-    if k0 < 1 or k0 + d1 + 1 > c.M:
+    k0 = c.M - d1 - 1
+    if k0 < 1:
         raise LocalizationError(
             f"band M={c.M} cannot host consecutive window at k0={k0}, d1={d1}"
         )
@@ -203,12 +197,11 @@ def full_order_localize(
     d: int,
     hint: HalfOrderEstimate,
     ctx: ArithmeticContext,
-    n1: Optional[int] = None,
 ):
     """Full-order jump localization from decimated moments.
 
-    Uses indices (j+1)N_1, j = 0..d+1 with N_1 = floor(M / (d+2)) by
-    default.  The closest-to-circle root z of the annihilation polynomial
+    Uses indices (j+1)N_1, j = 0..d+1 with N_1 = floor(M / (d+2)).
+    The closest-to-circle root z of the annihilation polynomial
     approximates kappa^(N_1); its N_1-th roots are the candidate branches
     and the hint picks the one with smallest angular distance.
 
@@ -228,14 +221,10 @@ def full_order_localize(
     """
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    N1 = n1 if n1 is not None else c.M // (d + 2)
+    N1 = c.M // (d + 2)
     if N1 < 1:
         raise LocalizationError(
             f"decimation infeasible: M={c.M} < d+2={d + 2}"
-        )
-    if (d + 2) * N1 > c.M:
-        raise LocalizationError(
-            f"decimated window (d+2)*N1={(d + 2) * N1} exceeds band M={c.M}"
         )
     mom = moments(c, [(j + 1) * N1 for j in range(d + 2)], d, ctx)
     with ctx.workprec():
@@ -305,33 +294,21 @@ def solve_magnitudes_known_jump(
     d: int,
     known_xi,
     ctx: ArithmeticContext,
-    m1: Optional[int] = None,
 ):
     """Magnitudes when the jump location is known a priori.
 
-    Decimates at M_1 = floor(M / (d+1)) (indices jM_1, j = 1..d+1); with
-    kappa = exp(-i xi) known, the system right-hand side is
-    mtilde_{jM_1} kappa^(-jM_1).  Returns (magnitudes, M_1).
+    Decimates at M_1 = floor(M / (d+1)) (indices jM_1, j = 1..d+1) and
+    solves with the known kappa = exp(-i xi), as :func:`solve_magnitudes`
+    does with a localized one.  Returns (magnitudes, M_1).
     """
-    M1 = m1 if m1 is not None else c.M // (d + 1)
-    if M1 < 1 or (d + 1) * M1 > c.M:
+    M1 = c.M // (d + 1)
+    if M1 < 1:
         raise LocalizationError(
             f"known-jump decimation infeasible: M={c.M}, d={d}, M1={M1}"
         )
-    mom = moments(c, [(j + 1) * M1 for j in range(d + 1)], d, ctx)
     with ctx.workprec():
-        kap = mp.expj(-mp.mpf(known_xi))
-        step = kap ** M1
-        rhs = []
-        power = mp.mpc(1)
-        for j in range(d + 1):
-            power *= step
-            rhs.append(mom.values[j] * mp.conj(power) / abs(power) ** 2)
-        alpha = vandermonde_solve(d, M1, rhs, ctx)
-        mags = []
-        for l in range(d + 1):
-            mags.append(mp.mpc(_I_POW[(-(d - l)) % 4]) * alpha[d - l])
-        return tuple(mags), M1
+        kappa = mp.expj(-mp.mpf(known_xi))
+    return solve_magnitudes(c, d, kappa, ctx, M1), M1
 
 
 def residual_coeffs(
@@ -383,18 +360,22 @@ class Reconstruction1D:
     diagnostics: dict = field(compare=False, default_factory=dict)
 
 
+def _truncated_series(c: CoeffVector1D, xm):
+    """sum_{|k|<=M} c_k e^{ikx} by iterated powers; caller holds precision."""
+    e = mp.expj(xm)
+    power = mp.expj(-c.M * xm)
+    acc = mp.mpc(0)
+    for v in c.values:
+        acc += mp.mpc(v) * power
+        power *= e
+    return acc
+
+
 def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):
     """Reconstructed value at x: residual series plus recovered kernel stack."""
     with ctx.workprec():
         xm = mp.mpf(x)
-        e = mp.expj(xm)
-        # residual series sum_{|k|<=M} r_k e^{ikx} by iterated powers
-        M = rec.residual.M
-        acc = mp.mpc(0)
-        power = mp.expj(-M * xm)
-        for k in range(-M, M + 1):
-            acc += mp.mpc(rec.residual.c(k)) * power
-            power *= e
+        acc = _truncated_series(rec.residual, xm)
         for l, a in enumerate(rec.magnitudes_tilde):
             am = mp.mpc(a)
             if am != 0:

@@ -28,6 +28,7 @@ from .numerics import ArithmeticContext, RootFindingError
 from .recon1d import (
     Reconstruction1D,
     ReconstructionError,
+    _truncated_series,
     evaluate_complex,
     reconstruct1d,
 )
@@ -64,17 +65,7 @@ class PsiReconstructionSet:
         if rec is not None:
             return evaluate_complex(rec, x, ctx)
         with ctx.workprec():
-            xm = mp.mpf(x)
-            row = self.grid.row(wy)
-            e = mp.expj(xm)
-            power = mp.expj(-row.M * xm)
-            acc = mp.mpc(0)
-            for k in range(-row.M, row.M + 1):
-                v = mp.mpc(row.c(k))
-                if v != 0:
-                    acc += v * power
-                power *= e
-            return acc
+            return _truncated_series(self.grid.row(wy), mp.mpf(x))
 
 
 def _reconstruct_row(args):

@@ -40,8 +40,8 @@ from fourier_edge.cli import (
     fit_loglog,
     model_from_config,
 )
-from fourier_edge.model1d import _GL32, _composite_gl
 from fourier_edge.model2d import slice_coeff_exact
+from fourier_edge.oracle import _GL32, _composite_gl
 
 RESULTS = []
 

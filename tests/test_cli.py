@@ -119,6 +119,18 @@ def test_metrics_append_and_read_round_trip(tmp_path):
     assert rows[2]["delta_T"] == 2e-3
 
 
+def test_metrics_refuse_rows_of_another_order(tmp_path):
+    # a d = 3 row under d = 2 columns would shift delta_F, delta_T, seconds
+    path = tmp_path / "metrics.csv"
+    _append_metrics(path, ExperimentConfig(d=2), [_row(8, 2)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="d=3"):
+        _append_metrics(
+            path, ExperimentConfig(d=3), [_row(12, 3)], notes=("second run",)
+        )
+    assert path.read_bytes() == before
+
+
 def test_read_metrics_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("N,M\n1,2\n")
@@ -226,3 +238,11 @@ def test_generate_is_deterministic(tiny_config, tmp_path):
     assert main(["--config", str(cfg_path), "generate"]) == 0
     assert main(["--config", str(cfg_path), "--out", str(other), "generate"]) == 0
     assert (out / "grid_N5.fec").read_bytes() == (other / "grid_N5.fec").read_bytes()
+
+
+def test_reconstruct_refuses_grids_below_run_precision(tiny_config):
+    cfg_path, out = tiny_config
+    assert main(["--config", str(cfg_path), "generate"]) == 0  # 30 digits
+    with pytest.raises(ValueError, match="stored at 30 digits"):
+        main(["--config", str(cfg_path), "--precision", "60", "reconstruct"])
+    assert not (out / "metrics.csv").exists()

@@ -16,14 +16,12 @@ from mpmath import mp
 from fourier_edge import (
     ArithmeticContext,
     BernoulliBasis,
-    JumpKernelSpec,
     JumpModel1D,
     bernoulli_poly,
-    u_kernel,
     v_fourier_coeff,
     v_kernel,
 )
-from fourier_edge.model1d import quadrature_oracle
+from fourier_edge.oracle import quadrature_oracle
 
 # classical table values, kept literal on purpose
 _KNOWN_NUMBERS = {
@@ -179,28 +177,44 @@ def test_v_kernel_periodicity(ctx15):
                 assert abs(a - b) < 1e-13
 
 
+def _u_profile(n, y):
+    """Two-branch Bernoulli profile over the doubled period [-2pi, 2pi).
+
+    B_{n+1}((y + 2pi)/2pi) on [-2pi, 0) and B_{n+1}(y/2pi) on [0, 2pi),
+    after wrapping y into [-2pi, 2pi); mpmath's bernpoly keeps it
+    independent of the kernel tables.  Caller holds the precision.
+    """
+    ym = mp.mpf(y)
+    ym -= 4 * mp.pi * mp.floor((ym + 2 * mp.pi) / (4 * mp.pi))
+    u = (ym + 2 * mp.pi) / (2 * mp.pi) if ym < 0 else ym / (2 * mp.pi)
+    return mp.bernpoly(n + 1, u)
+
+
 def test_u_kernel_jump_only_at_order_zero(ctx30):
+    # eval2d reads the kernels across the curve at offsets from the anchor;
+    # at the anchor only order 0 jumps: from -B_1(1) = -1/2 to -B_1(0) = 1/2
     with ctx30.workprec():
-        assert abs(u_kernel(0, 0, ctx30) + mp.mpf("0.5")) < mp.mpf(10) ** -28
+        assert abs(v_kernel(0, 0, 0, ctx30) - mp.mpf("0.5")) < mp.mpf(10) ** -28
         h = mp.mpf(10) ** -8
-        # drop across 0 is exactly -1 in the limit
-        drop = u_kernel(0, mp.mpf(0), ctx30) - u_kernel(0, -h, ctx30)
-        assert abs(drop + 1) < 1e-7
-        for n in (1, 2, 4):
-            gap = u_kernel(n, mp.mpf(0), ctx30) - u_kernel(n, -h, ctx30)
-            assert abs(gap) < 1e-7
+        for x0 in (mp.mpf(0), mp.mpf("1.3")):
+            jump = v_kernel(0, x0, x0, ctx30) - v_kernel(0, x0, x0 - h, ctx30)
+            assert abs(jump - 1) < 1e-7
+            for n in (1, 2, 4):
+                gap = v_kernel(n, x0, x0, ctx30) - v_kernel(n, x0, x0 - h, ctx30)
+                assert abs(gap) < 1e-7
 
 
 def test_u_kernel_is_periodization_of_v(ctx15):
-    # both branches glue into one 2pi-periodic profile; with the kernel
-    # scale attached, u at offset t equals v anchored at 0
+    # both branches of the profile glue into one 2pi-periodic function; with
+    # the kernel scale attached, the profile at offset t is v anchored at x0
+    # and read at x0 + t
     with ctx15.workprec():
         for n in (0, 1, 3):
             scale = -((2 * mp.pi) ** n) / mp.factorial(n + 1)
-            for t in (-5.9, -3.0, -0.4, 0.0, 1.7, 6.0):
-                assert abs(
-                    scale * u_kernel(n, t, ctx15) - v_kernel(n, 0.0, t, ctx15)
-                ) < 1e-13
+            for x0 in (0.0, 1.3):
+                for t in (-5.9, -3.0, -0.4, 0.0, 1.7, 6.0):
+                    got = v_kernel(n, x0, mp.mpf(x0) + t, ctx15)
+                    assert abs(scale * _u_profile(n, t) - got) < 1e-13
 
 
 def test_fourier_coeff_zero_mode_and_symmetry(ctx15):
@@ -223,20 +237,8 @@ def test_fourier_coeff_against_quadrature(ctx15):
             assert abs(got - ref) < 1e-10
 
 
-def test_jump_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        JumpKernelSpec(-1, 0.0)
-    with pytest.raises(ValueError):
-        JumpKernelSpec(2, 3.5)  # outside [-pi, pi)
-    with pytest.raises(ValueError):
-        JumpKernelSpec(2, math.pi)
-    JumpKernelSpec(2, -math.pi)  # closed on the left
-
-
 def test_kernel_order_validation(ctx15):
     with pytest.raises(ValueError):
         v_kernel(-1, 0.0, 1.0, ctx15)
-    with pytest.raises(ValueError):
-        u_kernel(-2, 1.0, ctx15)
     with pytest.raises(ValueError):
         v_fourier_coeff(-1, 0.0, 3, ctx15)

@@ -21,7 +21,7 @@ from fourier_edge import (
     eval_model,
     synth_coeffs,
 )
-from fourier_edge.model1d import quadrature_oracle
+from fourier_edge.oracle import quadrature_oracle
 
 # fixed reference model for the frozen-value checks
 _FROZEN_MODEL = JumpModel1D(

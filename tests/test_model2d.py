@@ -17,10 +17,10 @@ from fourier_edge import (
     coeff_grid,
     eval2d,
     load_grid,
-    quadrature2d_oracle,
     save_grid,
     slice_coeff_exact,
 )
+from fourier_edge.oracle import quadrature2d_oracle
 
 _TRIG_CURVE = Curve("trig", (0.2, 0.15 + 0.1j))
 _BG = Background2D(
@@ -251,3 +251,18 @@ def test_grid_round_trip(tmp_path, ctx30):
             for wy in range(-2, 3):
                 worst = max(worst, abs(back.c(wx, wy) - grid.c(wx, wy)))
         assert worst < mp.mpf(10) ** -28
+
+
+def test_load_grid_requires_every_entry_once(tmp_path, ctx15):
+    path = tmp_path / "grid.fec"
+    save_grid(coeff_grid(Model2D.canonical(1), 3, 2, ctx15), path, 15)
+    header, *lines = path.read_text().splitlines()  # 7 * 5 = 35 entries
+    cases = {
+        "17 missing, 0 duplicate and 0 out-of-range": lines[:18],
+        "0 missing, 1 duplicate and 0 out-of-range": lines + lines[4:5],
+        "0 missing, 0 duplicate and 1 out-of-range": lines + ["4, 0, 1.0, 0.0"],
+    }
+    for message, body in cases.items():
+        path.write_text("\n".join([header, *body]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_grid(path)

@@ -1,9 +1,8 @@
 """Unit tests for the arithmetic substrate.
 
-Oracles: Pascal's triangle for binomial coefficients, repeated forward
-differencing for the annihilation sum, naive power sums for polynomial
-evaluation, and exact integer Vandermonde matrices rebuilt from scratch for
-the solver.
+Oracles: repeated forward differencing for the annihilation sum, naive
+power sums for polynomial evaluation, and exact integer Vandermonde matrices
+rebuilt from scratch for the solver.
 """
 
 import math
@@ -18,9 +17,7 @@ from fourier_edge import (
     ArithmeticContext,
     ComplexPoly,
     RootFindingError,
-    ScaledVandermonde,
     annihilation_sum,
-    binomial,
     poly_roots,
     vandermonde_solve,
 )
@@ -42,7 +39,6 @@ def test_context_rejects_bad_tolerance():
 
 def test_context_derived_tolerances():
     ctx = ArithmeticContext(precision_digits=20)
-    assert float(ctx.eps()) == pytest.approx(1e-20, rel=1e-10)
     # default residual tolerance leaves 8 digits of slack
     assert float(ctx.root_tol()) == pytest.approx(1e-12, rel=1e-10)
     ctx2 = ArithmeticContext(precision_digits=20, root_tolerance=1e-6)
@@ -58,32 +54,6 @@ def test_workprec_sets_and_restores_dps():
 
 
 # -- combinatorics -----------------------------------------------------------
-
-def _pascal(rows):
-    tri = [[1]]
-    for n in range(1, rows):
-        prev = tri[-1]
-        tri.append(
-            [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-        )
-    return tri
-
-
-def test_binomial_matches_pascal_triangle():
-    tri = _pascal(21)
-    for n in range(21):
-        for k in range(n + 1):
-            assert binomial(n, k) == tri[n][k]
-
-
-def test_binomial_domain():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -1)
-    with pytest.raises(ValueError):
-        binomial(3, 4)
-
 
 def _forward_difference_oracle(l, d):
     """(d+1)-fold differencing of j -> (j+1)^l, with alternating signs."""
@@ -269,7 +239,6 @@ def _vandermonde_matrix(d, base):
 def test_vandermonde_solver_recovers_exact_integer_solutions(ctx30):
     for d in (0, 1, 3, 6):
         for base in (1, 2, 5):
-            sv = ScaledVandermonde(d, base)
             truth = [(-1) ** l * (l + 2) for l in range(d + 1)]
             V = _vandermonde_matrix(d, base)
             with ctx30.workprec():
@@ -277,18 +246,9 @@ def test_vandermonde_solver_recovers_exact_integer_solutions(ctx30):
                     sum(mp.mpf(V[j][l]) * truth[l] for l in range(d + 1))
                     for j in range(d + 1)
                 ]
-                sol = sv.solve(rhs, ctx30)
+                sol = vandermonde_solve(d, base, rhs, ctx30)
                 for got, want in zip(sol, truth):
                     assert abs(got - want) < mp.mpf(10) ** -25
-
-
-def test_vandermonde_solve_facade_matches_class(ctx15):
-    d, base = 2, 3
-    with ctx15.workprec():
-        rhs = [mp.mpc(1, 1), mp.mpc(0, -2), mp.mpc(4)]
-        a = vandermonde_solve(d, base, rhs, ctx15)
-        b = ScaledVandermonde(d, base).solve(rhs, ctx15)
-        assert all(abs(x - y) == 0 for x, y in zip(a, b))
 
 
 def test_vandermonde_inverse_is_exact():
@@ -306,8 +266,8 @@ def test_vandermonde_inverse_is_exact():
         for j in range(d + 1)
     ]
     with ctx.workprec():
-        sol = ScaledVandermonde(d, base).solve(
-            [mp.mpf(r.numerator) / r.denominator for r in rhs_exact], ctx
+        sol = vandermonde_solve(
+            d, base, [mp.mpf(r.numerator) / r.denominator for r in rhs_exact], ctx
         )
         # inverse entries grow like (d+1)! and amplify rhs rounding; the
         # 15-digit context leaves roughly 1e-11 here
@@ -316,10 +276,10 @@ def test_vandermonde_inverse_is_exact():
 
 
 def test_vandermonde_validation():
-    with pytest.raises(ValueError):
-        ScaledVandermonde(-1, 2)
-    with pytest.raises(ValueError):
-        ScaledVandermonde(2, 0)
     ctx = ArithmeticContext()
     with pytest.raises(ValueError):
-        ScaledVandermonde(2, 1).solve([1, 2], ctx)  # wrong length
+        vandermonde_solve(-1, 2, [], ctx)
+    with pytest.raises(ValueError):
+        vandermonde_solve(2, 0, [1, 2, 3], ctx)
+    with pytest.raises(ValueError):
+        vandermonde_solve(2, 1, [1, 2], ctx)  # wrong length

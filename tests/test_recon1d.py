@@ -45,7 +45,7 @@ def test_moment_scaling_hand_value(ctx15):
     with ctx15.workprec():
         mom = moments(c, [2], 1, ctx15)
         # 2pi (2i)^2 * 1 = -8pi
-        assert abs(mom.value_at(2) + 8 * mp.pi) < 1e-13
+        assert abs(mom.values[0] + 8 * mp.pi) < 1e-13
         assert mom.order == 1 and mom.indices == (2,)
 
 
@@ -90,11 +90,11 @@ def test_half_order_band_too_short(ctx15):
 def test_half_order_no_root_near_circle(ctx15):
     # single nonzero coefficient at the window base: annihilation polynomial
     # is a pure monomial, all roots at 0
-    vals = [0.0] * 13
-    vals[6 + 2] = 1.0  # k = 2 with M = 6, window k0 = 2 for d1 = 2 anchor
-    c = CoeffVector1D(6, tuple(vals))
+    vals = [0.0] * 11
+    vals[5 + 2] = 1.0  # k = 2 with M = 5: the window k0 = M - d1 - 1 = 2
+    c = CoeffVector1D(5, tuple(vals))
     with pytest.raises(LocalizationError):
-        half_order_localize(c, 2, ctx15, anchor=2)
+        half_order_localize(c, 2, ctx15)
 
 
 def test_zero_data_raises(ctx15):
@@ -153,14 +153,6 @@ def test_full_order_needs_wide_enough_band(ctx15):
         full_order_localize(c, 3, hint, ctx15)  # M=4 < d+2
 
 
-def test_full_order_rejects_oversized_decimation(ctx15):
-    with ctx15.workprec():
-        c = _pure(0.3, (1.0, 0.2), 20, ctx15)
-        hint = half_order_localize(c, 0, ctx15)
-        with pytest.raises(LocalizationError):
-            full_order_localize(c, 1, hint, ctx15, n1=9)  # 3*9 > 20
-
-
 def test_branch_selection_follows_hint(ctx30):
     # N1 > 1 splits the root into branches; the hint must pick the true one
     with ctx30.workprec():
@@ -203,6 +195,17 @@ def test_known_jump_magnitudes(ctx30):
         assert M1 == 9  # floor(39 / 4)
         for got, want in zip(mags, truth):
             assert abs(got - mp.mpf(want)) < mp.mpf(10) ** -22
+
+
+def test_known_jump_solve_is_the_localized_solve(ctx30):
+    # the known-jump path is solve_magnitudes at kappa = exp(-i xi) and
+    # step M1; both must give the same digits
+    with ctx30.workprec():
+        c = _pure(0.7, (0.4, -1.2, 0.05), 37, ctx30)
+        mags, M1 = solve_magnitudes_known_jump(c, 2, mp.mpf(0.7), ctx30)
+        assert M1 == 12  # floor(37 / 3)
+        kappa = mp.expj(-mp.mpf(0.7))
+        assert mags == solve_magnitudes(c, 2, kappa, ctx30, M1)
 
 
 def test_known_jump_infeasible(ctx15):
