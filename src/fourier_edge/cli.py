@@ -222,18 +222,29 @@ def compute_metrics(
     cfg: ExperimentConfig,
     N: int,
 ) -> MetricsRow:
-    """Run the pipeline on one grid and compare against the model truth."""
+    """Run the pipeline on one grid and compare against the model truth.
+
+    The row is all NaN when N < d + 2, when a slice failed, or when every
+    row of the row stage degraded (the slices would then come from raw
+    truncated series, not from the method).
+    """
     ctx = cfg.ctx()
     t0 = time.monotonic()
-    if N < cfg.d + 2:
+
+    def nan_row():
         nan = float("nan")
         return MetricsRow(
             N, grid.M, nan, (nan,) * (cfg.d + 1), nan, nan,
             time.monotonic() - t0,
         )
+
+    if N < cfg.d + 2:
+        return nan_row()
     fld = reconstruct_field(
         grid, cfg.d_psi, cfg.d, cfg.x_points, ctx, jobs=cfg.jobs, d1=cfg.d1
     )
+    if not fld.psi.rows:
+        return nan_row()
     with ctx.workprec():
         collar = mp.mpf(cfg.boundary_collar)
         excl = mp.mpf(cfg.exclusion_radius)
@@ -247,10 +258,7 @@ def compute_metrics(
                 continue  # boundary collar: curve metrics unreliable there
             s = fld.slices.get(float(x))
             if s is None:
-                return MetricsRow(
-                    N, grid.M, float("nan"), (float("nan"),) * (cfg.d + 1),
-                    float("nan"), float("nan"), time.monotonic() - t0,
-                )
+                return nan_row()
             xi_true = model.curve.xi(x, ctx)
             # compare on the circle: the curve value is a torus coordinate
             d_xi = max(d_xi, _circle_gap(s.recon.xi_tilde, xi_true))

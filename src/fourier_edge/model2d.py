@@ -236,24 +236,37 @@ def slice_coeff_exact(m: Model2D, x, wy: int, ctx: ArithmeticContext):
 
 def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     """Exact grid for the identity curve: profile spectra shifted to the
-    anti-diagonal band."""
+    anti-diagonal band.
+
+    Entry (wx, wy != 0) is sum_l a_l(wx + wy) / (2pi (i wy)^(l+1)); the
+    factors are computed once per (wy, l) and the nonzero profile
+    coefficients once per q = wx + wy, so an entry whose q lies outside
+    every profile's band gets the background only.
+    """
     with ctx.workprec():
+        two_pi = 2 * mp.pi
+        orders = range(m.d_model + 1)
+        scale = {
+            wy: [
+                1 / (two_pi * mp.mpc(_I_POW[(l + 1) % 4]) * mp.mpf(wy) ** (l + 1))
+                for l in orders
+            ]
+            for wy in range(-N, N + 1)
+            if wy != 0
+        }
+        spectra = {}
+        for q in range(-M - N, M + N + 1):
+            coeffs = [(l, m.magnitude_coeff(l, q)) for l in orders]
+            spectra[q] = [(l, a) for l, a in coeffs if a != 0]
         cols = []
         for wx in range(-M, M + 1):
             col = []
             for wy in range(-N, N + 1):
                 c = mp.mpc(0)
                 if wy != 0:
-                    q = wx + wy
-                    for l in range(m.d_model + 1):
-                        a_hat = m.magnitude_coeff(l, q)
-                        if a_hat != 0:
-                            denom = (
-                                mp.mpc(_I_POW[(l + 1) % 4])
-                                * mp.mpf(wy) ** (l + 1)
-                            )
-                            c += a_hat / denom
-                    c /= 2 * mp.pi
+                    s = scale[wy]
+                    for l, a_hat in spectra[wx + wy]:
+                        c += a_hat * s[l]
                 if m.background is not None:
                     c += m.background.coeff2d(wx, wy)
                 col.append(c)
@@ -261,28 +274,27 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
         return cols
 
 
-def _trapezoid_grid(
-    m: Model2D, M: int, N: int, ctx: ArithmeticContext, T: int
-):
+def _trapezoid_grid(m: Model2D, wxs, wys, ctx: ArithmeticContext, T: int):
     """Periodic trapezoid on T nodes in x of the exact slice coefficients.
 
-    The integrand is a trig polynomial in y already; in x it is analytic
-    and periodic, so the trapezoid rule converges geometrically.
+    Returns one column per wx in ``wxs``, holding the entries (wx, wy) for
+    wy in ``wys``.  Each entry's arithmetic does not depend on the others, so
+    a sub-grid equals the same entries of a larger grid bit for bit.  The
+    integrand is a trig polynomial in y already; in x it is analytic and
+    periodic, so the trapezoid rule converges geometrically.
     """
     with ctx.workprec():
         two_pi = 2 * mp.pi
         xs = [-mp.pi + two_pi * t / T for t in range(T)]
-        # slice values v[t][wy + N], then an explicit DFT over x
-        v = []
-        for x in xs:
-            v.append([slice_coeff_exact(m, x, wy, ctx) for wy in range(-N, N + 1)])
+        # slice values v[t][iy], then an explicit DFT over x
+        v = [[slice_coeff_exact(m, x, wy, ctx) for wy in wys] for x in xs]
         cols = []
-        for wx in range(-M, M + 1):
-            col = [mp.mpc(0)] * (2 * N + 1)
+        for wx in wxs:
+            col = [mp.mpc(0)] * len(wys)
             for t, x in enumerate(xs):
                 ph = mp.expj(-wx * x)
                 row = v[t]
-                for iy in range(2 * N + 1):
+                for iy in range(len(wys)):
                     col[iy] += row[iy] * ph
             cols.append(tuple(c / T for c in col))
         return cols
@@ -298,8 +310,8 @@ def coeff_grid(
 
     Identity-curve models synthesize in closed form.  Trig-curve models use
     the periodic trapezoid rule on 8 * max(M, ceil(N * max(1, sup|xi'|)))
-    nodes; four entries are recomputed at doubled node count and the worst
-    deviation is recorded under diagnostics["doubling_error"].
+    nodes; four probe entries are recomputed at doubled node count and the
+    worst deviation is recorded under diagnostics["doubling_error"].
     """
     if M < 0 or N < 0:
         raise ValueError("M and N must be >= 0")
@@ -308,19 +320,22 @@ def coeff_grid(
         return CoeffGrid2D(M, N, tuple(values), {"method": "closed-form"})
     slope = max(1.0, m.curve.slope_bound())
     T = 8 * max(M, math.ceil(N * slope), 1)
-    values = _trapezoid_grid(m, M, N, ctx, T)
+    values = _trapezoid_grid(m, range(-M, M + 1), range(-N, N + 1), ctx, T)
     probes = [
         (M, N),
         (max(-M, -3), max(-N, -1)),
         (min(M, 1), min(N, 1)),
         (0, min(N, 2)),
     ]
-    dense = _trapezoid_grid(m, M, N, ctx, 2 * T)
+    # at 2T nodes only the probes' columns and rows are computed
+    wxs = sorted({wx for wx, _ in probes})
+    wys = sorted({wy for _, wy in probes})
+    dense = _trapezoid_grid(m, wxs, wys, ctx, 2 * T)
     with ctx.workprec():
         worst = mp.mpf(0)
         for wx, wy in probes:
             a = values[wx + M][wy + N]
-            b = dense[wx + M][wy + N]
+            b = dense[wxs.index(wx)][wys.index(wy)]
             worst = max(worst, abs(a - b))
     diag = {"method": "trapezoid", "doubling_error": float(worst)}
     return CoeffGrid2D(M, N, tuple(values), diag)

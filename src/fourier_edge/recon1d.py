@@ -24,6 +24,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_cos_sin,
+    mpf_mul,
+    round_nearest,
+    to_fixed,
+)
 
 from .kernels import _I_POW, v_kernel
 from .model1d import CoeffVector1D
@@ -311,6 +319,59 @@ def solve_magnitudes_known_jump(
     return solve_magnitudes(c, d, kappa, ctx, M1), M1
 
 
+def _guard_bits(M: int) -> int:
+    """Extra bits of the fixed-point series kernels over working precision,
+    enough to keep the O(M) roundings of their recurrences below it."""
+    return 24 + M.bit_length()
+
+
+def _mpc_parts(values, name: str, first: int) -> list:
+    """Raw (re, im) mpf pairs of ``mp.mpc(v)``; entry i is ``name`` first + i.
+
+    Raises
+    ------
+    ValueError
+        If a part is NaN or infinite, naming the entry.
+    """
+    prec = mp.prec
+    parts = []
+    for i, v in enumerate(values):
+        p = getattr(v, "_mpc_", None)
+        # mp.mpc(v) rounds to working precision; an mpc that fits is used as is
+        if p is None or p[0][3] > prec or p[1][3] > prec:
+            p = mp.mpc(v)._mpc_
+        re, im = p
+        # NaN and the infinities are the raw mpfs with mantissa 0 and a
+        # nonzero exponent; to_fixed would silently map them to 0
+        if (not re[1] and re[2]) or (not im[1] and im[2]):
+            raise ValueError(f"non-finite {name}{first + i}: {v}")
+        parts.append(p)
+    return parts
+
+
+def _fixed_shift(parts, wp: int) -> int:
+    """Exponent s such that every part of ``parts`` times 2^s is below 2^wp."""
+    top = max((p[2] + p[3] for pair in parts for p in pair if p[1]), default=0)
+    return wp - top
+
+
+def _fixed_expj(x, wp: int):
+    """exp(ix) of the raw mpf x as fixed-point ints (re, im) at scale 2^wp."""
+    if not x[1] and x[2]:  # NaN or infinite, as in _mpc_parts
+        raise ValueError(f"non-finite phase argument {mp.mpf(x)}")
+    cos, sin = mpf_cos_sin(x, wp)
+    return to_fixed(cos, wp), to_fixed(sin, wp)
+
+
+def _from_fixed(re: int, im: int, shift: int):
+    """mpc at working precision from fixed-point ints at scale 2^shift."""
+    prec = mp.prec
+    return mp.make_mpc((
+        from_man_exp(re, -shift, prec, round_nearest),
+        from_man_exp(im, -shift, prec, round_nearest),
+    ))
+
+
 def residual_coeffs(
     c: CoeffVector1D,
     xi_tilde,
@@ -319,28 +380,52 @@ def residual_coeffs(
 ) -> CoeffVector1D:
     """Coefficients of the smooth remainder: c_k minus the jump-part closed form.
 
-    The jump part of c_k is exp(-ik xi) / 2pi * sum_l A_l / (ik)^(l+1);
-    computed with one phase evaluation per frequency and an iterated
-    division cascade over l (same closed form as v_fourier_coeff).
+    The jump part of c_k is exp(-ik xi) / 2pi * sum_l A_l / (ik)^(l+1) (the
+    closed form of v_fourier_coeff).  It is computed on Python-int fixed-point
+    values at working precision plus guard bits, scaled to the largest input:
+    the phases by the recurrence with step exp(-i xi) (conjugated for k < 0),
+    the kernel sum by Horner in u = 1/(ik) = -i/k with 1/2pi folded into the
+    magnitudes.  c_0 is returned as given.
+
+    Raises
+    ------
+    ValueError
+        If xi, a coefficient or a magnitude is NaN or infinite.
     """
     with ctx.workprec():
-        xi = mp.mpf(xi_tilde)
-        mags = [mp.mpc(a) for a in magnitudes_tilde]
-        two_pi = 2 * mp.pi
-        vals = []
-        for k in range(-c.M, c.M + 1):
-            ck = mp.mpc(c.c(k))
-            if k != 0:
-                inv_ik = mp.mpc(0, -1) / k  # 1/(ik)
-                running = mp.expj(-k * xi) / two_pi
-                phi = mp.mpc(0)
-                for a in mags:
-                    running *= inv_ik
-                    if a != 0:
-                        phi += a * running
-                ck -= phi
-            vals.append(ck)
-        return CoeffVector1D(c.M, tuple(vals))
+        M = c.M
+        wp = mp.prec + _guard_bits(M)
+        xi = mp.mpf(xi_tilde)._mpf_
+        parts = _mpc_parts(c.values, "coefficient c_", -M)
+        mags = _mpc_parts(magnitudes_tilde, "magnitude A_", 0)
+        with mp.workprec(wp):
+            inv_two_pi = 1 / (2 * mp.pi)
+            mags = [(mp.make_mpc(a) * inv_two_pi)._mpc_ for a in mags]
+        shift = _fixed_shift(parts + mags, wp)
+        fixed = [(to_fixed(re, shift), to_fixed(im, shift)) for re, im in parts]
+        # Horner runs from the top order down: t = B_d, t = B_l + u t, S = u t
+        top, *rest = [
+            (to_fixed(re, shift), to_fixed(im, shift)) for re, im in reversed(mags)
+        ] or [(0, 0)]
+        sr, si = _fixed_expj(xi, wp)
+        si = -si  # exp(-i xi)
+        pr, pi_ = 1 << wp, 0
+        vals = [None] * (2 * M + 1)
+        vals[M] = mp.mpc(c.values[M])
+        for k in range(1, M + 1):
+            pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
+            for n, qi in ((k, pi_), (-k, -pi_)):
+                tr, ti = top
+                for br, bi in rest:
+                    tr, ti = br + ti // n, bi - tr // n
+                tr, ti = ti // n, -tr // n
+                cr, ci = fixed[n + M]
+                vals[n + M] = _from_fixed(
+                    cr - ((pr * tr - qi * ti) >> wp),
+                    ci - ((pr * ti + qi * tr) >> wp),
+                    shift,
+                )
+        return CoeffVector1D(M, tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -361,14 +446,27 @@ class Reconstruction1D:
 
 
 def _truncated_series(c: CoeffVector1D, xm):
-    """sum_{|k|<=M} c_k e^{ikx} by iterated powers; caller holds precision."""
-    e = mp.expj(xm)
-    power = mp.expj(-c.M * xm)
-    acc = mp.mpc(0)
-    for v in c.values:
-        acc += mp.mpc(v) * power
-        power *= e
-    return acc
+    """sum_{|k|<=M} c_k e^{ikx}; caller holds precision.
+
+    Horner in z = e^{ix} over c_M..c_{-M}, then one multiply by e^{-iMx}, on
+    Python-int fixed-point values at working precision plus guard bits,
+    scaled to the largest coefficient.  Raises ValueError if x or a
+    coefficient is NaN or infinite.
+    """
+    M = c.M
+    wp = mp.prec + _guard_bits(M)
+    x = mp.mpf(xm)._mpf_
+    parts = _mpc_parts(c.values, "coefficient c_", -M)
+    shift = _fixed_shift(parts, wp)
+    zr, zi = _fixed_expj(x, wp)
+    ar = ai = 0
+    for re, im in reversed(parts):
+        ar, ai = (
+            ((ar * zr - ai * zi) >> wp) + to_fixed(re, shift),
+            ((ar * zi + ai * zr) >> wp) + to_fixed(im, shift),
+        )
+    er, ei = _fixed_expj(mpf_mul(x, from_int(-M)), wp)
+    return _from_fixed((ar * er - ai * ei) >> wp, (ar * ei + ai * er) >> wp, shift)
 
 
 def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):

@@ -26,7 +26,7 @@ from fourier_edge.cli import (
     model_to_json,
     read_metrics,
 )
-from fourier_edge.model2d import CoeffGrid2D
+from fourier_edge.model2d import CoeffGrid2D, coeff_grid
 
 
 # -- config ------------------------------------------------------------------
@@ -145,6 +145,21 @@ def test_degenerate_entry_yields_nan_row():
     assert row.N == 8 and row.M == 4
     assert math.isnan(row.delta_xi) and math.isnan(row.delta_F)
     assert len(row.delta_A) == 10 and all(math.isnan(a) for a in row.delta_A)
+
+
+def test_all_rows_degraded_yields_nan_row():
+    # M = 12 < d_psi + 1 = 21 cannot host the known-jump decimation, so every
+    # row degrades; the canonical rows are one-sparse, so their raw series are
+    # exact and the slice stage alone would report plausible numbers
+    cfg = ExperimentConfig(d=9, d_psi=20, precision_digits=30, y_count=8)
+    model = Model2D.canonical(11)
+    grid = coeff_grid(model, 12, 12, cfg.ctx())
+    with pytest.warns(UserWarning, match="under-resolved"):
+        row = compute_metrics(model, grid, cfg, 12)
+    assert row.N == 12 and row.M == 12
+    assert math.isnan(row.delta_xi) and math.isnan(row.delta_F)
+    assert math.isnan(row.delta_T)
+    assert all(math.isnan(a) for a in row.delta_A)
 
 
 # -- slope fitting -----------------------------------------------------------

@@ -4,6 +4,8 @@ Grid synthesis is validated against the slow 2D quadrature oracle and, for
 slices, against direct 1D integration of the pointwise model.
 """
 
+import math
+
 import pytest
 from mpmath import mp
 
@@ -20,6 +22,7 @@ from fourier_edge import (
     save_grid,
     slice_coeff_exact,
 )
+from fourier_edge.model2d import _trapezoid_grid
 from fourier_edge.oracle import quadrature2d_oracle
 
 _TRIG_CURVE = Curve("trig", (0.2, 0.15 + 0.1j))
@@ -210,6 +213,52 @@ def test_closed_form_grid_against_x_quadrature(ctx15):
                     ) * mp.expj(-wx * x)
             ref = acc * h / 2 / (2 * mp.pi)
             assert abs(grid.c(wx, wy) - ref) < 1e-10
+
+
+def test_closed_form_grid_with_band_limited_profiles(ctx30):
+    # profiles with several nonzero coefficients fill more than the
+    # anti-diagonal; for the identity curve the x-integrand of each entry is
+    # a trig polynomial, so a 32-node trapezoid sum of the exact slice
+    # coefficients is exact to roundoff
+    m = Model2D(
+        2,
+        (TrigBackground((0.5, 0.25j, -0.1)), 0.75, TrigBackground((0, 0.3))),
+        Curve("identity"),
+        _BG,
+    )
+    grid = coeff_grid(m, 5, 3, ctx30)
+    with ctx30.workprec():
+        xs = [-mp.pi + 2 * mp.pi * t / 32 for t in range(32)]
+        for wx in range(-5, 6):
+            for wy in range(-3, 4):
+                ref = sum(
+                    slice_coeff_exact(m, x, wy, ctx30) * mp.expj(-wx * x)
+                    for x in xs
+                ) / 32
+                assert abs(grid.c(wx, wy) - ref) < 1e-27
+        assert grid.c(-5, -3) == 0  # q = -8 is outside every profile's band
+
+
+def test_doubling_error_is_the_full_doubled_grid_value(ctx30):
+    # the probes are recomputed alone at 2T nodes; they must give the same
+    # doubling error as the whole grid at 2T (the C6 model)
+    m = Model2D(
+        2,
+        (1.0, TrigBackground((0.5, 0.25j)), 0.75),
+        _TRIG_CURVE,
+        _BG,
+    )
+    M, N = 8, 4
+    grid = coeff_grid(m, M, N, ctx30)
+    T = 8 * max(M, math.ceil(N * max(1.0, m.curve.slope_bound())), 1)
+    dense = _trapezoid_grid(m, range(-M, M + 1), range(-N, N + 1), ctx30, 2 * T)
+    probes = [(M, N), (-3, -1), (1, 1), (0, 2)]
+    with ctx30.workprec():
+        worst = max(
+            abs(grid.c(wx, wy) - dense[wx + M][wy + N]) for wx, wy in probes
+        )
+    assert grid.diagnostics["doubling_error"] == float(worst)
+    assert grid.diagnostics["doubling_error"] < 1e-25
 
 
 def test_trapezoid_grid_against_oracle(ctx15):

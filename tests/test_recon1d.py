@@ -5,8 +5,10 @@ errors there are bounded only by working precision; tolerances below leave
 several orders of headroom over what the pipeline actually achieves.
 """
 
+import dataclasses
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +33,7 @@ from fourier_edge import (
     solve_magnitudes_known_jump,
     synth_coeffs,
 )
+from fourier_edge import recon1d
 from fourier_edge.model1d import eval_model
 
 
@@ -222,6 +225,113 @@ def test_residual_vanishes_for_exact_jump_part(ctx30):
         res = residual_coeffs(c, mp.mpf(0.4), (1.0, -0.6), ctx30)
         worst = max(abs(res.c(k)) for k in range(-16, 17))
         assert worst < mp.mpf(10) ** -28
+
+
+def _reference_residual(c, xi, mags):
+    """The closed form of residual_coeffs, term by term in mpmath."""
+    vals = []
+    for k in range(-c.M, c.M + 1):
+        ck = mp.mpc(c.c(k))
+        if k != 0:
+            phase = mp.expj(-k * mp.mpf(xi)) / (2 * mp.pi)
+            ck -= phase * sum(
+                mp.mpc(a) / mp.mpc(0, k) ** (l + 1) for l, a in enumerate(mags)
+            )
+        vals.append(ck)
+    return vals
+
+
+def _reference_series(c, x):
+    return sum(
+        (mp.mpc(c.c(k)) * mp.expj(k * mp.mpf(x)) for k in range(-c.M, c.M + 1)),
+        mp.mpc(0),
+    )
+
+
+def _random_series_inputs(M, ctx, seed):
+    """Decaying complex coefficients, ten order-one magnitudes, and a
+    location drawn in (-pi, pi), all rounded to the working precision."""
+    rng = random.Random(seed)
+    with ctx.workprec():
+        c = CoeffVector1D(M, tuple(
+            mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / (1 + abs(k)) ** 1.5
+            for k in range(-M, M + 1)
+        ))
+        mags = tuple(
+            mp.mpc(rng.uniform(-1, 1), rng.uniform(-1e-3, 1e-3)) for _ in range(10)
+        )
+        return c, mags, mp.mpf(rng.uniform(-3, 3))
+
+
+@pytest.mark.parametrize("M, dps", [(16, 30), (144, 60), (200, 50), (2048, 30)])
+def test_series_kernels_match_mpmath_reference(M, dps):
+    # the fixed-point kernels against the closed forms evaluated at 40 more
+    # digits, at a drawn location and at the seam -pi of the row stage
+    ctx = ArithmeticContext(dps)
+    ref = ArithmeticContext(dps + 40)
+    c, mags, xi = _random_series_inputs(M, ctx, seed=M)
+    with ctx.workprec():
+        seam = -mp.pi
+        x = mp.mpf("0.7")
+    for anchor in (xi, seam):
+        res = residual_coeffs(c, anchor, mags, ctx)
+        with ref.workprec():
+            want = _reference_residual(c, anchor, mags)
+            scale = max(1, max(abs(v) for v in c.values))
+            tol = mp.mpf(10) ** -dps * scale
+            assert max(abs(a - b) for a, b in zip(res.values, want)) <= tol
+    with ctx.workprec():
+        got = recon1d._truncated_series(c, x)
+    with ref.workprec():
+        assert abs(got - _reference_series(c, x)) <= tol
+
+
+def test_series_kernels_accept_mixed_input_types(ctx30):
+    # every entry goes through mp.mpc at working precision, whatever its type
+    raw = (3, "0.1", 0.25, mp.mpf("-0.3"), mp.mpc("0.2", "-0.7"), 1 - 2j, "-2")
+    with ctx30.workprec():
+        rounded = tuple(mp.mpc(v) for v in raw)
+        mixed = CoeffVector1D(3, raw)
+        plain = CoeffVector1D(3, rounded)
+        x = mp.mpf("-1.9")
+        a = residual_coeffs(mixed, 0.4, (1, "0.5", mp.mpf(2)), ctx30)
+        b = residual_coeffs(plain, 0.4, (mp.mpc(1), mp.mpc("0.5"), 2), ctx30)
+        assert [v._mpc_ for v in a.values] == [v._mpc_ for v in b.values]
+        assert a.c(0) == mp.mpc(raw[3])  # c_0 passes through
+        got = recon1d._truncated_series(mixed, x)
+        assert got._mpc_ == recon1d._truncated_series(plain, x)._mpc_
+    with mp.workdps(70):
+        want = _reference_series(plain, x)
+    assert abs(got - want) < mp.mpf(10) ** -29
+
+
+@pytest.mark.parametrize("bad", [mp.nan, mp.inf, mp.mpc(0, -mp.inf), complex("nan")])
+def test_non_finite_series_inputs_raise(bad, ctx30):
+    # fixed-point conversion maps NaN and infinities to 0, so the kernels
+    # must refuse them instead of returning plausible numbers
+    with ctx30.workprec():
+        c = _pure(0.4, (1.0, -0.6), 8, ctx30)
+        vals = list(c.values)
+        vals[8 + 3] = bad
+        broken = CoeffVector1D(8, vals)
+        with pytest.raises(ValueError, match="coefficient c_3"):
+            residual_coeffs(broken, 0.4, (1.0, -0.6), ctx30)
+        with pytest.raises(ValueError, match="magnitude A_1"):
+            residual_coeffs(c, 0.4, (1.0, bad), ctx30)
+        rec = reconstruct1d(c, 1, ctx30)
+        with pytest.raises(ValueError, match="coefficient c_3"):
+            evaluate_complex(dataclasses.replace(rec, residual=broken), 0.3, ctx30)
+
+
+@pytest.mark.parametrize("bad", [mp.nan, -mp.inf])
+def test_non_finite_location_or_point_raises(bad, ctx30):
+    with ctx30.workprec():
+        c = _pure(0.4, (1.0, -0.6), 8, ctx30)
+        with pytest.raises(ValueError, match="non-finite"):
+            residual_coeffs(c, bad, (1.0, -0.6), ctx30)
+        rec = reconstruct1d(c, 1, ctx30)
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_complex(rec, bad, ctx30)
 
 
 def test_reconstruct_pure_model(ctx30):

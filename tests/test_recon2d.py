@@ -178,3 +178,24 @@ def test_parallel_rows_match_serial(ctx40):
             a, b = serial.rows[wy], parallel.rows[wy]
             assert a.xi_tilde == b.xi_tilde
             assert a.magnitudes_tilde == b.magnitudes_tilde
+            # bit for bit, through the fixed-point kernels
+            assert [v._mpc_ for v in a.residual.values] == [
+                v._mpc_ for v in b.residual.values
+            ]
+            for x in ("-2.9", "0.45"):
+                assert (
+                    serial.row_value(wy, mp.mpf(x), ctx40)._mpc_
+                    == parallel.row_value(wy, mp.mpf(x), ctx40)._mpc_
+                )
+
+
+def test_degraded_row_fallback_refuses_non_finite_entries(ctx40):
+    # a NaN in a degraded row would read as 0 in the fixed-point series
+    grid = coeff_grid(Model2D.canonical(11), 4, 3, ctx40)
+    values = [list(col) for col in grid.values]
+    values[4 + 2][3 + 1] = mp.nan  # (wx, wy) = (2, 1)
+    psi = reconstruct_psi_set(CoeffGrid2D(4, 3, values), 9, ctx40)
+    assert 1 in psi.degraded
+    with pytest.raises(ValueError, match="coefficient c_2"):
+        psi.row_value(1, 0.4, ctx40)
+    psi.row_value(2, 0.4, ctx40)  # the other rows still evaluate
