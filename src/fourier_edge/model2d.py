@@ -234,6 +234,11 @@ def slice_coeff_exact(m: Model2D, x, wy: int, ctx: ArithmeticContext):
         return acc
 
 
+def _nonzero_or_none(profile: TrigBackground, ks) -> list:
+    """Coefficients of ``profile`` at ks, None where one is exactly 0."""
+    return [g if g != 0 else None for g in map(profile.coeff, ks)]
+
+
 def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     """Exact grid for the identity curve: profile spectra shifted to the
     anti-diagonal band.
@@ -241,7 +246,10 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     Entry (wx, wy != 0) is sum_l a_l(wx + wy) / (2pi (i wy)^(l+1)); the
     factors are computed once per (wy, l) and the nonzero profile
     coefficients once per q = wx + wy, so an entry whose q lies outside
-    every profile's band gets the background only.
+    every profile's band gets the background only.  The background adds
+    sum_s p_s(wx) q_s(wy) in the order of ``Background2D.coeff2d``, from the
+    term coefficients converted once per wx and per wy; products with an
+    exact zero factor are skipped, which changes no bit.
     """
     with ctx.workprec():
         two_pi = 2 * mp.pi
@@ -258,6 +266,10 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
         for q in range(-M - N, M + N + 1):
             coeffs = [(l, m.magnitude_coeff(l, q)) for l in orders]
             spectra[q] = [(l, a) for l, a in coeffs if a != 0]
+        terms = m.background.terms if m.background is not None else ()
+        # per term, the coefficients by wx + M and by wy + N; None for 0
+        p_hat = [_nonzero_or_none(p, range(-M, M + 1)) for p, _ in terms]
+        q_hat = [_nonzero_or_none(q, range(-N, N + 1)) for _, q in terms]
         cols = []
         for wx in range(-M, M + 1):
             col = []
@@ -267,8 +279,13 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
                     s = scale[wy]
                     for l, a_hat in spectra[wx + wy]:
                         c += a_hat * s[l]
-                if m.background is not None:
-                    c += m.background.coeff2d(wx, wy)
+                bg = None
+                for ps, qs in zip(p_hat, q_hat):
+                    a, b = ps[wx + M], qs[wy + N]
+                    if a is not None and b is not None:
+                        bg = a * b if bg is None else bg + a * b
+                if bg is not None:
+                    c += bg
                 col.append(c)
             cols.append(tuple(col))
         return cols

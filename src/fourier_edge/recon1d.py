@@ -29,11 +29,13 @@ from mpmath.libmp import (
     from_man_exp,
     mpf_cos_sin,
     mpf_mul,
+    mpf_pi,
+    mpf_sub,
     round_nearest,
     to_fixed,
 )
 
-from .kernels import _I_POW, v_kernel
+from .kernels import _BASIS, _I_POW
 from .model1d import CoeffVector1D
 from .numerics import (
     ArithmeticContext,
@@ -428,13 +430,104 @@ def residual_coeffs(
         return CoeffVector1D(M, tuple(vals))
 
 
+class _FixedForm:
+    """Residual series plus kernel stack, prepared for evaluation at the
+    working precision of its construction (``prec``).
+
+    The residual c_-M..c_M and the stack sum_l A_l v_l, a polynomial of
+    degree d+1 in u = wrap(x - xi) / 2pi whose coefficients
+    sum_l A_l kernel_scale(l) b_{l+1,j} come from the exact Bernoulli
+    tables, are held as Python-int fixed-point values at working precision
+    plus guard bits, at one scale set by the largest coefficient or
+    magnitude.  Without magnitudes it is the plain truncated series.
+
+    Raises
+    ------
+    ValueError
+        If xi, a coefficient or a magnitude is NaN or infinite, or if there
+        are more than 16 magnitudes (the Bernoulli table ends at order 16).
+    """
+
+    __slots__ = ("prec", "wp", "shift", "M", "re", "im", "xi", "inv_two_pi", "stack")
+
+    def __init__(self, residual: CoeffVector1D, xi=None, magnitudes=()):
+        self.prec = mp.prec
+        self.M = M = residual.M
+        self.wp = wp = mp.prec + _guard_bits(M)
+        parts = _mpc_parts(residual.values, "coefficient c_", -M)
+        mags = _mpc_parts(magnitudes, "magnitude A_", 0)
+        self.shift = shift = _fixed_shift(parts + mags, wp)
+        # Horner in e^{ix} runs from c_M down to c_-M; two lists of ints, not
+        # a list of pairs, keep a W3 row stage about 0.4 MB smaller
+        self.re = [to_fixed(re, shift) for re, _ in reversed(parts)]
+        self.im = [to_fixed(im, shift) for _, im in reversed(parts)]
+        self.xi = self.inv_two_pi = None
+        self.stack = ()
+        if not mags:
+            return
+        self.xi = mp.mpf(xi)._mpf_
+        if not self.xi[1] and self.xi[2]:  # NaN or infinite, as in _mpc_parts
+            raise ValueError(f"non-finite location xi: {xi}")
+        two_pi = to_fixed(mpf_pi(wp + 4), wp + 1)
+        self.inv_two_pi = (1 << 2 * wp) // two_pi
+        # stack[j] = sum_l A_l kernel_scale(l) b_{l+1,j}: A_l at 2^shift
+        # times kernel_scale(l) b_{l+1,j} at 2^wp, one shift per coefficient
+        stack = [[0, 0] for _ in range(len(mags) + 1)]
+        power = 1 << wp  # (2pi)^l
+        for l, (re, im) in enumerate(mags):
+            ar, ai = to_fixed(re, shift), to_fixed(im, shift)
+            den = math.factorial(l + 1)
+            for j, b in enumerate(_BASIS.poly_coeffs(l + 1)):
+                t = -(power * b.numerator) // (b.denominator * den)
+                stack[j][0] += ar * t
+                stack[j][1] += ai * t
+            power = (power * two_pi) >> wp
+        self.stack = [(re >> wp, im >> wp) for re, im in reversed(stack)]
+
+    def value(self, x):
+        """Value at x, rounded once to working precision; caller holds
+        the precision of the form.
+
+        One wrap u = (x - xi) / 2pi mod 1 of the exact difference, so u = 0
+        at the anchor gives the right-sided limit; integer Horner in u over
+        the stack; Horner in z = e^{ix} over the series, then one multiply
+        by e^{-iMx}.
+        """
+        x = mp.mpf(x)._mpf_
+        if not x[1] and x[2]:
+            raise ValueError(f"non-finite evaluation point {mp.mpf(x)}")
+        wp = self.wp
+        ar = ai = 0
+        if self.stack:
+            u = to_fixed(mpf_sub(x, self.xi), wp) * self.inv_two_pi >> wp
+            u &= (1 << wp) - 1
+            for cr, ci in self.stack:
+                ar = ((ar * u) >> wp) + cr
+                ai = ((ai * u) >> wp) + ci
+        zr, zi = _fixed_expj(x, wp)
+        sr = si = 0
+        for cr, ci in zip(self.re, self.im):
+            sr, si = (
+                ((sr * zr - si * zi) >> wp) + cr,
+                ((sr * zi + si * zr) >> wp) + ci,
+            )
+        er, ei = _fixed_expj(mpf_mul(x, from_int(-self.M)), wp)
+        return _from_fixed(
+            ar + ((sr * er - si * ei) >> wp),
+            ai + ((sr * ei + si * er) >> wp),
+            self.shift,
+        )
+
+
 @dataclass(frozen=True)
 class Reconstruction1D:
     """Immutable result of a 1D reconstruction.
 
     ``magnitudes_tilde`` are mpc (near-real for real input data);
     ``residual`` is the smooth-part coefficient vector; ``diagnostics`` is a
-    JSON-friendly dict (floats/ints/strings only).
+    JSON-friendly dict (floats/ints/strings only).  The fixed-point form that
+    :func:`evaluate_complex` uses is built from these fields at construction,
+    under the precision then in force.
     """
 
     xi_tilde: object
@@ -443,42 +536,25 @@ class Reconstruction1D:
     d: int
     known_jump: bool
     diagnostics: dict = field(compare=False, default_factory=dict)
+    _form: _FixedForm = field(init=False, repr=False, compare=False)
 
-
-def _truncated_series(c: CoeffVector1D, xm):
-    """sum_{|k|<=M} c_k e^{ikx}; caller holds precision.
-
-    Horner in z = e^{ix} over c_M..c_{-M}, then one multiply by e^{-iMx}, on
-    Python-int fixed-point values at working precision plus guard bits,
-    scaled to the largest coefficient.  Raises ValueError if x or a
-    coefficient is NaN or infinite.
-    """
-    M = c.M
-    wp = mp.prec + _guard_bits(M)
-    x = mp.mpf(xm)._mpf_
-    parts = _mpc_parts(c.values, "coefficient c_", -M)
-    shift = _fixed_shift(parts, wp)
-    zr, zi = _fixed_expj(x, wp)
-    ar = ai = 0
-    for re, im in reversed(parts):
-        ar, ai = (
-            ((ar * zr - ai * zi) >> wp) + to_fixed(re, shift),
-            ((ar * zi + ai * zr) >> wp) + to_fixed(im, shift),
-        )
-    er, ei = _fixed_expj(mpf_mul(x, from_int(-M)), wp)
-    return _from_fixed((ar * er - ai * ei) >> wp, (ar * ei + ai * er) >> wp, shift)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_form", _FixedForm(
+            self.residual, self.xi_tilde, self.magnitudes_tilde
+        ))
 
 
 def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):
-    """Reconstructed value at x: residual series plus recovered kernel stack."""
+    """Reconstructed value at x: residual series plus recovered kernel stack.
+
+    Uses the record's fixed-point form, or a new one when the record was
+    built at another precision than that of ``ctx``.
+    """
     with ctx.workprec():
-        xm = mp.mpf(x)
-        acc = _truncated_series(rec.residual, xm)
-        for l, a in enumerate(rec.magnitudes_tilde):
-            am = mp.mpc(a)
-            if am != 0:
-                acc += am * v_kernel(l, rec.xi_tilde, xm, ctx)
-        return acc
+        form = rec._form
+        if form.prec != mp.prec:
+            form = _FixedForm(rec.residual, rec.xi_tilde, rec.magnitudes_tilde)
+        return form.value(x)
 
 
 def evaluate(rec: Reconstruction1D, x, ctx: ArithmeticContext):
@@ -536,7 +612,13 @@ def reconstruct1d(
                 **loc_diag,
             }
         res = residual_coeffs(c, xi, mags, ctx)
-        rec = Reconstruction1D(
+        if assume_real:
+            form = _FixedForm(res, xi, mags)
+            diagnostics["imag_residue"] = max(
+                float(abs(form.value(-mp.pi + mp.pi * q / 4).imag))
+                for q in range(8)
+            )
+        return Reconstruction1D(
             xi_tilde=xi,
             magnitudes_tilde=mags,
             residual=res,
@@ -544,10 +626,3 @@ def reconstruct1d(
             known_jump=known_jump is not None,
             diagnostics=diagnostics,
         )
-        if assume_real:
-            imag_max = mp.mpf(0)
-            for q in range(8):
-                v = evaluate_complex(rec, -mp.pi + mp.pi * q / 4, ctx)
-                imag_max = max(imag_max, abs(v.imag))
-            diagnostics["imag_residue"] = float(imag_max)
-        return rec

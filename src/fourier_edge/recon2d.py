@@ -28,7 +28,7 @@ from .numerics import ArithmeticContext, RootFindingError
 from .recon1d import (
     Reconstruction1D,
     ReconstructionError,
-    _truncated_series,
+    _FixedForm,
     evaluate_complex,
     reconstruct1d,
 )
@@ -51,13 +51,17 @@ class PsiReconstructionSet:
 
     rows: dict wy -> Reconstruction1D for rows that reconstructed.
     degraded: dict wy -> reason string; those rows fall back to raw
-    truncated series evaluation straight from the grid.
+    truncated series evaluation straight from the grid, each prepared once
+    per precision on first use.
     """
 
     grid: CoeffGrid2D
     d_psi: int
     rows: dict = field(compare=False)
     degraded: dict = field(compare=False)
+    _raw_forms: dict = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def row_value(self, wy: int, x, ctx: ArithmeticContext):
         """psi_tilde_wy(x): reconstructed if possible, raw series otherwise."""
@@ -65,7 +69,10 @@ class PsiReconstructionSet:
         if rec is not None:
             return evaluate_complex(rec, x, ctx)
         with ctx.workprec():
-            return _truncated_series(self.grid.row(wy), mp.mpf(x))
+            form = self._raw_forms.get(wy)
+            if form is None or form.prec != mp.prec:
+                form = self._raw_forms[wy] = _FixedForm(self.grid.row(wy))
+            return form.value(x)
 
 
 def _reconstruct_row(args):

@@ -239,6 +239,28 @@ def test_closed_form_grid_with_band_limited_profiles(ctx30):
         assert grid.c(-5, -3) == 0  # q = -8 is outside every profile's band
 
 
+def test_closed_form_background_is_coeff2d_bit_for_bit(ctx30):
+    # the grid converts each background term's coefficients once per wx and
+    # per wy and skips zero products; every entry must still be the kernel
+    # part plus Background2D.coeff2d, bit for bit, in and out of the bands
+    tb = TrigBackground
+    bg = Background2D((
+        (tb((0.1, 0.2j, 1 / 9, -0.05)), tb((0.3, -0.1, 0.2 + 1j / 11))),
+        (tb((0.4, 1 / 3, 0, 0.3 - 0.2j)), tb((0, 1 / 7 + 0.25j, -0.15))),
+        (tb((-0.2, 0.125j, 0.6j, 1 / 13)), tb((0.7, 1 / 3, 0.45j, 0.1))),
+    ))
+    profiles = (TrigBackground((0.5, 0.25j, -0.1)), 0.75)
+    with_bg = coeff_grid(Model2D(1, profiles, Curve("identity"), bg), 6, 3, ctx30)
+    bare = coeff_grid(Model2D(1, profiles, Curve("identity")), 6, 3, ctx30)
+    only_bg = coeff_grid(Model2D(1, (0, 0), Curve("identity"), bg), 6, 3, ctx30)
+    with ctx30.workprec():
+        for wx in range(-6, 7):
+            for wy in range(-3, 4):
+                want = bg.coeff2d(wx, wy)
+                assert only_bg.c(wx, wy)._mpc_ == want._mpc_
+                assert with_bg.c(wx, wy)._mpc_ == (bare.c(wx, wy) + want)._mpc_
+
+
 def test_doubling_error_is_the_full_doubled_grid_value(ctx30):
     # the probes are recomputed alone at 2T nodes; they must give the same
     # doubling error as the whole grid at 2T (the C6 model)

@@ -20,6 +20,7 @@ from fourier_edge import (
     CoeffVector1D,
     JumpModel1D,
     LocalizationError,
+    Reconstruction1D,
     RootFindingError,
     TrigBackground,
     evaluate,
@@ -33,7 +34,7 @@ from fourier_edge import (
     solve_magnitudes_known_jump,
     synth_coeffs,
 )
-from fourier_edge import recon1d
+from fourier_edge import recon1d, v_kernel
 from fourier_edge.model1d import eval_model
 
 
@@ -281,7 +282,7 @@ def test_series_kernels_match_mpmath_reference(M, dps):
             tol = mp.mpf(10) ** -dps * scale
             assert max(abs(a - b) for a, b in zip(res.values, want)) <= tol
     with ctx.workprec():
-        got = recon1d._truncated_series(c, x)
+        got = recon1d._FixedForm(c).value(x)
     with ref.workprec():
         assert abs(got - _reference_series(c, x)) <= tol
 
@@ -298,8 +299,8 @@ def test_series_kernels_accept_mixed_input_types(ctx30):
         b = residual_coeffs(plain, 0.4, (mp.mpc(1), mp.mpc("0.5"), 2), ctx30)
         assert [v._mpc_ for v in a.values] == [v._mpc_ for v in b.values]
         assert a.c(0) == mp.mpc(raw[3])  # c_0 passes through
-        got = recon1d._truncated_series(mixed, x)
-        assert got._mpc_ == recon1d._truncated_series(plain, x)._mpc_
+        got = recon1d._FixedForm(mixed).value(x)
+        assert got._mpc_ == recon1d._FixedForm(plain).value(x)._mpc_
     with mp.workdps(70):
         want = _reference_series(plain, x)
     assert abs(got - want) < mp.mpf(10) ** -29
@@ -332,6 +333,118 @@ def test_non_finite_location_or_point_raises(bad, ctx30):
         rec = reconstruct1d(c, 1, ctx30)
         with pytest.raises(ValueError, match="non-finite"):
             evaluate_complex(rec, bad, ctx30)
+
+
+# -- evaluation ----------------------------------------------------------------
+
+def _reference_value(rec, x, ref):
+    """Kernel stack by v_kernel plus the mpmath series, at ref's precision."""
+    with ref.workprec():
+        stack = sum(
+            (mp.mpc(a) * v_kernel(l, rec.xi_tilde, x, ref)
+             for l, a in enumerate(rec.magnitudes_tilde)),
+            mp.mpc(0),
+        )
+        return stack + _reference_series(rec.residual, x)
+
+
+def _value_scale(rec):
+    """max(1, max|c_k|, sum|A_l|): the scale of the evaluator's error bound."""
+    return max(
+        1,
+        max(abs(mp.mpc(v)) for v in rec.residual.values),
+        sum(abs(mp.mpc(a)) for a in rec.magnitudes_tilde),
+    )
+
+
+@pytest.mark.parametrize("d", [0, 9, 15])
+@pytest.mark.parametrize("M, dps", [(16, 30), (200, 50)])
+def test_evaluator_matches_kernel_and_series_reference(d, M, dps):
+    # the fixed-point form against sum_l A_l v_kernel plus the series, both
+    # at 40 more digits; at the anchor itself (the right-sided limit), just
+    # left of it, at a generic point, and one period on
+    ctx = ArithmeticContext(dps)
+    ref = ArithmeticContext(dps + 40)
+    c, _, xi = _random_series_inputs(M, ctx, seed=100 * d + M)
+    rng = random.Random(d)
+    with ctx.workprec():
+        mags = tuple(
+            mp.mpc(rng.uniform(-3, 3), rng.uniform(-0.1, 0.1)) for _ in range(d + 1)
+        )
+        for anchor in (xi, -mp.pi):
+            rec = Reconstruction1D(anchor, mags, c, d, False)
+            points = [anchor, anchor - mp.mpf(10) ** -(dps - 5), mp.mpf("1.9")]
+            points += [x + 2 * mp.pi for x in points]
+            tol = mp.mpf(10) ** -dps * _value_scale(rec)
+            for x in points:
+                got = evaluate_complex(rec, x, ctx)
+                with ref.workprec():
+                    assert abs(got - _reference_value(rec, x, ref)) <= tol
+
+
+def test_imag_residue_is_the_probe_of_the_record(ctx30):
+    # the probe runs before the record is built; it must read what the
+    # returned record evaluates to at the 8 probe points
+    g = TrigBackground((0.3, 0.0, 0.15 - 0.1j))
+    with ctx30.workprec():
+        real = synth_coeffs(JumpModel1D(1.3, (1.0, 0.5, -0.2), g), 40, ctx30)
+        # a complex-valued function: its probe reads O(1)
+        skew = CoeffVector1D(40, tuple(v * mp.expj(0.3) for v in real.values))
+        probes = [-mp.pi + mp.pi * q / 4 for q in range(8)]
+    for c in (real, skew):
+        rec = reconstruct1d(c, 2, ctx30)
+        want = max(float(abs(evaluate_complex(rec, x, ctx30).imag)) for x in probes)
+        assert rec.diagnostics["imag_residue"] == want
+    assert want > 0.1
+
+
+def _record_and_points(ctx):
+    g = TrigBackground((0.3, 0.0, 0.15 - 0.1j))
+    with ctx.workprec():
+        c = synth_coeffs(JumpModel1D(1.3, (1.0, 0.5, -0.2), g), 40, ctx)
+        points = [mp.mpf(x) for x in ("-3.1", "-0.2", "1.3", "2.7")]
+    return reconstruct1d(c, 2, ctx), points
+
+
+def test_record_form_survives_pickle_and_replace(ctx30):
+    rec, points = _record_and_points(ctx30)
+
+    def bits(r):
+        return [evaluate_complex(r, x, ctx30)._mpc_ for x in points]
+
+    want = bits(rec)
+    clone = pickle.loads(pickle.dumps(rec))
+    assert clone._form.prec == rec._form.prec  # carried, not rebuilt
+    assert bits(clone) == want
+    with ctx30.workprec():
+        copy = CoeffVector1D(40, tuple(rec.residual.values))
+    assert bits(dataclasses.replace(rec, residual=copy)) == want
+    # a replaced residual is evaluated, not the form of the old one
+    with ctx30.workprec():
+        zero = CoeffVector1D(40, (mp.mpc(0),) * 81)
+        stack_only = dataclasses.replace(rec, residual=zero)
+    ref = ArithmeticContext(70)
+    for x in points:
+        got = evaluate_complex(stack_only, x, ctx30)
+        with ref.workprec():
+            assert abs(got - _reference_value(stack_only, x, ref)) < 1e-29
+
+
+def test_record_evaluates_at_a_higher_precision_than_built():
+    # a form is valid at the precision it was built at only: a 30-digit
+    # record evaluated at 60 digits is exact to 60 digits in its own fields
+    ctx30, ctx60 = ArithmeticContext(30), ArithmeticContext(60)
+    rec, points = _record_and_points(ctx30)
+    built = rec._form
+    with ctx30.workprec():
+        assert built.prec == mp.prec
+    ref = ArithmeticContext(100)
+    for x in points:
+        got = evaluate_complex(rec, x, ctx60)
+        with ref.workprec():
+            err = abs(got - _reference_value(rec, x, ref))
+            assert err <= mp.mpf(10) ** -60 * _value_scale(rec)
+    assert rec._form is built  # the record's own form is left alone
 
 
 def test_reconstruct_pure_model(ctx30):
