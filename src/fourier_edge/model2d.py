@@ -234,11 +234,6 @@ def slice_coeff_exact(m: Model2D, x, wy: int, ctx: ArithmeticContext):
         return acc
 
 
-def _nonzero_or_none(profile: TrigBackground, ks) -> list:
-    """Coefficients of ``profile`` at ks, None where one is exactly 0."""
-    return [g if g != 0 else None for g in map(profile.coeff, ks)]
-
-
 def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     """Exact grid for the identity curve: profile spectra shifted to the
     anti-diagonal band.
@@ -248,8 +243,7 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     coefficients once per q = wx + wy, so an entry whose q lies outside
     every profile's band gets the background only.  The background adds
     sum_s p_s(wx) q_s(wy) in the order of ``Background2D.coeff2d``, from the
-    term coefficients converted once per wx and per wy; products with an
-    exact zero factor are skipped, which changes no bit.
+    term coefficients converted once per wx and per wy.
     """
     with ctx.workprec():
         two_pi = 2 * mp.pi
@@ -267,9 +261,9 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
             coeffs = [(l, m.magnitude_coeff(l, q)) for l in orders]
             spectra[q] = [(l, a) for l, a in coeffs if a != 0]
         terms = m.background.terms if m.background is not None else ()
-        # per term, the coefficients by wx + M and by wy + N; None for 0
-        p_hat = [_nonzero_or_none(p, range(-M, M + 1)) for p, _ in terms]
-        q_hat = [_nonzero_or_none(q, range(-N, N + 1)) for _, q in terms]
+        # per term, the coefficients by wx + M and by wy + N
+        p_hat = [[p.coeff(wx) for wx in range(-M, M + 1)] for p, _ in terms]
+        q_hat = [[q.coeff(wy) for wy in range(-N, N + 1)] for _, q in terms]
         cols = []
         for wx in range(-M, M + 1):
             col = []
@@ -279,12 +273,10 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
                     s = scale[wy]
                     for l, a_hat in spectra[wx + wy]:
                         c += a_hat * s[l]
-                bg = None
-                for ps, qs in zip(p_hat, q_hat):
-                    a, b = ps[wx + M], qs[wy + N]
-                    if a is not None and b is not None:
-                        bg = a * b if bg is None else bg + a * b
-                if bg is not None:
+                if m.background is not None:
+                    bg = mp.mpc(0)
+                    for ps, qs in zip(p_hat, q_hat):
+                        bg += ps[wx + M] * qs[wy + N]
                     c += bg
                 col.append(c)
             cols.append(tuple(col))

@@ -51,17 +51,13 @@ class PsiReconstructionSet:
 
     rows: dict wy -> Reconstruction1D for rows that reconstructed.
     degraded: dict wy -> reason string; those rows fall back to raw
-    truncated series evaluation straight from the grid, each prepared once
-    per precision on first use.
+    truncated series evaluation straight from the grid.
     """
 
     grid: CoeffGrid2D
     d_psi: int
     rows: dict = field(compare=False)
     degraded: dict = field(compare=False)
-    _raw_forms: dict = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def row_value(self, wy: int, x, ctx: ArithmeticContext):
         """psi_tilde_wy(x): reconstructed if possible, raw series otherwise."""
@@ -69,10 +65,7 @@ class PsiReconstructionSet:
         if rec is not None:
             return evaluate_complex(rec, x, ctx)
         with ctx.workprec():
-            form = self._raw_forms.get(wy)
-            if form is None or form.prec != mp.prec:
-                form = self._raw_forms[wy] = _FixedForm(self.grid.row(wy))
-            return form.value(x)
+            return _FixedForm(self.grid.row(wy)).value(x)
 
 
 def _reconstruct_row(args):

@@ -414,7 +414,10 @@ def test_record_form_survives_pickle_and_replace(ctx30):
 
     want = bits(rec)
     clone = pickle.loads(pickle.dumps(rec))
-    assert clone._form.prec == rec._form.prec  # carried, not rebuilt
+    # unpickled at the default precision, where a rebuilt form would differ
+    assert mp.prec != rec._form.prec
+    for name in recon1d._FixedForm.__slots__:
+        assert getattr(clone._form, name) == getattr(rec._form, name), name
     assert bits(clone) == want
     with ctx30.workprec():
         copy = CoeffVector1D(40, tuple(rec.residual.values))
