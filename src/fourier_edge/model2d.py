@@ -13,12 +13,14 @@ A slow 2D quadrature oracle provides independent verification values.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero
 
 from .kernels import _I_POW, v_kernel
 from .model1d import CoeffVector1D, TrigBackground, _trig_eval
@@ -37,6 +39,8 @@ __all__ = [
 ]
 
 Profile = Union[int, float, str, TrigBackground]
+
+_GRID_FORMAT = 2  # hex mantissas and a sha256 trailer; format 1 was decimal
 
 
 @dataclass(frozen=True)
@@ -350,53 +354,106 @@ def coeff_grid(
     return CoeffGrid2D(M, N, tuple(values), diag)
 
 
+def _hex_part(part, wx: int, wy: int) -> str:
+    """A raw mpf as <sign><hex mantissa>p<binary exponent>."""
+    sign, man, exp, _ = part
+    if not man and part != fzero:
+        raise ValueError(f"grid entry ({wx}, {wy}) is not finite")
+    return f"{'-' if sign else ''}{man:x}p{exp}"
+
+
 def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
-    """Write a grid file: one JSON header line, then CSV rows
-    "omega_x, omega_y, re, im" with full-precision decimal strings."""
-    with mp.workdps(precision_digits):
-        with open(path, "w") as fh:
-            header = {
-                "M": grid.M,
-                "N": grid.N,
-                "precision": precision_digits,
-            }
-            fh.write(json.dumps(header) + "\n")
-            for wx in range(-grid.M, grid.M + 1):
-                for wy in range(-grid.N, grid.N + 1):
-                    v = grid.c(wx, wy)
-                    re = mp.nstr(mp.mpf(v.real), precision_digits, strip_zeros=False)
-                    im = mp.nstr(mp.mpf(v.imag), precision_digits, strip_zeros=False)
-                    fh.write(f"{wx}, {wy}, {re}, {im}\n")
+    """Write a grid file, exact at ``precision_digits``.
+
+    Line 1 is a JSON header with "format": 2, "M", "N" and "precision".
+    Then one line "omega_x, omega_y, re, im" per entry: each part is rounded
+    once to the header precision (round-nearest) and written as mpmath's raw
+    value, <sign><hex mantissa>p<binary exponent>.  The last line is
+    "sha256 <hex>", the SHA-256 of every line before it.  Raises ValueError
+    naming the entry when a part is NaN or infinite.
+    """
+    digest = hashlib.sha256()
+    header = {
+        "format": _GRID_FORMAT,
+        "M": grid.M,
+        "N": grid.N,
+        "precision": precision_digits,
+    }
+    with open(path, "wb") as fh, mp.workdps(precision_digits):
+
+        def put(line: str) -> None:
+            data = line.encode("ascii")
+            digest.update(data)
+            fh.write(data)
+
+        put(json.dumps(header) + "\n")
+        for wx in range(-grid.M, grid.M + 1):
+            for wy in range(-grid.N, grid.N + 1):
+                # mpc() rounds each part to the working (header) precision
+                re, im = mp.mpc(grid.c(wx, wy))._mpc_
+                put(f"{wx}, {wy}, {_hex_part(re, wx, wy)}, "
+                    f"{_hex_part(im, wx, wy)}\n")
+        fh.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
+
+
+def _raw_part(text: bytes):
+    """The raw mpf of a part written by :func:`_hex_part`, without rounding."""
+    man, _, exp = text.partition(b"p")
+    return from_man_exp(int(man, 16), int(exp))
 
 
 def load_grid(path) -> CoeffGrid2D:
-    """Read a grid file written by :func:`save_grid`.
+    """Read a grid file written by :func:`save_grid`, bit for bit.
 
-    Raises ValueError, with counts, unless every (omega_x, omega_y) of the
-    header's ranges appears exactly once.
+    Raises ValueError naming the file when the header is not format 2 (a
+    decimal format-1 file must be written again by ``generate``), when the
+    sha256 trailer is missing or does not match the lines before it, and,
+    with counts, unless every (omega_x, omega_y) of the header's ranges
+    appears exactly once.
     """
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        M, N, prec = header["M"], header["N"], header["precision"]
-        with mp.workdps(prec):
-            vals = [[None] * (2 * N + 1) for _ in range(2 * M + 1)]
-            duplicate = outside = 0
-            for line in fh:
-                if not line.strip():
-                    continue
-                swx, swy, sre, sim = (s.strip() for s in line.split(","))
-                wx, wy = int(swx), int(swy)
-                if abs(wx) > M or abs(wy) > N:
-                    outside += 1
-                elif vals[wx + M][wy + N] is not None:
-                    duplicate += 1
-                else:
-                    vals[wx + M][wy + N] = mp.mpc(mp.mpf(sre), mp.mpf(sim))
-        missing = sum(v is None for col in vals for v in col)
-        if missing or duplicate or outside:
+    digest = hashlib.sha256()
+    trailer = None
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        digest.update(first)
+        header = json.loads(first)
+        fmt = header.get("format", 1)
+        if fmt != _GRID_FORMAT:
             raise ValueError(
-                f"{path}: grid M={M}, N={N} has {missing} missing, "
-                f"{duplicate} duplicate and {outside} out-of-range entries"
+                f"{path}: grid file format {fmt} is not readable, only format "
+                f"{_GRID_FORMAT}; re-run generate to write the grid again"
             )
-        return CoeffGrid2D(M, N, tuple(tuple(col) for col in vals),
-                           {"precision": prec})
+        M, N, prec = header["M"], header["N"], header["precision"]
+        vals = [[None] * (2 * N + 1) for _ in range(2 * M + 1)]
+        duplicate = outside = 0
+        for lineno, line in enumerate(fh, start=2):
+            if line.startswith(b"sha256 "):
+                trailer = line
+                break
+            digest.update(line)
+            try:
+                swx, swy, sre, sim = line.split(b",")
+                wx, wy = int(swx), int(swy)
+                value = mp.make_mpc((_raw_part(sre), _raw_part(sim)))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: line {lineno} is not 'omega_x, omega_y, re, im'"
+                ) from exc
+            if abs(wx) > M or abs(wy) > N:
+                outside += 1
+            elif vals[wx + M][wy + N] is not None:
+                duplicate += 1
+            else:
+                vals[wx + M][wy + N] = value
+        if trailer is None or fh.read(1):
+            raise ValueError(f"{path}: the last line is not a sha256 trailer")
+    if trailer != f"sha256 {digest.hexdigest()}\n".encode("ascii"):
+        raise ValueError(f"{path}: sha256 checksum does not match the file")
+    missing = sum(v is None for col in vals for v in col)
+    if missing or duplicate or outside:
+        raise ValueError(
+            f"{path}: grid M={M}, N={N} has {missing} missing, "
+            f"{duplicate} duplicate and {outside} out-of-range entries"
+        )
+    return CoeffGrid2D(M, N, tuple(tuple(col) for col in vals),
+                       {"precision": prec})

@@ -588,11 +588,17 @@ def reconstruct1d(
 
     Raises
     ------
+    ReconstructionError
+        When d exceeds the kernel table (d <= 15), before any work.
     LocalizationError, BranchAmbiguityError
         Propagated from the localization stages.
     """
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
+    if d >= _BASIS.max_order:
+        raise ReconstructionError(
+            f"order d={d} is beyond the kernel table: d <= {_BASIS.max_order - 1}"
+        )
     with ctx.workprec():
         if known_jump is not None:
             mags, M1 = solve_magnitudes_known_jump(c, d, known_jump, ctx)

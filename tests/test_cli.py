@@ -255,6 +255,19 @@ def test_generate_is_deterministic(tiny_config, tmp_path):
     assert (out / "grid_N5.fec").read_bytes() == (other / "grid_N5.fec").read_bytes()
 
 
+def test_reconstruct_refuses_an_edited_grid_file(tiny_config):
+    cfg_path, out = tiny_config
+    assert main(["--config", str(cfg_path), "generate"]) == 0
+    path = out / "grid_N5.fec"
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    at = first.index("p")  # end of the first entry's real mantissa
+    digit = format((int(first[at - 1], 16) + 1) % 16, "x")
+    path.write_text("".join([header, first[:at - 1] + digit + first[at:], *rest]))
+    with pytest.raises(ValueError, match="sha256 checksum does not match"):
+        main(["--config", str(cfg_path), "reconstruct"])
+    assert not (out / "metrics.csv").exists()
+
+
 def test_reconstruct_refuses_grids_below_run_precision(tiny_config):
     cfg_path, out = tiny_config
     assert main(["--config", str(cfg_path), "generate"]) == 0  # 30 digits

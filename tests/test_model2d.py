@@ -4,7 +4,9 @@ Grid synthesis is validated against the slow 2D quadrature oracle and, for
 slices, against direct 1D integration of the pointwise model.
 """
 
+import hashlib
 import math
+import re
 
 import pytest
 from mpmath import mp
@@ -19,6 +21,7 @@ from fourier_edge import (
     coeff_grid,
     eval2d,
     load_grid,
+    reconstruct_field,
     save_grid,
     slice_coeff_exact,
 )
@@ -307,33 +310,114 @@ def test_oracle_node_floor(ctx15):
         quadrature2d_oracle(Model2D.canonical(1), 0, 1, ctx15, nodes=128)
 
 
+def _sign(lines):
+    """File text of ``lines`` with its sha256 trailer, as save_grid ends it."""
+    body = "".join(line + "\n" for line in lines)
+    return body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
+def _flip_hex_digit(line):
+    """``line`` with the last mantissa digit of its real part changed."""
+    at = line.index("p", line.index(", ", line.index(", ") + 1))
+    digit = format((int(line[at - 1], 16) + 1) % 16, "x")
+    return line[:at - 1] + digit + line[at:]
+
+
 def test_grid_round_trip(tmp_path, ctx30):
     m = _trig_model()
     grid = coeff_grid(m, 3, 2, ctx30)
     path = tmp_path / "grid.fec"
     save_grid(grid, path, 30)
     first = path.read_text().splitlines()[0]
-    assert first.startswith("{") and '"M": 3' in first
+    assert first.startswith("{") and '"M": 3' in first and '"format": 2' in first
     back = load_grid(path)
     assert back.M == 3 and back.N == 2
-    with ctx30.workprec():
-        worst = mp.mpf(0)
-        for wx in range(-3, 4):
-            for wy in range(-2, 3):
-                worst = max(worst, abs(back.c(wx, wy) - grid.c(wx, wy)))
-        assert worst < mp.mpf(10) ** -28
+    for wx in range(-3, 4):
+        for wy in range(-2, 3):
+            # both parts' raw (sign, mantissa, exponent, bitcount), bit for bit
+            assert back.c(wx, wy)._mpc_ == grid.c(wx, wy)._mpc_
+
+
+def test_save_grid_rounds_once_to_the_header_precision(tmp_path):
+    with mp.workdps(50):
+        v = mp.mpc(1, 2) / 3
+    path = tmp_path / "grid.fec"
+    save_grid(CoeffGrid2D(0, 0, ((v,),)), path, 20)
+    with mp.workdps(20):
+        assert load_grid(path).c(0, 0)._mpc_ == (+v)._mpc_ != v._mpc_
+
+
+def test_load_grid_refuses_edited_files(tmp_path, ctx15):
+    path = tmp_path / "grid.fec"
+    save_grid(coeff_grid(_trig_model(), 3, 2, ctx15), path, 15)
+    header, *lines, trailer = path.read_text().splitlines()
+    edits = {
+        "body digit": [header, *lines[:7], _flip_hex_digit(lines[7]), *lines[8:]],
+        "header M": [header.replace('"M": 3', '"M": 4'), *lines],
+    }
+    for body in edits.values():
+        path.write_text("\n".join([*body, trailer]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sha256 checksum")):
+            load_grid(path)
+    path.write_text("\n".join([header, *lines]) + "\n")
+    with pytest.raises(ValueError, match="not a sha256 trailer"):
+        load_grid(path)
+
+
+def test_load_grid_refuses_decimal_files(tmp_path):
+    # format 1: a header without "format" and full-precision decimal parts
+    path = tmp_path / "grid.fec"
+    path.write_text('{"M": 0, "N": 0, "precision": 15}\n'
+                    "0, 0, 1.00000000000000, 0.0\n")
+    with pytest.raises(ValueError, match="format 1 .*re-run generate"):
+        load_grid(path)
+
+
+def test_save_grid_refuses_non_finite_entries(tmp_path):
+    values = ((0, 1, 2), (3, 4, 5), (mp.mpc(6, mp.nan), 7, 8))
+    with pytest.raises(ValueError, match=r"grid entry \(1, -1\) is not finite"):
+        save_grid(CoeffGrid2D(1, 1, values), tmp_path / "grid.fec", 15)
 
 
 def test_load_grid_requires_every_entry_once(tmp_path, ctx15):
     path = tmp_path / "grid.fec"
     save_grid(coeff_grid(Model2D.canonical(1), 3, 2, ctx15), path, 15)
-    header, *lines = path.read_text().splitlines()  # 7 * 5 = 35 entries
+    header, *lines, _ = path.read_text().splitlines()  # 7 * 5 = 35 entries
     cases = {
         "17 missing, 0 duplicate and 0 out-of-range": lines[:18],
         "0 missing, 1 duplicate and 0 out-of-range": lines + lines[4:5],
-        "0 missing, 0 duplicate and 1 out-of-range": lines + ["4, 0, 1.0, 0.0"],
+        "0 missing, 0 duplicate and 1 out-of-range": lines + ["4, 0, 1p0, 0p0"],
     }
     for message, body in cases.items():
-        path.write_text("\n".join([header, *body]) + "\n")
+        path.write_text(_sign([header, *body]))
         with pytest.raises(ValueError, match=message):
             load_grid(path)
+
+
+def _dense_model(M, N, d_model=3):
+    """Identity-curve model whose grid has no zero entry."""
+    with mp.workdps(30):
+        def spectrum(a0, phi):
+            return TrigBackground(tuple(
+                mp.mpf(a0) * mp.mpf(0.5) ** k * mp.expj(phi * k)
+                for k in range(M + N + 1)))
+
+        profiles = tuple(spectrum(1 / (1 + l), 0.3 + l) for l in range(d_model + 1))
+        background = Background2D(((spectrum(0.4, -1.1), TrigBackground((0.3,))),))
+    return Model2D(d_model, profiles, Curve("identity"), background)
+
+
+def test_reconstruction_from_a_saved_grid_is_the_in_memory_one(tmp_path, ctx30):
+    grid = coeff_grid(_dense_model(16, 4), 16, 4, ctx30)
+    path = tmp_path / "grid.fec"
+    save_grid(grid, path, 30)
+    xs, ys = (-1.3, 0.4, 2.2), (-3.0, -0.5, 1.0, 2.9)
+    got, want = (reconstruct_field(g, 3, 2, xs, ctx30) for g in (load_grid(path), grid))
+    assert not got.failures and not got.psi.degraded
+    for x in xs:
+        a, b = got.slices[x], want.slices[x]
+        assert a.xi_tilde._mpf_ == b.xi_tilde._mpf_
+        assert [m._mpc_ for m in a.recon.magnitudes_tilde] == [
+            m._mpc_ for m in b.recon.magnitudes_tilde]
+        assert [a.value(y, ctx30)._mpf_ for y in ys] == [
+            b.value(y, ctx30)._mpf_ for y in ys]

@@ -21,6 +21,7 @@ from fourier_edge import (
     JumpModel1D,
     LocalizationError,
     Reconstruction1D,
+    ReconstructionError,
     RootFindingError,
     TrigBackground,
     evaluate,
@@ -499,6 +500,11 @@ def test_reconstruct_validates_order(ctx15):
     c = CoeffVector1D(8, (0,) * 17)
     with pytest.raises(ValueError):
         reconstruct1d(c, -1, ctx15)
+    # the kernel table ends at Bernoulli order 16: a typed failure, raised
+    # before the zero data could fail localization
+    with pytest.raises(ReconstructionError, match="d <= 15") as err:
+        reconstruct1d(c, 16, ctx15)
+    assert type(err.value) is ReconstructionError
 
 
 def test_shift_equivariance_single_case(ctx30):

@@ -136,6 +136,18 @@ def test_failed_slices_are_contained(ctx40):
     assert set(fld.failures) == {0.5}
 
 
+def test_orders_beyond_the_kernel_table_are_contained(ctx40):
+    # d = 16 needs Bernoulli order 17; the row stage degrades every row and
+    # the slice stage records a failed slice instead of stopping
+    grid = coeff_grid(Model2D.canonical(3), 40, 6, ctx40)
+    psi = reconstruct_psi_set(grid, 16, ctx40)
+    assert not psi.rows and set(psi.degraded) == set(range(-6, 7))
+    assert all("d <= 15" in why for why in psi.degraded.values())
+    fld = reconstruct_field(grid, d_psi=3, d=16, x_points=(0.5,), ctx=ctx40)
+    assert not fld.psi.degraded and not fld.slices
+    assert "d <= 15" in fld.failures[0.5]
+
+
 @pytest.mark.parametrize("error", [TypeError, ValueError, ZeroDivisionError])
 def test_programming_errors_propagate(error, ctx40, monkeypatch):
     # only ReconstructionError and RootFindingError are contained; any other
