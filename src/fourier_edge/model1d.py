@@ -2,8 +2,10 @@
 
 A model is one interior jump point carrying a finite stack of jump-kernel
 magnitudes, plus an optional bandlimited smooth background.  Coefficients
-are synthesized in closed form; the independent quadrature oracles that
-check them live in :mod:`fourier_edge.oracle`.
+are synthesized in closed form on the fixed-point integers of
+:mod:`fourier_edge.numerics`; the independent checks are the mpc closed form
+``kernels.v_fourier_coeff`` and the quadrature oracles of
+:mod:`fourier_edge.oracle`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,18 @@ from typing import Optional
 
 from mpmath import mp
 
-from .kernels import v_fourier_coeff, v_kernel
-from .numerics import ArithmeticContext
+from .kernels import v_kernel
+from .numerics import (
+    ArithmeticContext,
+    _fixed_expj,
+    _fixed_horner,
+    _fixed_shift,
+    _fixed_stack,
+    _from_fixed,
+    _guard_bits,
+    _mpc_parts,
+    _over_two_pi,
+)
 
 __all__ = [
     "CoeffVector1D",
@@ -136,24 +148,40 @@ def eval_model(m: JumpModel1D, x, ctx: ArithmeticContext):
 def synth_coeffs(m: JumpModel1D, M: int, ctx: ArithmeticContext) -> CoeffVector1D:
     """Closed-form coefficients for |k| <= M.
 
-    Negative frequencies are mirrored by conjugation from the positive ones,
-    so the stored vector is exactly conjugate-symmetric (the model is real).
+    For k > 0 the jump part exp(-ik xi) / 2pi * sum_l A_l / (ik)^(l+1) runs
+    on Python-int fixed point: the magnitudes, 1/2pi folded in, converted
+    once; the phases from the recurrence with step exp(-i xi); the sum as
+    one Horner pass in u = -i/k.  Guard bits cover the recurrence and the
+    factor k^-(d+1) by which the sum may fall below the largest magnitude.
+    Each c_k is rounded once, then the background's g_k is added.  c_0 is
+    the background mean (the kernels are zero-mean), and negative
+    frequencies are mirrored by conjugation, so the vector is exactly
+    conjugate-symmetric (the model is real).
+
+    Raises
+    ------
+    ValueError
+        If M < 0, or a magnitude or background coefficient is NaN or
+        infinite (naming it).
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
+    g = m.smooth if m.smooth is not None else TrigBackground((0,))
     with ctx.workprec():
-        pos = []
-        for k in range(M + 1):
-            c = mp.mpc(0)
-            if m.smooth is not None:
-                c += m.smooth.coeff(k)
-            if k != 0:
-                for l, a in enumerate(m.magnitudes):
-                    if a != 0:
-                        c += mp.mpf(a) * v_fourier_coeff(l, m.xi, k, ctx)
-            else:
-                # kernels are zero-mean, so c_0 is the background mean (real)
-                c = mp.mpc(c.real)
-            pos.append(c)
+        wp = mp.prec + _guard_bits(M) + len(m.magnitudes) * M.bit_length()
+        mags = _over_two_pi(_mpc_parts(m.magnitudes, "magnitude A_", 0), wp)
+        _mpc_parts(g.coeffs, "background coefficient g_", 0)
+        shift = _fixed_shift(mags, wp)
+        stack = _fixed_stack(mags, shift)
+        sr, si = _fixed_expj(mp.mpf(m.xi)._mpf_, wp)
+        si = -si  # exp(-i xi)
+        pr, pi_ = 1 << wp, 0
+        pos = [mp.mpc(g.coeff(0).real)]
+        for k in range(1, M + 1):
+            pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
+            tr, ti = _fixed_horner(stack, k)
+            pos.append(g.coeff(k) + _from_fixed(
+                (pr * tr - pi_ * ti) >> wp, (pr * ti + pi_ * tr) >> wp, shift
+            ))
         vals = [mp.conj(pos[-k]) for k in range(-M, 0)] + pos
         return CoeffVector1D(M, tuple(vals))

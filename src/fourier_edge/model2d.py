@@ -6,9 +6,11 @@ y = xi(x), with x-dependent magnitude profiles and an optional smooth
 separable background.  The canonical synthetic instance uses the identity
 curve and unit constant profiles.
 
-Grid synthesis is exact (closed form) for the identity curve; trig-poly
-curves go through a periodic trapezoid rule in x with a doubling check.
-A slow 2D quadrature oracle provides independent verification values.
+Grid synthesis is exact (closed form, on fixed-point ints) for the identity
+curve; trig-poly curves go through a periodic trapezoid rule in x with a
+doubling check.  The mpc closed form ``slice_coeff_exact`` and the slow 2D
+quadrature oracle of :mod:`fourier_edge.oracle` provide independent
+verification values.
 """
 
 from __future__ import annotations
@@ -24,7 +26,17 @@ from mpmath.libmp import from_man_exp, fzero
 
 from .kernels import _I_POW, v_kernel
 from .model1d import CoeffVector1D, TrigBackground, _trig_eval
-from .numerics import ArithmeticContext
+from .numerics import (
+    ArithmeticContext,
+    _fixed_horner,
+    _fixed_shift,
+    _fixed_stack,
+    _from_fixed,
+    _guard_bits,
+    _mpc_parts,
+    _over_two_pi,
+    _raw_mpc,
+)
 
 __all__ = [
     "Background2D",
@@ -242,43 +254,52 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     """Exact grid for the identity curve: profile spectra shifted to the
     anti-diagonal band.
 
-    Entry (wx, wy != 0) is sum_l a_l(wx + wy) / (2pi (i wy)^(l+1)); the
-    factors are computed once per (wy, l) and the nonzero profile
-    coefficients once per q = wx + wy, so an entry whose q lies outside
-    every profile's band gets the background only.  The background adds
-    sum_s p_s(wx) q_s(wy) in the order of ``Background2D.coeff2d``, from the
-    term coefficients converted once per wx and per wy.
+    Entry (wx, wy != 0) is sum_l a_l(q) / (2pi (i wy)^(l+1)), q = wx + wy:
+    one Horner pass in u = -i/wy on Python-int fixed point, rounded once.
+    Each spectrum a_0(q)..a_d(q), 1/2pi folded in, is converted once at its
+    own scale, so spectra that decay over many orders of magnitude keep
+    their relative precision; guard bits cover the factor wy^-(d+1) by
+    which an entry may fall below its largest coefficient.  An entry whose
+    q lies outside every profile's band gets the background only.  The
+    background adds sum_s p_s(wx) q_s(wy) after the rounding, in the order
+    of ``Background2D.coeff2d``, from the term coefficients converted once
+    per wx and per wy.
+
+    Raises
+    ------
+    ValueError
+        If a profile or background coefficient is NaN or infinite, naming it.
     """
     with ctx.workprec():
-        two_pi = 2 * mp.pi
         orders = range(m.d_model + 1)
-        scale = {
-            wy: [
-                1 / (two_pi * mp.mpc(_I_POW[(l + 1) % 4]) * mp.mpf(wy) ** (l + 1))
-                for l in orders
-            ]
-            for wy in range(-N, N + 1)
-            if wy != 0
-        }
-        spectra = {}
+        wp = mp.prec + _guard_bits(N) + len(orders) * N.bit_length()
+        forms = {}  # q -> (shift, stack), where some a_l(q) is nonzero
         for q in range(-M - N, M + N + 1):
-            coeffs = [(l, m.magnitude_coeff(l, q)) for l in orders]
-            spectra[q] = [(l, a) for l, a in coeffs if a != 0]
+            coeffs = [m.magnitude_coeff(l, q) for l in orders]
+            parts = _mpc_parts(coeffs, f"coefficient at q={q} of profile A_", 0)
+            if any(re[1] or im[1] for re, im in parts):
+                parts = _over_two_pi(parts, wp)
+                shift = _fixed_shift(parts, wp)
+                forms[q] = shift, _fixed_stack(parts, shift)
         terms = m.background.terms if m.background is not None else ()
+        for s, (p, q) in enumerate(terms):
+            _mpc_parts(p.coeffs, f"background term {s} coefficient p_", 0)
+            _mpc_parts(q.coeffs, f"background term {s} coefficient q_", 0)
         # per term, the coefficients by wx + M and by wy + N
         p_hat = [[p.coeff(wx) for wx in range(-M, M + 1)] for p, _ in terms]
         q_hat = [[q.coeff(wy) for wy in range(-N, N + 1)] for _, q in terms]
+        zero = mp.mpc(0)
         cols = []
         for wx in range(-M, M + 1):
             col = []
             for wy in range(-N, N + 1):
-                c = mp.mpc(0)
-                if wy != 0:
-                    s = scale[wy]
-                    for l, a_hat in spectra[wx + wy]:
-                        c += a_hat * s[l]
-                if m.background is not None:
-                    bg = mp.mpc(0)
+                c = zero
+                form = forms.get(wx + wy) if wy != 0 else None
+                if form is not None:
+                    shift, stack = form
+                    c = _from_fixed(*_fixed_horner(stack, wy), shift)
+                if terms:
+                    bg = zero
                     for ps, qs in zip(p_hat, q_hat):
                         bg += ps[wx + M] * qs[wy + N]
                     c += bg
@@ -387,12 +408,16 @@ def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
             fh.write(data)
 
         put(json.dumps(header) + "\n")
-        for wx in range(-grid.M, grid.M + 1):
-            for wy in range(-grid.N, grid.N + 1):
-                # mpc() rounds each part to the working (header) precision
-                re, im = mp.mpc(grid.c(wx, wy))._mpc_
-                put(f"{wx}, {wy}, {_hex_part(re, wx, wy)}, "
-                    f"{_hex_part(im, wx, wy)}\n")
+        prec = mp.prec
+        wys = range(-grid.N, grid.N + 1)
+        for wx, col in zip(range(-grid.M, grid.M + 1), grid.values):
+            lines = []
+            for wy, v in zip(wys, col):
+                # only an entry finer than the header precision is rounded
+                re, im = _raw_mpc(v, prec)
+                lines.append(f"{wx}, {wy}, {_hex_part(re, wx, wy)}, "
+                             f"{_hex_part(im, wx, wy)}\n")
+            put("".join(lines))
         fh.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
 
 

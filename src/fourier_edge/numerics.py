@@ -2,8 +2,10 @@
 
 This module is the arithmetic substrate for the reconstruction pipeline:
 a precision context wrapping mpmath, exact combinatorial sums, a small
-complex-polynomial type with a simultaneous-iteration root finder, and a
-solver for the scaled Vandermonde systems produced by moment decimation.
+complex-polynomial type with a simultaneous-iteration root finder, a
+solver for the scaled Vandermonde systems produced by moment decimation,
+and the Python-int fixed-point primitives that the O(M) series loops of
+synthesis and reconstruction share.
 
 Everything here is deterministic: no randomness is used anywhere, and root
 lists come back in a fixed sort order, so repeated runs at the same
@@ -22,6 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_cos_sin, round_nearest, to_fixed
 
 __all__ = [
     "ArithmeticContext",
@@ -415,3 +418,97 @@ def vandermonde_solve(
                 acc = acc / mp.mpf(base) ** l
             out.append(acc)
         return out
+
+
+# -- fixed-point complex values ----------------------------------------------
+# A pair of Python ints (re, im) at scale 2^s stands for (re + i im) 2^-s.
+# The series kernels convert their inputs once, run their recurrences in
+# integers at working precision plus guard bits, and round each output once.
+
+
+def _guard_bits(M: int) -> int:
+    """Extra bits of the fixed-point series kernels over working precision,
+    enough to keep the O(M) roundings of their recurrences below it."""
+    return 24 + M.bit_length()
+
+
+def _raw_mpc(v, prec: int):
+    """Raw (re, im) mpf pair of ``mp.mpc(v)`` at working precision ``prec``.
+
+    An mpc whose parts fit ``prec`` bits is used as is; anything else goes
+    through ``mp.mpc``, which rounds each part to working precision.
+    """
+    p = getattr(v, "_mpc_", None)
+    if p is None or p[0][3] > prec or p[1][3] > prec:
+        p = mp.mpc(v)._mpc_
+    return p
+
+
+def _mpc_parts(values, name: str, first: int) -> list:
+    """Raw (re, im) mpf pairs of ``mp.mpc(v)``; entry i is ``name`` first + i.
+
+    Raises
+    ------
+    ValueError
+        If a part is NaN or infinite, naming the entry.
+    """
+    prec = mp.prec
+    parts = []
+    for i, v in enumerate(values):
+        re, im = p = _raw_mpc(v, prec)
+        # NaN and the infinities are the raw mpfs with mantissa 0 and a
+        # nonzero exponent; to_fixed would silently map them to 0
+        if (not re[1] and re[2]) or (not im[1] and im[2]):
+            raise ValueError(f"non-finite {name}{first + i}: {v}")
+        parts.append(p)
+    return parts
+
+
+def _fixed_shift(parts, wp: int) -> int:
+    """Exponent s such that every part of ``parts`` times 2^s is below 2^wp."""
+    top = max((p[2] + p[3] for pair in parts for p in pair if p[1]), default=0)
+    return wp - top
+
+
+def _fixed_expj(x, wp: int):
+    """exp(ix) of the raw mpf x as fixed-point ints (re, im) at scale 2^wp."""
+    if not x[1] and x[2]:  # NaN or infinite, as in _mpc_parts
+        raise ValueError(f"non-finite phase argument {mp.mpf(x)}")
+    cos, sin = mpf_cos_sin(x, wp)
+    return to_fixed(cos, wp), to_fixed(sin, wp)
+
+
+def _from_fixed(re: int, im: int, shift: int):
+    """mpc at working precision from fixed-point ints at scale 2^shift."""
+    prec = mp.prec
+    return mp.make_mpc((
+        from_man_exp(re, -shift, prec, round_nearest),
+        from_man_exp(im, -shift, prec, round_nearest),
+    ))
+
+
+def _over_two_pi(parts, wp: int) -> list:
+    """Raw (re, im) pairs of ``parts`` times 1/2pi, each rounded at wp bits."""
+    with mp.workprec(wp):
+        inv_two_pi = 1 / (2 * mp.pi)
+        return [(mp.make_mpc(p) * inv_two_pi)._mpc_ for p in parts]
+
+
+def _fixed_stack(parts, shift: int) -> list:
+    """Fixed-point pairs at scale 2^shift of the raw pairs B_0..B_d, in the
+    order :func:`_fixed_horner` takes them (B_d first)."""
+    return [(to_fixed(re, shift), to_fixed(im, shift)) for re, im in reversed(parts)]
+
+
+def _fixed_horner(stack, n: int):
+    """sum_l B_l u^(l+1) with u = 1/(in) = -i/n, on fixed-point ints.
+
+    ``stack`` is from :func:`_fixed_stack`; the sum comes back at its scale.
+    Horner runs from the top order down, t = B_l + u t, then S = u t; each
+    step multiplies by u exactly but for one floor division per part.  An
+    empty stack gives (0, 0).
+    """
+    tr = ti = 0
+    for br, bi in stack:
+        tr, ti = br + ti // n, bi - tr // n
+    return ti // n, -tr // n

@@ -24,22 +24,21 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    mpf_cos_sin,
-    mpf_mul,
-    mpf_pi,
-    mpf_sub,
-    round_nearest,
-    to_fixed,
-)
+from mpmath.libmp import from_int, mpf_mul, mpf_pi, mpf_sub, to_fixed
 
 from .kernels import _BASIS, _I_POW
 from .model1d import CoeffVector1D
 from .numerics import (
     ArithmeticContext,
     ComplexPoly,
+    _fixed_expj,
+    _fixed_horner,
+    _fixed_shift,
+    _fixed_stack,
+    _from_fixed,
+    _guard_bits,
+    _mpc_parts,
+    _over_two_pi,
     _root_stats,
     poly_roots,
     vandermonde_solve,
@@ -321,59 +320,6 @@ def solve_magnitudes_known_jump(
     return solve_magnitudes(c, d, kappa, ctx, M1), M1
 
 
-def _guard_bits(M: int) -> int:
-    """Extra bits of the fixed-point series kernels over working precision,
-    enough to keep the O(M) roundings of their recurrences below it."""
-    return 24 + M.bit_length()
-
-
-def _mpc_parts(values, name: str, first: int) -> list:
-    """Raw (re, im) mpf pairs of ``mp.mpc(v)``; entry i is ``name`` first + i.
-
-    Raises
-    ------
-    ValueError
-        If a part is NaN or infinite, naming the entry.
-    """
-    prec = mp.prec
-    parts = []
-    for i, v in enumerate(values):
-        p = getattr(v, "_mpc_", None)
-        # mp.mpc(v) rounds to working precision; an mpc that fits is used as is
-        if p is None or p[0][3] > prec or p[1][3] > prec:
-            p = mp.mpc(v)._mpc_
-        re, im = p
-        # NaN and the infinities are the raw mpfs with mantissa 0 and a
-        # nonzero exponent; to_fixed would silently map them to 0
-        if (not re[1] and re[2]) or (not im[1] and im[2]):
-            raise ValueError(f"non-finite {name}{first + i}: {v}")
-        parts.append(p)
-    return parts
-
-
-def _fixed_shift(parts, wp: int) -> int:
-    """Exponent s such that every part of ``parts`` times 2^s is below 2^wp."""
-    top = max((p[2] + p[3] for pair in parts for p in pair if p[1]), default=0)
-    return wp - top
-
-
-def _fixed_expj(x, wp: int):
-    """exp(ix) of the raw mpf x as fixed-point ints (re, im) at scale 2^wp."""
-    if not x[1] and x[2]:  # NaN or infinite, as in _mpc_parts
-        raise ValueError(f"non-finite phase argument {mp.mpf(x)}")
-    cos, sin = mpf_cos_sin(x, wp)
-    return to_fixed(cos, wp), to_fixed(sin, wp)
-
-
-def _from_fixed(re: int, im: int, shift: int):
-    """mpc at working precision from fixed-point ints at scale 2^shift."""
-    prec = mp.prec
-    return mp.make_mpc((
-        from_man_exp(re, -shift, prec, round_nearest),
-        from_man_exp(im, -shift, prec, round_nearest),
-    ))
-
-
 def residual_coeffs(
     c: CoeffVector1D,
     xi_tilde,
@@ -399,16 +345,10 @@ def residual_coeffs(
         wp = mp.prec + _guard_bits(M)
         xi = mp.mpf(xi_tilde)._mpf_
         parts = _mpc_parts(c.values, "coefficient c_", -M)
-        mags = _mpc_parts(magnitudes_tilde, "magnitude A_", 0)
-        with mp.workprec(wp):
-            inv_two_pi = 1 / (2 * mp.pi)
-            mags = [(mp.make_mpc(a) * inv_two_pi)._mpc_ for a in mags]
+        mags = _over_two_pi(_mpc_parts(magnitudes_tilde, "magnitude A_", 0), wp)
         shift = _fixed_shift(parts + mags, wp)
         fixed = [(to_fixed(re, shift), to_fixed(im, shift)) for re, im in parts]
-        # Horner runs from the top order down: t = B_d, t = B_l + u t, S = u t
-        top, *rest = [
-            (to_fixed(re, shift), to_fixed(im, shift)) for re, im in reversed(mags)
-        ] or [(0, 0)]
+        stack = _fixed_stack(mags, shift)
         sr, si = _fixed_expj(xi, wp)
         si = -si  # exp(-i xi)
         pr, pi_ = 1 << wp, 0
@@ -417,10 +357,7 @@ def residual_coeffs(
         for k in range(1, M + 1):
             pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
             for n, qi in ((k, pi_), (-k, -pi_)):
-                tr, ti = top
-                for br, bi in rest:
-                    tr, ti = br + ti // n, bi - tr // n
-                tr, ti = ti // n, -tr // n
+                tr, ti = _fixed_horner(stack, n)
                 cr, ci = fixed[n + M]
                 vals[n + M] = _from_fixed(
                     cr - ((pr * tr - qi * ti) >> wp),

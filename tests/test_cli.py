@@ -27,6 +27,7 @@ from fourier_edge.cli import (
     read_metrics,
 )
 from fourier_edge.model2d import CoeffGrid2D, coeff_grid
+from fourier_edge.recon2d import reconstruct_psi_set
 
 
 # -- config ------------------------------------------------------------------
@@ -148,18 +149,25 @@ def test_degenerate_entry_yields_nan_row():
 
 
 def test_all_rows_degraded_yields_nan_row():
-    # M = 12 < d_psi + 1 = 21 cannot host the known-jump decimation, so every
-    # row degrades; the canonical rows are one-sparse, so their raw series are
-    # exact and the slice stage alone would report plausible numbers
-    cfg = ExperimentConfig(d=9, d_psi=20, precision_digits=30, y_count=8)
+    # every row degrades, for either of two reasons: d_psi = 20 is beyond the
+    # kernel table (d <= 15), and d_psi = 15 on M = 12 < d_psi + 1 cannot
+    # host the known-jump decimation; the canonical rows are one-sparse, so
+    # their raw series are exact and the slice stage alone would report
+    # plausible numbers
     model = Model2D.canonical(11)
-    grid = coeff_grid(model, 12, 12, cfg.ctx())
-    with pytest.warns(UserWarning, match="under-resolved"):
-        row = compute_metrics(model, grid, cfg, 12)
-    assert row.N == 12 and row.M == 12
-    assert math.isnan(row.delta_xi) and math.isnan(row.delta_F)
-    assert math.isnan(row.delta_T)
-    assert all(math.isnan(a) for a in row.delta_A)
+    for d_psi, reason in ((20, "beyond the kernel table"),
+                          (15, "known-jump decimation infeasible")):
+        cfg = ExperimentConfig(d=9, d_psi=d_psi, precision_digits=30, y_count=8)
+        grid = coeff_grid(model, 12, 12, cfg.ctx())
+        psi = reconstruct_psi_set(grid, d_psi, cfg.ctx())
+        assert not psi.rows and len(psi.degraded) == 25
+        assert all(reason in r for r in psi.degraded.values())
+        with pytest.warns(UserWarning, match="under-resolved"):
+            row = compute_metrics(model, grid, cfg, 12)
+        assert row.N == 12 and row.M == 12
+        assert math.isnan(row.delta_xi) and math.isnan(row.delta_F)
+        assert math.isnan(row.delta_T)
+        assert all(math.isnan(a) for a in row.delta_A)
 
 
 # -- slope fitting -----------------------------------------------------------

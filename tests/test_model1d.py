@@ -7,6 +7,7 @@ nodes and are stable to ~1e-20 under node doubling.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from fourier_edge import (
     TrigBackground,
     eval_model,
     synth_coeffs,
+    v_fourier_coeff,
 )
 from fourier_edge.oracle import quadrature_oracle
 
@@ -141,6 +143,40 @@ def test_synth_matches_live_quadrature(ctx15):
         for k in (1, 2, 5, 10):
             ref = quadrature_oracle(m, k, ctx15)
             assert abs(c.c(k) - ref) < 1e-12
+
+
+def test_synth_matches_mpc_closed_form_at_higher_precision():
+    # the fixed-point kernel against v_fourier_coeff at 70 digits, which
+    # shares no code with it: C1-style stacks at d = 9, M = 200, 50 digits,
+    # and a stack with only its top order, whose sum falls like k^-10
+    # below the largest magnitude
+    ctx, ref_ctx = ArithmeticContext(50), ArithmeticContext(70)
+    rng = random.Random(5)
+    models = [
+        JumpModel1D(rng.uniform(-3.0, 3.0),
+                    tuple(rng.uniform(-2.0, 2.0) for _ in range(10)))
+        for _ in range(2)
+    ] + [JumpModel1D(-2.9, (0,) * 9 + (1.5,))]
+    for m in models:
+        c = synth_coeffs(m, 200, ctx)
+        with ref_ctx.workprec():
+            for k in range(1, 201):
+                ref = sum(mp.mpf(a) * v_fourier_coeff(l, m.xi, k, ref_ctx)
+                          for l, a in enumerate(m.magnitudes))
+                assert abs(c.c(k) - ref) <= mp.mpf("1e-48") * abs(ref)
+                assert c.c(-k) == mp.conj(c.c(k))
+        assert c.c(0) == 0
+
+
+@pytest.mark.parametrize("model, name", [
+    (JumpModel1D(0.5, (1.0, math.nan)), "magnitude A_1"),
+    (JumpModel1D(0.5, (math.inf,)), "magnitude A_0"),
+    (JumpModel1D(0.5, (1.0,), TrigBackground((0.1, 0.2, math.nan))),
+     "background coefficient g_2"),
+])
+def test_synth_refuses_non_finite_inputs(model, name, ctx15):
+    with pytest.raises(ValueError, match=f"non-finite {name}"):
+        synth_coeffs(model, 4, ctx15)
 
 
 def test_smooth_only_model_reduces_to_trig_coeffs(ctx15):

@@ -244,8 +244,9 @@ def test_closed_form_grid_with_band_limited_profiles(ctx30):
 
 def test_closed_form_background_is_coeff2d_bit_for_bit(ctx30):
     # the grid converts each background term's coefficients once per wx and
-    # per wy and skips zero products; every entry must still be the kernel
-    # part plus Background2D.coeff2d, bit for bit, in and out of the bands
+    # per wy and adds their products after rounding the kernel part; every
+    # entry must still be the kernel part plus Background2D.coeff2d, bit for
+    # bit, in and out of the bands
     tb = TrigBackground
     bg = Background2D((
         (tb((0.1, 0.2j, 1 / 9, -0.05)), tb((0.3, -0.1, 0.2 + 1j / 11))),
@@ -262,6 +263,42 @@ def test_closed_form_background_is_coeff2d_bit_for_bit(ctx30):
                 want = bg.coeff2d(wx, wy)
                 assert only_bg.c(wx, wy)._mpc_ == want._mpc_
                 assert with_bg.c(wx, wy)._mpc_ == (bare.c(wx, wy) + want)._mpc_
+
+
+def test_closed_form_grid_matches_mpc_closed_form_at_higher_precision():
+    # the fixed-point kernel against the mpc closed form at 80 digits, which
+    # shares no code with it; the profile spectra decay as 0.5^q out to
+    # q = 154, over 46 orders of magnitude, which a grid converted at one
+    # scale for every q could not follow to 1e-58
+    M, N = 150, 4
+    m = _dense_model(M, N)
+    grid = coeff_grid(m, M, N, ArithmeticContext(60))
+    with mp.workdps(80):
+        for wx in range(-M, M + 1):
+            for wy in range(-N, N + 1):
+                ref = m.background.coeff2d(wx, wy)
+                if wy:
+                    ref += sum(
+                        m.magnitude_coeff(l, wx + wy)
+                        / (2 * mp.pi * mp.mpc(0, wy) ** (l + 1))
+                        for l in range(m.d_model + 1)
+                    )
+                assert abs(grid.c(wx, wy) - ref) <= mp.mpf("1e-58") * abs(ref)
+
+
+@pytest.mark.parametrize("profiles, background, name", [
+    ((1.0, TrigBackground((0.5, math.inf))), None,
+     "coefficient at q=-1 of profile A_1"),
+    ((math.nan, 0.5), None, "coefficient at q=0 of profile A_0"),
+    ((1.0, 0.5), Background2D(((TrigBackground((0.1,)),
+                                TrigBackground((0.3, math.nan))),)),
+     "background term 0 coefficient q_1"),
+])
+def test_closed_form_grid_refuses_non_finite_inputs(profiles, background, name,
+                                                    ctx15):
+    m = Model2D(1, profiles, Curve("identity"), background)
+    with pytest.raises(ValueError, match=f"non-finite {name}"):
+        coeff_grid(m, 3, 2, ctx15)
 
 
 def test_doubling_error_is_the_full_doubled_grid_value(ctx30):
@@ -345,6 +382,26 @@ def test_save_grid_rounds_once_to_the_header_precision(tmp_path):
     save_grid(CoeffGrid2D(0, 0, ((v,),)), path, 20)
     with mp.workdps(20):
         assert load_grid(path).c(0, 0)._mpc_ == (+v)._mpc_ != v._mpc_
+
+
+def test_save_grid_bytes_for_parts_finer_and_coarser_than_the_header(tmp_path):
+    # entries finer than the header precision are rounded, coarser ones and
+    # plain numbers are written as they are; the trailer pins every byte
+    with mp.workdps(50):
+        fine = mp.mpc(1, 2) / 3
+        mixed = mp.mpc(mp.mpf(1) / 7, "0.25")
+        neg = -mp.mpc(mp.pi, mp.e)
+    with mp.workdps(10):
+        coarse = mp.mpc(1, 2) / 3
+    values = ((fine, mixed, 0), (neg, coarse, 1.5),
+              (-2, 0.1 + 0.3j, mp.mpc(0, -3)))
+    path = tmp_path / "grid.fec"
+    save_grid(CoeffGrid2D(1, 1, values), path, 20)
+    lines = path.read_text().splitlines()
+    assert lines[2] == "-1, 0, 249249249249249249p-72, 1p-2"
+    assert lines[5] == "0, 0, 1555555555p-38, 1555555555p-37"
+    assert lines[-1] == ("sha256 07321e23ea043d4a1d7849cc4a7f95e7"
+                         "cff7eb6afb0c3ec2b7311968c5d1a571")
 
 
 def test_load_grid_refuses_edited_files(tmp_path, ctx15):

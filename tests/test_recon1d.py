@@ -6,6 +6,7 @@ several orders of headroom over what the pipeline actually achieves.
 """
 
 import dataclasses
+import hashlib
 import math
 import pickle
 import random
@@ -286,6 +287,24 @@ def test_series_kernels_match_mpmath_reference(M, dps):
         got = recon1d._FixedForm(c).value(x)
     with ref.workprec():
         assert abs(got - _reference_series(c, x)) <= tol
+
+
+def test_series_kernels_are_pinned_bit_for_bit():
+    # the raw outputs of residual_coeffs and of both fixed-point forms on
+    # fixed inputs, hashed; the primitives these kernels share with the
+    # generators may move or gain users only if every bit stays
+    ctx = ArithmeticContext(50)
+    c, mags, xi = _random_series_inputs(200, ctx, seed=7)
+    digest = hashlib.sha256()
+    with ctx.workprec():
+        res = residual_coeffs(c, xi, mags, ctx)
+        forms = (recon1d._FixedForm(res, xi, mags), recon1d._FixedForm(c))
+        values = [f.value(-mp.pi + 2 * mp.pi * (j + mp.mpf(1) / 3) / 16)
+                  for j in range(16) for f in forms]
+    for v in res.values + tuple(values):
+        digest.update(repr(v._mpc_).encode())
+    assert digest.hexdigest() == (
+        "f72019989357677fa7da88bfe510288a16028c16274623d046e471acdfe9f9ab")
 
 
 def test_series_kernels_accept_mixed_input_types(ctx30):
