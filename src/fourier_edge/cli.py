@@ -11,9 +11,10 @@ report        fit log-log slopes through the metrics and write a JSON report
 verify        re-check a random sample of saved grid entries against the
               slow 2D quadrature oracle
 
-All file formats are plain text (one JSON header line + CSV for grids, JSON
-for models/reports, commented CSV for metrics).  Runs are deterministic:
-the only randomness is the seeded sampler inside `verify`.
+All file formats are plain text: grids are format 2 (a JSON header line, one
+CSV line per entry with hex-mantissa parts, and a `sha256` trailer), models
+and reports JSON, metrics commented CSV.  Runs are deterministic: the only
+randomness is the seeded sampler inside `verify`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .model2d import (
 )
 from .numerics import ArithmeticContext
 from .oracle import quadrature2d_oracle
-from .recon2d import reconstruct_field, truncated_baseline
+from .recon2d import reconstruct_field, truncated_slice
 
 __all__ = [
     "ExperimentConfig",
@@ -266,12 +267,13 @@ def compute_metrics(
                 a_true = model.magnitude_value(l, x, ctx)
                 a_rec = mp.mpc(s.recon.magnitudes_tilde[l])
                 d_A[l] = max(d_A[l], abs(a_rec - a_true))
+            raw = truncated_slice(grid, x, ctx)
             for y in ys:
                 if _circle_gap(y, s.recon.xi_tilde) < excl:
                     continue
                 truth = eval2d(model, x, y, ctx)
                 d_F = max(d_F, abs(s.value(y, ctx) - truth))
-                d_T = max(d_T, abs(truncated_baseline(grid, x, y, ctx) - truth))
+                d_T = max(d_T, abs(raw.value(y).real - truth))
         return MetricsRow(
             N,
             grid.M,
@@ -348,17 +350,23 @@ def _append_metrics(path: Path, cfg: ExperimentConfig, rows, notes=()) -> None:
 
 
 def read_metrics(path: Path) -> tuple:
-    """(column names, list of float-row dicts); comment lines skipped."""
+    """(column names, list of float-row dicts); comment lines skipped.
+
+    Raises ValueError, naming the file, on a bad header or a ragged row.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != METRICS_HEADER:
+    if len(lines) < 2 or lines[0] != METRICS_HEADER:
         raise ValueError(f"{path} is not a metrics file (bad header)")
     columns = lines[1].split(",")
     rows = []
-    for ln in lines[2:]:
+    for lineno, ln in enumerate(lines[2:], start=3):
         if not ln or ln.startswith("#"):
             continue
         cells = ln.split(",")
+        if len(cells) != len(columns):
+            raise ValueError(f"{path}: line {lineno} has {len(cells)} cells "
+                             f"for {len(columns)} columns")
         rows.append(
             {c: (int(v) if c in ("N", "M") else float(v))
              for c, v in zip(columns, cells)}

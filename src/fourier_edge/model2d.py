@@ -181,9 +181,7 @@ class CoeffGrid2D:
     one horizontal row as a CoeffVector1D over wx, which is exactly the
     input the slice-row reconstruction stage consumes.
 
-    eq=False keeps identity semantics: grids are large and are compared
-    entry-wise in tests, while identity hashing lets evaluation caches key
-    off the object cheaply.
+    eq=False keeps identity semantics: grids are large; tests compare entries.
     """
 
     M: int
@@ -430,7 +428,8 @@ def _raw_part(text: bytes):
 def load_grid(path) -> CoeffGrid2D:
     """Read a grid file written by :func:`save_grid`, bit for bit.
 
-    Raises ValueError naming the file when the header is not format 2 (a
+    Raises ValueError naming the file unless line 1 is a JSON object with
+    integer "M", "N" and "precision", when the header is not format 2 (a
     decimal format-1 file must be written again by ``generate``), when the
     sha256 trailer is missing or does not match the lines before it, and,
     with counts, unless every (omega_x, omega_y) of the header's ranges
@@ -441,14 +440,20 @@ def load_grid(path) -> CoeffGrid2D:
     with open(path, "rb") as fh:
         first = fh.readline()
         digest.update(first)
-        header = json.loads(first)
+        try:
+            header = json.loads(first)
+            M, N, prec = (header.get(k) for k in ("M", "N", "precision"))
+        except (ValueError, AttributeError):  # not JSON, or not an object
+            M = N = prec = None
+        if not all(type(v) is int for v in (M, N, prec)):
+            raise ValueError(f"{path}: line 1 is not a JSON header with "
+                             "integer M, N and precision")
         fmt = header.get("format", 1)
         if fmt != _GRID_FORMAT:
             raise ValueError(
                 f"{path}: grid file format {fmt} is not readable, only format "
                 f"{_GRID_FORMAT}; re-run generate to write the grid again"
             )
-        M, N, prec = header["M"], header["N"], header["precision"]
         vals = [[None] * (2 * N + 1) for _ in range(2 * M + 1)]
         duplicate = outside = 0
         for lineno, line in enumerate(fh, start=2):

@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 import warnings
-import weakref
 
 from mpmath import mp
 
@@ -42,6 +41,7 @@ __all__ = [
     "reconstruct_slice",
     "slice_coeff_vector",
     "truncated_baseline",
+    "truncated_slice",
 ]
 
 
@@ -234,34 +234,20 @@ def reconstruct_field(
     )
 
 
-_SPARSE_ENTRIES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+def truncated_slice(grid: CoeffGrid2D, x, ctx: ArithmeticContext) -> _FixedForm:
+    """Raw partial 2D Fourier sum at x, as a series in y.
 
-
-def _nonzero_entries(grid: CoeffGrid2D) -> tuple:
-    """(wx, wy, value) for every nonzero grid entry, cached per grid object."""
-    cached = _SPARSE_ENTRIES.get(grid)
-    if cached is None:
-        cached = tuple(
-            (wx, iy - grid.N, v)
-            for wx in range(-grid.M, grid.M + 1)
-            for iy, v in enumerate(grid.values[wx + grid.M])
-            if v != 0
-        )
-        _SPARSE_ENTRIES[grid] = cached
-    return cached
+    It is the raw series of the slice vector that :func:`slice_coeff_vector`
+    builds when no row is reconstructed; ``form.value(y)``, under
+    ``ctx.workprec()``, is the complex sum at (x, y).  Raises ValueError,
+    naming the entry, on a non-finite grid entry.
+    """
+    vec = slice_coeff_vector(PsiReconstructionSet(grid, 0, {}, {}), x, ctx)
+    with ctx.workprec():
+        return _FixedForm(vec)
 
 
 def truncated_baseline(grid: CoeffGrid2D, x, y, ctx: ArithmeticContext):
-    """Raw partial 2D Fourier sum at (x, y), real part.
-
-    Exact zero entries are skipped (via a cached sparse index); on sparse
-    synthetic grids this is the difference between seconds and hours at high
-    precision.
-    """
+    """Raw partial 2D Fourier sum at (x, y), real part."""
     with ctx.workprec():
-        xm = mp.mpf(x)
-        ym = mp.mpf(y)
-        acc = mp.mpc(0)
-        for wx, wy, v in _nonzero_entries(grid):
-            acc += v * mp.expj(wx * xm + wy * ym)
-        return acc.real
+        return truncated_slice(grid, x, ctx).value(y).real

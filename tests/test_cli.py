@@ -7,6 +7,7 @@ seconds range.
 
 import json
 import math
+import re
 
 import pytest
 
@@ -134,9 +135,24 @@ def test_metrics_refuse_rows_of_another_order(tmp_path):
 
 def test_read_metrics_rejects_foreign_files(tmp_path):
     path = tmp_path / "other.csv"
-    path.write_text("N,M\n1,2\n")
-    with pytest.raises(ValueError, match="bad header"):
-        read_metrics(path)
+    # a foreign CSV, and a metrics header without its column line
+    for text in ("N,M\n1,2\n", METRICS_HEADER + "\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad header"):
+            read_metrics(path)
+
+
+def test_read_metrics_rejects_ragged_rows(tmp_path):
+    # a d = 2 row (9 cells) under d = 1 columns (8) would drop a cell and
+    # read as plausible numbers; a short row would lack a column
+    path = tmp_path / "metrics.csv"
+    _append_metrics(path, ExperimentConfig(d=1), [_row(8, 1)])
+    good = path.read_text()
+    for row, cells in ((_row(12, 2), 9), (_row(12, 0), 7)):
+        path.write_text(good + row.csv() + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 4 has {cells} cells for 8 columns")):
+            read_metrics(path)
 
 
 def test_degenerate_entry_yields_nan_row():

@@ -422,12 +422,22 @@ def test_load_grid_refuses_edited_files(tmp_path, ctx15):
 
 
 def test_load_grid_refuses_decimal_files(tmp_path):
-    # format 1: a header without "format" and full-precision decimal parts
+    # format 1: a header without "format" and full-precision decimal parts;
+    # and first lines that are no format-2 header, refused before the checksum
     path = tmp_path / "grid.fec"
-    path.write_text('{"M": 0, "N": 0, "precision": 15}\n'
-                    "0, 0, 1.00000000000000, 0.0\n")
-    with pytest.raises(ValueError, match="format 1 .*re-run generate"):
-        load_grid(path)
+    body = "0, 0, 1.00000000000000, 0.0\n"
+    no_header = "line 1 is not a JSON header with integer M, N and precision"
+    headers = {
+        '{"M": 0, "N": 0, "precision": 15}': "grid file format 1 .*re-run generate",
+        '{"format": 2, "M": 0, "precision": 15}': no_header,
+        '{"format": 2, "M": 0, "N": 0, "precision": 1.5}': no_header,
+        "format 2, M 0, N 0": no_header,
+        "[2, 0, 0, 15]": no_header,
+    }
+    for header, message in headers.items():
+        path.write_text(f"{header}\n{body}")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
+            load_grid(path)
 
 
 def test_save_grid_refuses_non_finite_entries(tmp_path):

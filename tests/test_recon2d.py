@@ -19,9 +19,11 @@ from fourier_edge import (
     reconstruct_slice,
     slice_coeff_vector,
     truncated_baseline,
+    truncated_slice,
 )
 from fourier_edge import recon2d
 from fourier_edge.model2d import slice_coeff_exact
+from test_model2d import _dense_model
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +170,12 @@ def test_programming_errors_propagate(error, ctx40, monkeypatch):
         reconstruct_field(grid, d_psi=1, d=1, x_points=(0.5,), ctx=ctx40)
 
 
-def test_truncated_baseline_equals_dense_sum(ctx40):
-    grid = coeff_grid(Model2D.canonical(5), 9, 3, ctx40)
+@pytest.mark.parametrize(
+    "model", [Model2D.canonical(5), _dense_model(9, 3)], ids=["canonical", "dense"]
+)
+def test_truncated_baseline_equals_dense_sum(model, ctx40):
+    # the canonical grid is one-sparse in each row; the dense one has no zero
+    grid = coeff_grid(model, 9, 3, ctx40)
     with ctx40.workprec():
         x, y = mp.mpf("1.3"), mp.mpf("-0.9")
         dense = mp.mpc(0)
@@ -178,6 +184,11 @@ def test_truncated_baseline_equals_dense_sum(ctx40):
                 dense += mp.mpc(grid.c(wx, wy)) * mp.expj(wx * x + wy * y)
         got = truncated_baseline(grid, x, y, ctx40)
         assert abs(got - dense.real) < mp.mpf(10) ** -35
+        # the per-x form serves every y of the slice, bit for bit
+        raw = truncated_slice(grid, x, ctx40)
+        for y in ("-3.1", "-0.9", "0", "2.2"):
+            want = truncated_baseline(grid, x, mp.mpf(y), ctx40)
+            assert raw.value(mp.mpf(y)).real._mpf_ == want._mpf_
 
 
 def test_parallel_rows_match_serial(ctx40):
@@ -211,3 +222,5 @@ def test_degraded_row_fallback_refuses_non_finite_entries(ctx40):
     with pytest.raises(ValueError, match="coefficient c_2"):
         psi.row_value(1, 0.4, ctx40)
     psi.row_value(2, 0.4, ctx40)  # the other rows still evaluate
+    with pytest.raises(ValueError, match="coefficient c_2"):
+        truncated_baseline(psi.grid, 0.4, -1.2, ctx40)
