@@ -25,7 +25,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 METRICS_HEADER = "# fourier-edge metrics v1"
+# curve metrics skip slices within this distance of the period edge x = +-pi
+BOUNDARY_COLLAR = math.pi / 64
 
 
 @dataclass
@@ -80,9 +82,6 @@ class ExperimentConfig:
     y_count: int = 512
     precision_digits: int = 60
     exclusion_radius: float = math.pi / 8
-    boundary_collar: float = math.pi / 64
-    jobs: int = 1
-    d1: Optional[int] = None
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
@@ -227,7 +226,8 @@ def compute_metrics(
 
     The row is all NaN when N < d + 2, when a slice failed, or when every
     row of the row stage degraded (the slices would then come from raw
-    truncated series, not from the method).
+    truncated series, not from the method).  A metric that measured no
+    point (every x in the boundary collar, or every y excluded) is NaN too.
     """
     ctx = cfg.ctx()
     t0 = time.monotonic()
@@ -241,18 +241,14 @@ def compute_metrics(
 
     if N < cfg.d + 2:
         return nan_row()
-    fld = reconstruct_field(
-        grid, cfg.d_psi, cfg.d, cfg.x_points, ctx, jobs=cfg.jobs, d1=cfg.d1
-    )
+    fld = reconstruct_field(grid, cfg.d_psi, cfg.d, cfg.x_points, ctx)
     if not fld.psi.rows:
         return nan_row()
     with ctx.workprec():
-        collar = mp.mpf(cfg.boundary_collar)
+        collar = mp.mpf(BOUNDARY_COLLAR)
         excl = mp.mpf(cfg.exclusion_radius)
-        d_xi = mp.mpf(0)
-        d_A = [mp.mpf(0)] * (cfg.d + 1)
-        d_F = mp.mpf(0)
-        d_T = mp.mpf(0)
+        d_xi, d_F, d_T = [], [], []
+        d_A = [[] for _ in range(cfg.d + 1)]
         ys = [-mp.pi + 2 * mp.pi * j / cfg.y_count for j in range(cfg.y_count)]
         for x in cfg.x_points:
             if float(abs(mp.mpf(x))) > float(mp.pi - collar):
@@ -262,25 +258,29 @@ def compute_metrics(
                 return nan_row()
             xi_true = model.curve.xi(x, ctx)
             # compare on the circle: the curve value is a torus coordinate
-            d_xi = max(d_xi, _circle_gap(s.recon.xi_tilde, xi_true))
+            d_xi.append(_circle_gap(s.recon.xi_tilde, xi_true))
             for l in range(cfg.d + 1):
                 a_true = model.magnitude_value(l, x, ctx)
                 a_rec = mp.mpc(s.recon.magnitudes_tilde[l])
-                d_A[l] = max(d_A[l], abs(a_rec - a_true))
+                d_A[l].append(abs(a_rec - a_true))
             raw = truncated_slice(grid, x, ctx)
             for y in ys:
                 if _circle_gap(y, s.recon.xi_tilde) < excl:
                     continue
                 truth = eval2d(model, x, y, ctx)
-                d_F = max(d_F, abs(s.value(y, ctx) - truth))
-                d_T = max(d_T, abs(raw.value(y).real - truth))
+                d_F.append(abs(s.value(y, ctx) - truth))
+                d_T.append(abs(raw.value(y).real - truth))
+
+        def worst(errs):
+            return float(max(errs)) if errs else float("nan")
+
         return MetricsRow(
             N,
             grid.M,
-            float(d_xi),
-            tuple(float(a) for a in d_A),
-            float(d_F),
-            float(d_T),
+            worst(d_xi),
+            tuple(worst(a) for a in d_A),
+            worst(d_F),
+            worst(d_T),
             time.monotonic() - t0,
         )
 
@@ -505,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", type=Path, help="JSON config file")
     p.add_argument("--precision", type=int, help="override working digits")
-    p.add_argument("--jobs", type=int, help="process count for row stage")
     p.add_argument("--out", type=Path, help="output directory")
     p.add_argument(
         "--exclusion-radius", type=float, help="error-metric exclusion radius"
@@ -522,21 +521,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args) -> ExperimentConfig:
+    """The config file (or the defaults) with the flags applied on top.
+
+    Flags pass the same validation as config keys: ValueError otherwise.
+    """
     if args.config is not None:
         cfg = ExperimentConfig.from_json(json.loads(Path(args.config).read_text()))
     else:
         cfg = ExperimentConfig()
-    if args.precision is not None:
-        cfg.precision_digits = args.precision
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.out is not None:
-        cfg.out_dir = str(args.out)
-    if args.exclusion_radius is not None:
-        cfg.exclusion_radius = args.exclusion_radius
-    if args.override_M is not None:
-        cfg.override_M = args.override_M
-    return cfg
+    flags = {
+        "precision_digits": args.precision,
+        "out_dir": None if args.out is None else str(args.out),
+        "exclusion_radius": args.exclusion_radius,
+        "override_M": args.override_M,
+    }
+    # replace() runs __post_init__ again on the overridden values
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -48,37 +48,29 @@ class ArithmeticContext:
     ----------
     precision_digits : int
         Decimal working precision, at least 15.
-    root_tolerance : float or None
-        Relative acceptance bound for polynomial root residuals.  When None,
-        defaults to ``10**-(precision_digits - 8)``, leaving eight digits of
-        slack below working precision.
     """
 
     precision_digits: int = 15
-    root_tolerance: float | None = None
 
     def __post_init__(self) -> None:
         if self.precision_digits < 15:
             raise ValueError(
                 f"precision_digits must be >= 15, got {self.precision_digits}"
             )
-        if self.root_tolerance is not None and self.root_tolerance <= 0:
-            raise ValueError("root_tolerance must be positive")
 
     def workprec(self):
         """Context manager setting mpmath working precision.
 
         mpmath precision is process-global state; concurrent use from
-        threads is not supported.  Parallel callers should use separate
-        processes (the CLI does).
+        threads is not supported.
         """
         return mp.workdps(self.precision_digits)
 
     def root_tol(self):
-        """Root residual tolerance as an mpf under this context."""
+        """Relative acceptance bound for polynomial root residuals, as an mpf:
+        ``10**-(precision_digits - 8)``, eight digits of slack below working
+        precision."""
         with self.workprec():
-            if self.root_tolerance is not None:
-                return mp.mpf(self.root_tolerance)
             return mp.mpf(10) ** (-(self.precision_digits - 8))
 
 
@@ -224,7 +216,7 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
         If the iteration cap is reached before the update norm drops below
         the stopping threshold, if two iterates coincide, or if an accepted
         root violates
-        |p(r)| <= root_tolerance * max|coeff| * max(1, |r|)**degree.
+        |p(r)| <= ctx.root_tol() * max|coeff| * max(1, |r|)**degree.
     """
     n = poly.degree
     if n < 0:

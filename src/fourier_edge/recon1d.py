@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_mul, mpf_pi, mpf_sub, to_fixed
@@ -504,7 +503,6 @@ def reconstruct1d(
     d: int,
     ctx: ArithmeticContext,
     known_jump=None,
-    d1: Optional[int] = None,
     assume_real: bool = True,
 ) -> Reconstruction1D:
     """One-call pipeline: localize (unless known), solve magnitudes, residual.
@@ -518,8 +516,6 @@ def reconstruct1d(
         If given, the jump location is taken as known (no localization);
         pass a value constructed at working precision when exactness at the
         anchor matters.
-    d1 : optional int
-        Half-order for the hint stage; defaults to floor(d/2).
     assume_real : bool
         When True, an imaginary-residue probe is recorded in diagnostics.
 
@@ -542,30 +538,28 @@ def reconstruct1d(
             xi = mp.mpf(known_jump)
             diagnostics = {"stage": "known-jump", "M1": M1, "d": d}
         else:
-            d1_eff = d1 if d1 is not None else d // 2
-            hint = half_order_localize(c, d1_eff, ctx)
+            hint = half_order_localize(c, d // 2, ctx)
             kappa, xi, loc_diag = full_order_localize(c, d, hint, ctx)
             mags = solve_magnitudes(c, d, kappa, ctx, loc_diag["N1"])
             diagnostics = {
                 "stage": "full",
                 "d": d,
-                "d1": d1_eff,
+                "d1": hint.d1,
                 "half_root_sweeps": hint.root_sweeps,
                 "half_root_stalled": hint.root_stalled,
                 **loc_diag,
             }
-        res = residual_coeffs(c, xi, mags, ctx)
-        if assume_real:
-            form = _FixedForm(res, xi, mags)
-            diagnostics["imag_residue"] = max(
-                float(abs(form.value(-mp.pi + mp.pi * q / 4).imag))
-                for q in range(8)
-            )
-        return Reconstruction1D(
+        rec = Reconstruction1D(
             xi_tilde=xi,
             magnitudes_tilde=mags,
-            residual=res,
+            residual=residual_coeffs(c, xi, mags, ctx),
             d=d,
             known_jump=known_jump is not None,
             diagnostics=diagnostics,
         )
+        if assume_real:
+            diagnostics["imag_residue"] = max(
+                float(abs(rec._form.value(-mp.pi + mp.pi * q / 4).imag))
+                for q in range(8)
+            )
+        return rec

@@ -14,9 +14,7 @@ evaluation and is flagged, so one bad row cannot sink a whole field run.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 import warnings
 
 from mpmath import mp
@@ -68,51 +66,26 @@ class PsiReconstructionSet:
             return _FixedForm(self.grid.row(wy)).value(x)
 
 
-def _reconstruct_row(args):
-    """Pool-friendly worker: one jump-known row reconstruction."""
-    wy, values, M, d_psi, dps = args
-    ctx = ArithmeticContext(dps)
-    with ctx.workprec():
-        row = CoeffVector1D(M, values)
-        try:
-            rec = reconstruct1d(
-                row, d_psi, ctx, known_jump=-mp.pi, assume_real=False
-            )
-            return wy, rec, None
-        except (ReconstructionError, RootFindingError) as exc:
-            return wy, None, f"{type(exc).__name__}: {exc}"
-
-
 def reconstruct_psi_set(
-    grid: CoeffGrid2D,
-    d_psi: int,
-    ctx: ArithmeticContext,
-    jobs: int = 1,
+    grid: CoeffGrid2D, d_psi: int, ctx: ArithmeticContext
 ) -> PsiReconstructionSet:
     """Run the jump-known stage on every grid row wy = -N..N.
 
     Per-row reconstruction failures (``ReconstructionError`` and
     ``RootFindingError``) are recorded as degraded rows, not raised; any
-    other exception is a programming error and propagates.  With
-    jobs > 1 rows are distributed over a process pool (mpmath precision is
-    process-global, so threads are not an option).
+    other exception is a programming error and propagates.
     """
-    tasks = [
-        (wy, grid.row(wy).values, grid.M, d_psi, ctx.precision_digits)
-        for wy in range(-grid.N, grid.N + 1)
-    ]
     rows: dict = {}
     degraded: dict = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_reconstruct_row, tasks))
-    else:
-        results = [_reconstruct_row(t) for t in tasks]
-    for wy, rec, reason in results:
-        if rec is not None:
-            rows[wy] = rec
-        else:
-            degraded[wy] = reason
+    with ctx.workprec():
+        for wy in range(-grid.N, grid.N + 1):
+            try:
+                rows[wy] = reconstruct1d(
+                    grid.row(wy), d_psi, ctx,
+                    known_jump=-mp.pi, assume_real=False,
+                )
+            except (ReconstructionError, RootFindingError) as exc:
+                degraded[wy] = f"{type(exc).__name__}: {exc}"
     return PsiReconstructionSet(grid, d_psi, rows, degraded)
 
 
@@ -151,7 +124,6 @@ def reconstruct_slice(
     x,
     d: int,
     ctx: ArithmeticContext,
-    d1: Optional[int] = None,
 ) -> SliceReconstruction:
     """Unknown-jump reconstruction of the slice F(x, .).
 
@@ -160,7 +132,7 @@ def reconstruct_slice(
     reduction).
     """
     vec = slice_coeff_vector(psi, x, ctx)
-    rec = reconstruct1d(vec, d, ctx, d1=d1, assume_real=True)
+    rec = reconstruct1d(vec, d, ctx, assume_real=True)
     return SliceReconstruction(
         x=float(x), recon=rec, degraded_rows=tuple(sorted(psi.degraded))
     )
@@ -199,27 +171,31 @@ def reconstruct_field(
     x_points,
     ctx: ArithmeticContext,
     jobs: int = 1,
-    d1: Optional[int] = None,
 ) -> FieldReconstruction:
     """Full two-stage pipeline over a list of slice positions.
+
+    The pipeline runs in one process; ``jobs`` is kept for existing callers
+    and must be 1.
 
     Emits a warning when N^2 > M (the row stage then limits the overall
     accuracy and the slice-stage rates are not guaranteed).  Slice failures
     (``ReconstructionError`` and ``RootFindingError``) are contained per x;
     any other exception propagates.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     if grid.N ** 2 > grid.M:
         warnings.warn(
             f"grid is under-resolved in x: N^2 = {grid.N ** 2} > M = {grid.M}; "
             "slice-stage accuracy is limited by the row stage",
             stacklevel=2,
         )
-    psi = reconstruct_psi_set(grid, d_psi, ctx, jobs=jobs)
+    psi = reconstruct_psi_set(grid, d_psi, ctx)
     slices: dict = {}
     failures: dict = {}
     for x in x_points:
         try:
-            slices[float(x)] = reconstruct_slice(psi, x, d, ctx, d1=d1)
+            slices[float(x)] = reconstruct_slice(psi, x, d, ctx)
         except (ReconstructionError, RootFindingError) as exc:
             failures[float(x)] = f"{type(exc).__name__}: {exc}"
     return FieldReconstruction(

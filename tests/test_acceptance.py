@@ -218,7 +218,7 @@ def test_c3_row_stage_rate(ctx60):
 @pytest.fixture(scope="module")
 def sweep_rows():
     """Full pipeline metrics over the band-limit sweep, shared by C4 and C5."""
-    cfg = ExperimentConfig(precision_digits=60, jobs=2)
+    cfg = ExperimentConfig(precision_digits=60)
     model = model_from_config(cfg)
     ctx = cfg.ctx()
     t0 = time.monotonic()

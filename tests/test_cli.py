@@ -28,7 +28,7 @@ from fourier_edge.cli import (
     read_metrics,
 )
 from fourier_edge.model2d import CoeffGrid2D, coeff_grid
-from fourier_edge.recon2d import reconstruct_psi_set
+from fourier_edge.recon2d import reconstruct_field, reconstruct_psi_set
 
 
 # -- config ------------------------------------------------------------------
@@ -63,6 +63,16 @@ def test_config_validation(kwargs):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_json({"d": 5, "bogus_knob": 1})
+
+
+def test_removed_options_are_refused():
+    # the pipeline runs in one process at the half order d // 2
+    for key in ("jobs", "d1"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_json({"d": 5, key: 2})
+    grid = CoeffGrid2D(4, 2, tuple(tuple(0 for _ in range(5)) for _ in range(9)))
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        reconstruct_field(grid, 1, 1, (0.5,), ExperimentConfig().ctx(), jobs=2)
 
 
 def test_config_json_round_trip():
@@ -186,6 +196,24 @@ def test_all_rows_degraded_yields_nan_row():
         assert all(math.isnan(a) for a in row.delta_A)
 
 
+@pytest.mark.parametrize(
+    "kwargs, curve_measured",
+    [
+        ({"x_points": ()}, False),
+        ({"x_points": (3.13,)}, False),  # inside the boundary collar
+        ({"exclusion_radius": 3.1}, True),  # excludes all 8 y
+    ],
+    ids=["no-x", "x-in-collar", "every-y-excluded"],
+)
+def test_metrics_that_measured_nothing_are_nan(kwargs, curve_measured):
+    model = Model2D.canonical(2)
+    cfg = ExperimentConfig(d_psi=2, d=2, precision_digits=30, y_count=8, **kwargs)
+    row = compute_metrics(model, coeff_grid(model, 25, 5, cfg.ctx()), cfg, 5)
+    assert math.isnan(row.delta_F) and math.isnan(row.delta_T)
+    for err in (row.delta_xi, *row.delta_A):
+        assert math.isfinite(err) if curve_measured else math.isnan(err)
+
+
 # -- slope fitting -----------------------------------------------------------
 
 def test_fit_loglog_recovers_pure_power_law():
@@ -212,7 +240,6 @@ def test_cli_flags_override_config(tmp_path):
             "--precision", "25",
             "--out", str(tmp_path / "elsewhere"),
             "--override-M", "30",
-            "--jobs", "2",
             "report",
         ]
     )
@@ -221,7 +248,18 @@ def test_cli_flags_override_config(tmp_path):
     assert cfg.precision_digits == 25
     assert cfg.out_dir == str(tmp_path / "elsewhere")
     assert cfg.override_M == 30 and cfg.M_for(12) == 30
-    assert cfg.jobs == 2
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--exclusion-radius", "4"], ["--precision", "5"]],
+    ids=["exclusion-radius-4", "precision-5"],
+)
+def test_cli_flags_are_validated(flag):
+    # flags are checked like config keys: a radius of 4 would exclude every y
+    args = _build_parser().parse_args([*flag, "report"])
+    with pytest.raises(ValueError):
+        load_config(args)
 
 
 # -- end to end --------------------------------------------------------------

@@ -32,17 +32,10 @@ def test_context_rejects_low_precision():
         ArithmeticContext(precision_digits=10)
 
 
-def test_context_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        ArithmeticContext(precision_digits=20, root_tolerance=-1e-3)
-
-
 def test_context_derived_tolerances():
     ctx = ArithmeticContext(precision_digits=20)
     # default residual tolerance leaves 8 digits of slack
     assert float(ctx.root_tol()) == pytest.approx(1e-12, rel=1e-10)
-    ctx2 = ArithmeticContext(precision_digits=20, root_tolerance=1e-6)
-    assert float(ctx2.root_tol()) == pytest.approx(1e-6, rel=1e-10)
 
 
 def test_workprec_sets_and_restores_dps():

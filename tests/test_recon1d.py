@@ -403,8 +403,8 @@ def test_evaluator_matches_kernel_and_series_reference(d, M, dps):
 
 
 def test_imag_residue_is_the_probe_of_the_record(ctx30):
-    # the probe runs before the record is built; it must read what the
-    # returned record evaluates to at the 8 probe points
+    # the probe reads the returned record's own form; it must match what
+    # the record evaluates to at the 8 probe points
     g = TrigBackground((0.3, 0.0, 0.15 - 0.1j))
     with ctx30.workprec():
         real = synth_coeffs(JumpModel1D(1.3, (1.0, 0.5, -0.2), g), 40, ctx30)

@@ -191,27 +191,6 @@ def test_truncated_baseline_equals_dense_sum(model, ctx40):
             assert raw.value(mp.mpf(y)).real._mpf_ == want._mpf_
 
 
-def test_parallel_rows_match_serial(ctx40):
-    grid = coeff_grid(Model2D.canonical(5), 36, 6, ctx40)
-    serial = reconstruct_psi_set(grid, 5, ctx40, jobs=1)
-    parallel = reconstruct_psi_set(grid, 5, ctx40, jobs=2)
-    assert set(serial.rows) == set(parallel.rows)
-    with ctx40.workprec():
-        for wy in serial.rows:
-            a, b = serial.rows[wy], parallel.rows[wy]
-            assert a.xi_tilde == b.xi_tilde
-            assert a.magnitudes_tilde == b.magnitudes_tilde
-            # bit for bit, through the fixed-point kernels
-            assert [v._mpc_ for v in a.residual.values] == [
-                v._mpc_ for v in b.residual.values
-            ]
-            for x in ("-2.9", "0.45"):
-                assert (
-                    serial.row_value(wy, mp.mpf(x), ctx40)._mpc_
-                    == parallel.row_value(wy, mp.mpf(x), ctx40)._mpc_
-                )
-
-
 def test_degraded_row_fallback_refuses_non_finite_entries(ctx40):
     # a NaN in a degraded row would read as 0 in the fixed-point series
     grid = coeff_grid(Model2D.canonical(11), 4, 3, ctx40)
