@@ -93,6 +93,15 @@ class ExperimentConfig:
             raise ValueError("precision_digits must be >= 15")
         if not 0 <= self.exclusion_radius < math.pi:
             raise ValueError("exclusion_radius outside [0, pi)")
+        for name in ("d_psi", "d"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.override_M is not None and self.override_M < 1:
+            raise ValueError(f"override_M must be >= 1, got {self.override_M}")
+        if any(n < 1 for n in self.sweep_N):
+            raise ValueError(f"sweep_N entries must be >= 1, got {self.sweep_N}")
+        if not all(-math.pi <= x < math.pi for x in self.x_points):
+            raise ValueError(f"x_points outside [-pi, pi): {self.x_points}")
 
     def M_for(self, N: int) -> int:
         return self.override_M if self.override_M is not None else N * N

@@ -203,12 +203,21 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
     coefficients divided by their largest modulus, from points on a circle
     of radius max(1, max_j |c_j / c_n|) with a fixed irrational phase
     offset, until the update norm drops below about 1e-13 or stops falling.
-    It then polishes those roots at full precision until the update norm
-    drops below 10**-(precision_digits + 5).  When float64 cannot represent
-    the polynomial or ends on non-finite or coincident roots, the
-    full-precision phase starts from the same circle instead.  No
-    randomness, so results are reproducible bit for bit at a given
-    precision.
+    It then polishes those roots at full precision, sweep by sweep, until
+    one of two rules ends it:
+
+    - converged: the update norm drops below ``stop`` =
+      10**-(precision_digits + 5), or the last sweep was superlinear
+      (norm <= previous norm ** 1.5) and the norm squared is below
+      ``stop``, so the next correction would already be below it;
+    - noise floor: a norm below 1e-6 does not fall.  The roots of a
+      q-fold cluster are only determined to about eps^(1/q), and their
+      norm wanders there; the call is then marked stalled.
+
+    When float64 cannot represent the polynomial or ends on non-finite or
+    coincident roots, the full-precision phase starts from the same circle
+    instead.  No randomness, so results are reproducible bit for bit at a
+    given precision.
 
     Raises
     ------
@@ -256,7 +265,7 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
                 ]
             stop = mp.mpf(10) ** (-(ctx.precision_digits + 5))
             maxiter = 200 + 15 * ctx.precision_digits
-            history = []
+            prev = mp.inf
             for sweeps in range(1, maxiter + 1):
                 shift = mp.mpf(0)
                 for i in range(m):
@@ -281,20 +290,20 @@ def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
                     w = ratio if denom == 0 else ratio / denom
                     z[i] = z[i] - w
                     shift = max(shift, abs(w) / max(mp.mpf(1), abs(z[i])))
-                if shift < stop:
+                # Aberth converges at least quadratically on simple roots,
+                # so after a superlinear step whose square is below `stop`
+                # the next correction would be too.
+                if shift < stop or (shift <= prev ** 1.5 and shift**2 < stop):
                     break
                 # A root of multiplicity q stalls the update norm at the
-                # eps^(1/q) noise floor, above `stop` forever.  Accept a
-                # stalled cluster once progress flattens out; the residual
-                # bound below stays the actual acceptance gate.
-                history.append(shift)
-                if (
-                    len(history) >= 24
-                    and shift < mp.mpf("1e-6")
-                    and min(history[-12:]) >= mp.mpf("0.5") * min(history[-24:-12])
-                ):
+                # eps^(1/q) noise floor, above `stop` forever: once a small
+                # norm fails to fall, further sweeps only shuffle the
+                # cluster.  The residual bound below stays the acceptance
+                # gate.
+                if mp.mpf("1e-6") > shift >= prev:
                     stalled = True
                     break
+                prev = shift
             else:
                 raise RootFindingError(
                     f"no convergence after {maxiter} iterations (degree {m})"
@@ -324,8 +333,8 @@ def _root_stats():
 
     Yields a list that receives one (sweeps, stalled) pair per call that
     returns roots: the number of full-precision sweeps run (0 when only
-    exact zero roots remain), and whether the stall rule for root clusters
-    ended them rather than the stopping threshold.  ``poly_roots`` keeps
+    exact zero roots remain), and whether they ended on the noise-floor
+    rule rather than the convergence rule.  ``poly_roots`` keeps
     its signature and return value, so callers and anything that wraps it
     are unaffected.
     """

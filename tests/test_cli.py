@@ -60,6 +60,24 @@ def test_config_validation(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field_name",
+    [
+        ({"override_M": -5}, "override_M"),
+        ({"override_M": 0}, "override_M"),
+        ({"d_psi": -1}, "d_psi"),
+        ({"d": -1}, "d"),
+        ({"sweep_N": (12, 0)}, "sweep_N"),
+        ({"x_points": (9.0,)}, "x_points"),
+        ({"x_points": (0.5, math.pi)}, "x_points"),
+        ({"x_points": (float("nan"),)}, "x_points"),
+    ],
+)
+def test_config_refuses_values_that_would_fail_later(kwargs, field_name):
+    with pytest.raises(ValueError, match=rf"^{field_name}\b"):
+        ExperimentConfig(**kwargs)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_json({"d": 5, "bogus_knob": 1})

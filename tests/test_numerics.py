@@ -140,6 +140,20 @@ def test_roots_of_expanded_product(ctx30):
         _assert_root_sets_match(roots, true, mp.mpf(10) ** -25)
 
 
+@pytest.mark.parametrize("dps", [15, 30, 60])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_roots_of_exact_multiple_root(q, dps):
+    # a q-fold root is only determined to about eps^(1/q); the iterates must
+    # still get there and pass the residual gate, not stop early or raise
+    ctx = ArithmeticContext(precision_digits=dps)
+    with ctx.workprec():
+        a = mp.mpc(1, 0.5)
+        roots = poly_roots(ComplexPoly(_expand([a] * q + [mp.mpc(-2)])), ctx)
+        cluster = sorted(roots, key=lambda r: abs(r - a))[:q]
+        floor = 100 * mp.mpf(10) ** (-mp.mpf(dps + 10) / q)
+        assert max(abs(r - a) for r in cluster) < floor
+
+
 def test_roots_zero_factoring(ctx15):
     # z^2 (z - 1): the zero roots come out exactly
     p = ComplexPoly([0, 0, -1, 1])

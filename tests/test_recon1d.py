@@ -128,14 +128,15 @@ def c1_style_coeffs(ctx50):
         return synth_coeffs(JumpModel1D(-2.4, mags), 200, ctx50)
 
 
-def test_root_diagnostics_flag_the_half_order_cluster(c1_style_coeffs, ctx50):
+def test_half_order_cluster_polish_needs_few_sweeps(c1_style_coeffs, ctx50):
     # at d1 = 4 the moments are nearly polynomial of degree d1 in k, so the
-    # half-order root is a (d1+1)-fold cluster that ends on the stall rule;
-    # the full-order root is simple and meets the stopping threshold
+    # half-order root is a (d1+1)-fold cluster; its update norm falls
+    # superlinearly to just above the stopping threshold, where the
+    # convergence rule ends it, so neither root reaches the noise floor
     rec = reconstruct1d(c1_style_coeffs, 9, ctx50)
     diag = rec.diagnostics
-    assert diag["half_root_stalled"] is True
-    assert diag["half_root_sweeps"] >= 24  # the stall rule's window
+    assert diag["half_root_stalled"] is False
+    assert diag["half_root_sweeps"] <= 4
     assert diag["root_stalled"] is False
     assert 1 <= diag["root_sweeps"] < diag["half_root_sweeps"]
 
@@ -147,7 +148,7 @@ def test_full_order_root_polish_needs_few_sweeps(c1_style_coeffs, ctx50):
         hint = half_order_localize(c1_style_coeffs, 4, ctx50)
         _, xi, diag = full_order_localize(c1_style_coeffs, 9, hint, ctx50)
         assert abs(xi - mp.mpf(-2.4)) < mp.mpf(10) ** -25
-    assert diag["root_sweeps"] <= 5
+    assert diag["root_sweeps"] <= 2
     assert diag["root_stalled"] is False
 
 
