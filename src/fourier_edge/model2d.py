@@ -261,7 +261,8 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     q lies outside every profile's band gets the background only.  The
     background adds sum_s p_s(wx) q_s(wy) after the rounding, in the order
     of ``Background2D.coeff2d``, from the term coefficients converted once
-    per wx and per wy.
+    per wx and per wy; products with an exact-zero factor, and a zero sum,
+    are skipped.
 
     Raises
     ------
@@ -296,10 +297,13 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
                 if form is not None:
                     shift, stack = form
                     c = _from_fixed(*_fixed_horner(stack, wy), shift)
-                if terms:
-                    bg = zero
-                    for ps, qs in zip(p_hat, q_hat):
-                        bg += ps[wx + M] * qs[wy + N]
+                # an exact zero added is exact, so skipping it keeps every bit
+                bg = zero
+                for ps, qs in zip(p_hat, q_hat):
+                    a, b = ps[wx + M], qs[wy + N]
+                    if a and b:
+                        bg += a * b
+                if bg:
                     c += bg
                 col.append(c)
             cols.append(tuple(col))

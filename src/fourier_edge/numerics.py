@@ -1,11 +1,11 @@
 """Arbitrary-precision scalar and polynomial utilities.
 
 This module is the arithmetic substrate for the reconstruction pipeline:
-a precision context wrapping mpmath, exact combinatorial sums, a small
-complex-polynomial type with a simultaneous-iteration root finder, a
-solver for the scaled Vandermonde systems produced by moment decimation,
-and the Python-int fixed-point primitives that the O(M) series loops of
-synthesis and reconstruction share.
+a precision context wrapping mpmath, exact combinatorial sums, a
+simultaneous-iteration root finder with a full-precision Newton polish for
+the one root a caller keeps, a solver for the scaled Vandermonde systems
+produced by moment decimation, and the Python-int fixed-point primitives
+that the O(M) series loops of synthesis and reconstruction share.
 
 Everything here is deterministic: no randomness is used anywhere, and root
 lists come back in a fixed sort order, so repeated runs at the same
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,16 +26,17 @@ from mpmath.libmp import from_man_exp, mpf_cos_sin, round_nearest, to_fixed
 
 __all__ = [
     "ArithmeticContext",
-    "ComplexPoly",
     "RootFindingError",
     "annihilation_sum",
     "poly_roots",
+    "polish_root",
     "vandermonde_solve",
 ]
 
 
 class RootFindingError(ArithmeticError):
-    """Raised when the iteration cap is hit or a root fails the residual bound."""
+    """Raised when an iteration breaks down or hits its cap, or a root fails
+    its residual bound."""
 
 
 @dataclass(frozen=True)
@@ -94,256 +93,221 @@ def annihilation_sum(l: int, d: int) -> int:
     )
 
 
-class ComplexPoly:
-    """Dense univariate polynomial with complex coefficients.
-
-    Coefficients are stored in ascending order (coeffs[j] multiplies z**j)
-    and trailing zeros are stripped at construction, so ``degree`` reflects
-    the true leading term.  The zero polynomial keeps a single zero
-    coefficient and reports degree -1.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        cs = list(coeffs)
-        if not cs:
-            raise ValueError("ComplexPoly needs at least one coefficient")
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0:
-            return -1
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        # Horner; exact for exact coefficient/argument types.
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
-
-    def derivative(self) -> "ComplexPoly":
-        if len(self.coeffs) == 1:
-            return ComplexPoly([0])
-        return ComplexPoly([j * c for j, c in enumerate(self.coeffs)][1:])
-
-    def __repr__(self) -> str:
-        return f"ComplexPoly(degree={self.degree})"
+def _horner(coeffs: Sequence, z):
+    """p(z) and p'(z) of the ascending coefficients ``coeffs`` (coeffs[j]
+    multiplies z**j), in the arithmetic of their type."""
+    p, dp = coeffs[-1], 0
+    for c in coeffs[-2::-1]:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
 
 
-# Float phase of poly_roots: sweep cap, stop threshold on the relative update
+def _check_residual(coeffs: Sequence, z, tol) -> None:
+    """Raise RootFindingError unless
+    |p(z)| <= tol * max|c_j| * max(1, |z|)**degree."""
+    bound = tol * max(abs(c) for c in coeffs) * max(1, abs(z)) ** (len(coeffs) - 1)
+    res = abs(_horner(coeffs, z)[0])
+    if res > bound:
+        raise RootFindingError(
+            f"root residual {mp.nstr(res, 8)} exceeds bound {mp.nstr(bound, 8)}"
+        )
+
+
+# Aberth sweeps of poly_roots: cap, stop threshold on the relative update
 # norm, and the level below which an update norm that rises again counts as
 # having reached the float64 noise floor.  Far from the roots the norm can
 # sit near a constant or rise for many sweeps, so a rise there is no stop.
-_FLOAT_MAXITER = 200
-_FLOAT_STOP = 1e-13
-_FLOAT_FLOOR = 1e-6
-
-# Inside a _root_stats block, poly_roots appends the (sweeps, stalled) pair
-# of its full-precision phase to the list held here.
-_ROOT_STATS: ContextVar = ContextVar("fourier_edge_root_stats", default=None)
+_ABERTH_MAXITER = 200
+_ABERTH_STOP = 1e-13
+_ABERTH_FLOOR = 1e-6
+# Phase offset of the starting points, in radians.
+_START_PHASE = 0.3779 * math.pi
 
 
-def _float_seeds(coeffs: list):
-    """Aberth-Ehrlich roots in Python ``complex``, or None if unusable.
+def _hull_starts(logs: list, exp) -> list:
+    """Bini's starting points from the Newton polygon of a polynomial.
 
-    ``coeffs`` are ascending mpc values with a nonzero constant term.  They
-    are divided by their largest modulus so none overflows.  None means
-    float64 cannot represent the polynomial (a nonzero coefficient flushes
-    to zero) or the iteration ended on non-finite or coincident points.
+    ``logs`` holds log|c_j| for j = 0..n (-inf for a zero coefficient).
+    Each edge (j0, j1) of the upper convex hull of the points (j, log|c_j|)
+    gets j1 - j0 points, equally spaced on the circle whose radius is
+    exp(-slope) of the edge, where that many roots lie; the circle is turned
+    by 2pi j0 / n and a fixed offset.  ``exp`` maps a Python complex w to
+    e^w in the arithmetic the points are wanted in.
     """
-    top = max(abs(c) for c in coeffs)
-    cf = [complex(c / top) for c in coeffs]
-    if any(f == 0 for f, c in zip(cf, coeffs) if c != 0):
-        return None
-    m = len(cf) - 1
-    radius = max(1.0, max(abs(c) for c in cf[:-1]) / abs(cf[-1]))
-    z = [
-        radius * cmath.exp(1j * math.pi * (2 * k / m + 0.3779))
-        for k in range(m)
-    ]
-    prev = math.inf
-    try:
-        for _ in range(_FLOAT_MAXITER):
-            shift = 0.0
-            for i in range(m):
-                zi = z[i]
-                p, dp = cf[-1], 0j
-                for c in reversed(cf[:-1]):
-                    dp = dp * zi + p
-                    p = p * zi + c
-                ratio = p / dp
-                s = sum(1 / (zi - z[j]) for j in range(m) if j != i)
-                denom = 1 - ratio * s
-                w = ratio if denom == 0 else ratio / denom
-                z[i] = zi - w
-                shift = max(shift, abs(w) / max(1.0, abs(z[i])))
-            if shift < _FLOAT_STOP or _FLOAT_FLOOR > shift >= prev:
+    n = len(logs) - 1
+    hull: list = []
+    for j, y in enumerate(logs):
+        if y == -math.inf:
+            continue
+        # drop the last vertex while it lies on or below the chord to (j, y)
+        while len(hull) >= 2:
+            (j0, y0), (j1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (j - j0) > (y - y0) * (j1 - j0):
                 break
-            prev = shift
-    except ZeroDivisionError:
+            hull.pop()
+        hull.append((j, y))
+    starts = []
+    for (j0, y0), (j1, y1) in zip(hull, hull[1:]):
+        k = j1 - j0
+        for t in range(k):
+            phase = 2 * math.pi * (t / k + j0 / n) + _START_PHASE
+            starts.append(exp(complex((y0 - y1) / k, phase)))
+    return starts
+
+
+def _aberth(coeffs: Sequence, z: list) -> int:
+    """Aberth-Ehrlich sweeps on the points ``z``, updated in place.
+
+    Runs in the arithmetic of the values given: Python ``complex`` or mpc.
+    Stops when the largest update relative to max(1, |z_i|) is below
+    ``_ABERTH_STOP``, when such a norm below ``_ABERTH_FLOOR`` fails to
+    fall, or after ``_ABERTH_MAXITER`` sweeps.  Returns the sweep count.
+
+    Raises
+    ------
+    ZeroDivisionError
+        If two points coincide or p' vanishes at one.
+    """
+    m = len(z)
+    prev = math.inf
+    for sweeps in range(1, _ABERTH_MAXITER + 1):
+        shift = 0
+        for i in range(m):
+            zi = z[i]
+            p, dp = _horner(coeffs, zi)
+            ratio = p / dp
+            s = sum(1 / (zi - z[j]) for j in range(m) if j != i)
+            denom = 1 - ratio * s
+            w = ratio if denom == 0 else ratio / denom
+            z[i] = zi - w
+            shift = max(shift, abs(w) / max(1, abs(z[i])))
+        if shift < _ABERTH_STOP or _ABERTH_FLOOR > shift >= prev:
+            break
+        prev = shift
+    return sweeps
+
+
+def _sweep(coeffs: list, logs: list, exp):
+    """Aberth from the Newton-polygon starts of :func:`_hull_starts`:
+    (points, sweeps), or None if the sweeps break down or end on
+    non-finite or coincident points."""
+    try:
+        z = _hull_starts(logs, exp)
+        sweeps = _aberth(coeffs, z)
+    except (ZeroDivisionError, OverflowError):
         return None
-    if not all(cmath.isfinite(r) for r in z) or len(set(z)) < m:
+    if not all(abs(r) < math.inf for r in z) or len(set(z)) < len(z):
         return None
-    return z
+    return z, sweeps
 
 
-def poly_roots(poly: ComplexPoly, ctx: ArithmeticContext) -> list:
-    """All complex roots of ``poly`` by Aberth-Ehrlich simultaneous iteration.
+def poly_roots(coeffs: Sequence, ctx: ArithmeticContext) -> tuple:
+    """All complex roots of sum_j coeffs[j] z**j, to about float64 accuracy.
 
-    Returns the full root multiset (length = degree) as mpc values sorted by
-    real part, then imaginary part.  Exact zero roots are factored out before
-    iteration, which also handles pure monomials like z**m instantly.
+    Returns (roots, sweeps): the root multiset (length = degree) as mpc
+    values sorted by real part, then imaginary part, and the number of
+    Aberth sweeps run.  Trailing zero coefficients are dropped, and exact
+    zero roots are factored out before iteration.
 
-    The iteration runs twice.  It first runs in Python ``complex`` on the
-    coefficients divided by their largest modulus, from points on a circle
-    of radius max(1, max_j |c_j / c_n|) with a fixed irrational phase
-    offset, until the update norm drops below about 1e-13 or stops falling.
-    It then polishes those roots at full precision, sweep by sweep, until
-    one of two rules ends it:
-
-    - converged: the update norm drops below ``stop`` =
-      10**-(precision_digits + 5), or the last sweep was superlinear
-      (norm <= previous norm ** 1.5) and the norm squared is below
-      ``stop``, so the next correction would already be below it;
-    - noise floor: a norm below 1e-6 does not fall.  The roots of a
-      q-fold cluster are only determined to about eps^(1/q), and their
-      norm wanders there; the call is then marked stalled.
-
-    When float64 cannot represent the polynomial or ends on non-finite or
-    coincident roots, the full-precision phase starts from the same circle
-    instead.  No randomness, so results are reproducible bit for bit at a
-    given precision.
+    Aberth-Ehrlich runs in Python ``complex`` on the coefficients divided by
+    their largest modulus, from Bini's Newton-polygon starts.  When float64
+    cannot represent the polynomial (a nonzero coefficient flushes to zero)
+    or the sweeps break down, the same sweeps run on mpc values at working
+    precision.  :func:`polish_root` takes a root on to full precision.
 
     Raises
     ------
     RootFindingError
-        If the iteration cap is reached before the update norm drops below
-        the stopping threshold, if two iterates coincide, or if an accepted
-        root violates
-        |p(r)| <= ctx.root_tol() * max|coeff| * max(1, |r|)**degree.
+        For the zero polynomial, or when the mpc sweeps break down
+        (coincident iterates or a zero of p').
     """
-    n = poly.degree
-    if n < 0:
-        raise RootFindingError("zero polynomial has no well-defined roots")
-    if n == 0:
-        return []
-
-    # Ten guard digits so the update norm can actually reach the stopping
-    # threshold instead of stagnating at the rounding floor.
-    with mp.workdps(ctx.precision_digits + 10):
-        coeffs = [mp.mpc(c) for c in poly.coeffs]
-
-        # Factor out exact zero roots: they are exact answers and removing
-        # them keeps the iteration away from a symmetric stagnation set.
+    with ctx.workprec():
+        cs = [mp.mpc(c) for c in coeffs]
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+        if cs[-1] == 0:
+            raise RootFindingError("zero polynomial has no well-defined roots")
+        # exact zero roots are exact answers; without them the Newton
+        # polygon starts at j = 0 and ends at the degree
         zero_roots = 0
-        while coeffs[0] == 0 and len(coeffs) > 1:
-            coeffs.pop(0)
+        while cs[0] == 0 and len(cs) > 1:
+            cs.pop(0)
             zero_roots += 1
         roots = [mp.mpc(0)] * zero_roots
-
-        m = len(coeffs) - 1
-        sweeps, stalled = 0, False
-        if m > 0:
-            p = ComplexPoly(coeffs)
-            dp = p.derivative()
-            seeds = _float_seeds(coeffs)
-            if seeds is not None:
-                z = [mp.mpc(s) for s in seeds]
-            else:
-                lead = abs(coeffs[-1])
-                radius = max(
-                    mp.mpf(1), max(abs(c) for c in coeffs[:-1]) / lead
-                )
-                z = [
-                    radius * mp.expjpi(mp.mpf(2 * k) / m + mp.mpf("0.3779"))
-                    for k in range(m)
-                ]
-            stop = mp.mpf(10) ** (-(ctx.precision_digits + 5))
-            maxiter = 200 + 15 * ctx.precision_digits
-            prev = mp.inf
-            for sweeps in range(1, maxiter + 1):
-                shift = mp.mpf(0)
-                for i in range(m):
-                    pz = p(z[i])
-                    dpz = dp(z[i])
-                    if dpz == 0:
-                        # Degenerate point; nudge off and retry next sweep.
-                        z[i] = z[i] + mp.mpf("1e-3") * (1 + abs(z[i]))
-                        shift = mp.inf
-                        continue
-                    ratio = pz / dpz
-                    s = mp.mpc(0)
-                    try:
-                        for j in range(m):
-                            if j != i:
-                                s += 1 / (z[i] - z[j])
-                    except ZeroDivisionError:
-                        raise RootFindingError(
-                            f"two Aberth iterates coincide (degree {m})"
-                        ) from None
-                    denom = 1 - ratio * s
-                    w = ratio if denom == 0 else ratio / denom
-                    z[i] = z[i] - w
-                    shift = max(shift, abs(w) / max(mp.mpf(1), abs(z[i])))
-                # Aberth converges at least quadratically on simple roots,
-                # so after a superlinear step whose square is below `stop`
-                # the next correction would be too.
-                if shift < stop or (shift <= prev ** 1.5 and shift**2 < stop):
-                    break
-                # A root of multiplicity q stalls the update norm at the
-                # eps^(1/q) noise floor, above `stop` forever: once a small
-                # norm fails to fall, further sweeps only shuffle the
-                # cluster.  The residual bound below stays the acceptance
-                # gate.
-                if mp.mpf("1e-6") > shift >= prev:
-                    stalled = True
-                    break
-                prev = shift
-            else:
+        sweeps = 0
+        if len(cs) > 1:
+            top = max(abs(c) for c in cs)
+            cf = [complex(c / top) for c in cs]
+            found = None
+            if all(f or not c for f, c in zip(cf, cs)):
+                logs = [math.log(abs(f)) if f else -math.inf for f in cf]
+                found = _sweep(cf, logs, cmath.exp)
+            if found is None:
+                logs = [float(mp.log(abs(c))) if c else -math.inf for c in cs]
+                found = _sweep(cs, logs, lambda w: mp.exp(mp.mpc(w)))
+            if found is None:
                 raise RootFindingError(
-                    f"no convergence after {maxiter} iterations (degree {m})"
+                    f"Aberth iterates coincide or meet a zero of p' "
+                    f"(degree {len(cs) - 1})"
                 )
-            roots.extend(z)
-
-        scale = max(abs(c) for c in coeffs) if m > 0 else mp.mpf(1)
-        tol = ctx.root_tol()
-        full = ComplexPoly([mp.mpc(c) for c in poly.coeffs])
-        for r in roots:
-            bound = tol * scale * max(mp.mpf(1), abs(r)) ** n
-            if abs(full(r)) > bound:
-                raise RootFindingError(
-                    f"root residual {mp.nstr(abs(full(r)), 8)} exceeds bound "
-                    f"{mp.nstr(bound, 8)}"
-                )
+            z, sweeps = found
+            roots.extend(mp.mpc(r) for r in z)
         roots.sort(key=lambda r: (r.real, r.imag))
-        sink = _ROOT_STATS.get()
-        if sink is not None:
-            sink.append((sweeps, stalled))
-        return roots
+        return roots, sweeps
 
 
-@contextmanager
-def _root_stats():
-    """Collect two facts about each ``poly_roots`` call made inside the block.
+# A Newton step of polish_root below this relative size that fails to fall
+# has reached the noise floor of a multiple root or a tight cluster.
+_NEWTON_FLOOR = 1e-3
 
-    Yields a list that receives one (sweeps, stalled) pair per call that
-    returns roots: the number of full-precision sweeps run (0 when only
-    exact zero roots remain), and whether they ended on the noise-floor
-    rule rather than the convergence rule.  ``poly_roots`` keeps
-    its signature and return value, so callers and anything that wraps it
-    are unaffected.
+
+def polish_root(coeffs: Sequence, z, ctx: ArithmeticContext) -> tuple:
+    """Newton's method at full precision on one root of sum_j coeffs[j] z**j.
+
+    Starts from ``z``, a root from :func:`poly_roots`, at precision + 10
+    digits, so the step can reach the stopping threshold instead of
+    stagnating at the rounding floor.  Returns (root, steps) on the first of
+    two rules:
+
+    - converged: the step relative to max(1, |z|) drops below
+      10**-(precision_digits + 5), or the last step was superlinear
+      (<= previous step ** 1.5) and its square is below that threshold;
+    - noise floor: a step below 1e-3 does not fall.  Newton converges
+      linearly on a q-fold root, which is only determined to about
+      eps^(1/q), and ends there.
+
+    Raises
+    ------
+    RootFindingError
+        If the cap of 200 + 15 * precision_digits steps is reached, if p'
+        vanishes at an iterate, or if the root violates
+        |p(r)| <= ctx.root_tol() * max|coeff| * max(1, |r|)**degree.
     """
-    sink: list = []
-    token = _ROOT_STATS.set(sink)
-    try:
-        yield sink
-    finally:
-        _ROOT_STATS.reset(token)
+    with mp.workdps(ctx.precision_digits + 10):
+        cs = [mp.mpc(c) for c in coeffs]
+        z = mp.mpc(z)
+        stop = mp.mpf(10) ** (-(ctx.precision_digits + 5))
+        maxiter = 200 + 15 * ctx.precision_digits
+        prev = mp.inf
+        for steps in range(1, maxiter + 1):
+            p, dp = _horner(cs, z)
+            if p == 0:
+                break
+            if dp == 0:
+                raise RootFindingError("p' vanishes at a Newton iterate")
+            w = p / dp
+            z -= w
+            shift = abs(w) / max(1, abs(z))
+            if shift < stop or (shift <= prev ** 1.5 and shift**2 < stop):
+                break
+            if _NEWTON_FLOOR > shift >= prev:
+                break
+            prev = shift
+        else:
+            raise RootFindingError(f"Newton did not converge in {maxiter} steps")
+        _check_residual(cs, z, ctx.root_tol())
+        return z, steps
 
 
 @lru_cache(maxsize=32)

@@ -29,7 +29,7 @@ from .kernels import _BASIS, _I_POW
 from .model1d import CoeffVector1D
 from .numerics import (
     ArithmeticContext,
-    ComplexPoly,
+    _check_residual,
     _fixed_expj,
     _fixed_horner,
     _fixed_shift,
@@ -38,8 +38,8 @@ from .numerics import (
     _guard_bits,
     _mpc_parts,
     _over_two_pi,
-    _root_stats,
     poly_roots,
+    polish_root,
     vandermonde_solve,
 )
 
@@ -63,6 +63,9 @@ __all__ = [
 
 # A candidate root counts as "near the unit circle" within this band.
 _CIRCLE_BAND = 0.5
+# Residual bound of the unpolished half-order root, relative to
+# max|c_j| max(1, |z|)^n: a float64 Aberth root passes it with room.
+_HINT_TOL = 1e-10
 
 
 class ReconstructionError(Exception):
@@ -126,40 +129,48 @@ class HalfOrderEstimate:
     d1: int
     circle_distance: float
     root_sweeps: int = 0
-    root_stalled: bool = False
 
 
-def _circle_root(mom: Moments, ctx: ArithmeticContext):
+def _circle_root(mom: Moments, ctx: ArithmeticContext, polish: bool):
     """Root of the annihilation polynomial of ``mom`` closest to the unit circle.
 
     The polynomial is sum_j (-1)^j C(deg, j) mom.values[j] u^(deg-j) with
-    deg = len(mom.values) - 1.  Returns (z, dist, root_diag): the root, its
-    distance | |z| - 1 |, and the root finder's full-precision sweep count
-    and stall flag as ``root_sweeps`` and ``root_stalled``.  Callers hold
-    the working precision of ``ctx``.
+    deg = len(mom.values) - 1.  The root is picked among the float64-level
+    roots of :func:`poly_roots`.  With ``polish`` it is then refined by
+    :func:`polish_root` at full precision under ``ctx.root_tol()``;
+    without, it must pass a residual bound sized for float64.  Returns
+    (z, dist, root_diag): the root, its distance | |z| - 1 |, and the
+    Aberth sweep count as ``root_sweeps`` plus, with ``polish``, the Newton
+    step count as ``root_newton_steps``.  Callers hold the working
+    precision of ``ctx``.
 
     Raises
     ------
     LocalizationError
         If the polynomial has no roots, or none lies within the circle band.
+    RootFindingError
+        If the root fails its residual bound.
     """
     deg = len(mom.values) - 1
     coeffs = [mp.mpc(0)] * (deg + 1)
     for j in range(deg + 1):
         sign = -1 if j % 2 else 1
         coeffs[deg - j] = sign * math.comb(deg, j) * mom.values[j]
-    with _root_stats() as stats:
-        roots = poly_roots(ComplexPoly(coeffs), ctx)
+    roots, sweeps = poly_roots(coeffs, ctx)
     if not roots:
         raise LocalizationError("degenerate annihilation polynomial")
-    sweeps, stalled = stats[-1]
     z = min(roots, key=lambda r: abs(abs(r) - 1))
+    root_diag = {"root_sweeps": sweeps}
+    if polish:
+        z, root_diag["root_newton_steps"] = polish_root(coeffs, z, ctx)
+    else:
+        _check_residual(coeffs, z, _HINT_TOL)
     dist = abs(abs(z) - 1)
     if dist > _CIRCLE_BAND:
         raise LocalizationError(
             f"closest root modulus {mp.nstr(abs(z), 6)} outside circle band"
         )
-    return z, dist, {"root_sweeps": sweeps, "root_stalled": stalled}
+    return z, dist, root_diag
 
 
 def half_order_localize(
@@ -175,7 +186,8 @@ def half_order_localize(
     the band, with moments scaled at order d1.  For a model whose
     jump stack has order exactly d1 and no smooth part the true
     kappa = exp(-i xi) is an exact root; in general the estimate carries an
-    O(k0^-1) relative moment perturbation and is only a hint.
+    O(k0^-1) relative moment perturbation and is only a hint.  The root is
+    kept at float64 accuracy, which is ample for picking a branch.
 
     Raises
     ------
@@ -192,7 +204,7 @@ def half_order_localize(
         )
     mom = moments(c, range(k0, k0 + d1 + 2), d1, ctx)
     with ctx.workprec():
-        z, dist, root_diag = _circle_root(mom, ctx)
+        z, dist, root_diag = _circle_root(mom, ctx, polish=False)
         kappa = z / abs(z)
         xi = -mp.arg(kappa)
         if xi >= mp.pi:  # canonical half-open wrap
@@ -203,15 +215,18 @@ def half_order_localize(
 def full_order_localize(
     c: CoeffVector1D,
     d: int,
-    hint: HalfOrderEstimate,
+    hint: HalfOrderEstimate | None,
     ctx: ArithmeticContext,
 ):
     """Full-order jump localization from decimated moments.
 
     Uses indices (j+1)N_1, j = 0..d+1 with N_1 = floor(M / (d+2)).
-    The closest-to-circle root z of the annihilation polynomial
-    approximates kappa^(N_1); its N_1-th roots are the candidate branches
-    and the hint picks the one with smallest angular distance.
+    The closest-to-circle root z of the annihilation polynomial, polished
+    at full precision, approximates kappa^(N_1); its N_1-th roots
+    exp(i (arg z + 2pi r) / N_1) are the candidate branches, and the hint
+    picks the one nearest in angle: r = round((N_1 arg kappa_h - arg z) /
+    2pi) mod N_1.  With N_1 = 1 there is one branch and ``hint`` may be
+    None.
 
     Returns
     -------
@@ -226,6 +241,8 @@ def full_order_localize(
     BranchAmbiguityError
         If every candidate branch is angularly farther than pi/N_1 from the
         hint.
+    ValueError
+        If ``hint`` is None while N_1 > 1.
     """
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
@@ -234,32 +251,34 @@ def full_order_localize(
         raise LocalizationError(
             f"decimation infeasible: M={c.M} < d+2={d + 2}"
         )
+    if hint is None and N1 > 1:
+        raise ValueError(f"a hint must pick one of N1 = {N1} branches")
     mom = moments(c, [(j + 1) * N1 for j in range(d + 2)], d, ctx)
     with ctx.workprec():
-        z, dist, root_diag = _circle_root(mom, ctx)
+        z, dist, root_diag = _circle_root(mom, ctx, polish=True)
         theta = mp.arg(z)
-        best = None
-        best_gap = None
-        best_r = -1
-        for r in range(N1):
-            cand = mp.expj((theta + 2 * mp.pi * r) / N1)
-            gap = abs(mp.arg(cand * mp.conj(hint.kappa_h)))
-            if best_gap is None or gap < best_gap:
-                best, best_gap, best_r = cand, gap, r
-        if best_gap > mp.pi / N1:
+        r, gap = 0, mp.mpf(0)
+        if hint is not None:
+            # candidate r lies 2pi (r - t) / N1 from the hint in angle
+            t = (N1 * mp.arg(hint.kappa_h) - theta) / (2 * mp.pi)
+            r = int(mp.nint(t))
+            gap = 2 * mp.pi * abs(t - r) / N1
+            r %= N1
+        if gap > mp.pi / N1:
             raise BranchAmbiguityError(
                 f"hint {mp.nstr(hint.xi_h, 6)} does not select a branch "
-                f"(best angular gap {mp.nstr(best_gap, 6)} > pi/{N1})"
+                f"(best angular gap {mp.nstr(gap, 6)} > pi/{N1})"
             )
+        best = mp.expj((theta + 2 * mp.pi * r) / N1)
         xi = -mp.arg(best)
         if xi >= mp.pi:
             xi -= 2 * mp.pi
         diagnostics = {
             "N1": N1,
             "circle_distance": float(dist),
-            "branch_index": best_r,
-            "branch_gap": float(best_gap),
-            "hint_xi": float(hint.xi_h),
+            "branch_index": r,
+            "branch_gap": float(gap),
+            "hint_xi": None if hint is None else float(hint.xi_h),
             **root_diag,
         }
         return best, xi, diagnostics
@@ -538,17 +557,15 @@ def reconstruct1d(
             xi = mp.mpf(known_jump)
             diagnostics = {"stage": "known-jump", "M1": M1, "d": d}
         else:
-            hint = half_order_localize(c, d // 2, ctx)
+            diagnostics = {"stage": "full", "d": d}
+            hint = None
+            if c.M // (d + 2) > 1:  # N1 = 1 has one branch: no hint needed
+                hint = half_order_localize(c, d // 2, ctx)
+                diagnostics["d1"] = hint.d1
+                diagnostics["half_root_sweeps"] = hint.root_sweeps
             kappa, xi, loc_diag = full_order_localize(c, d, hint, ctx)
             mags = solve_magnitudes(c, d, kappa, ctx, loc_diag["N1"])
-            diagnostics = {
-                "stage": "full",
-                "d": d,
-                "d1": hint.d1,
-                "half_root_sweeps": hint.root_sweeps,
-                "half_root_stalled": hint.root_stalled,
-                **loc_diag,
-            }
+            diagnostics.update(loc_diag)
         rec = Reconstruction1D(
             xi_tilde=xi,
             magnitudes_tilde=mags,

@@ -15,14 +15,14 @@ from mpmath import mp
 
 from fourier_edge import (
     ArithmeticContext,
-    ComplexPoly,
     RootFindingError,
     annihilation_sum,
     poly_roots,
+    polish_root,
     vandermonde_solve,
 )
 from fourier_edge import numerics
-from fourier_edge.numerics import _float_seeds
+from fourier_edge.numerics import _horner
 
 
 # -- context -----------------------------------------------------------------
@@ -84,30 +84,28 @@ def test_annihilation_sum_domain():
 
 # -- polynomials -------------------------------------------------------------
 
-def test_poly_strips_trailing_zeros_and_degree():
-    p = ComplexPoly([1, 2, 0, 0])
-    assert p.degree == 1
-    assert ComplexPoly([0, 0]).degree == -1
-    assert ComplexPoly([3]).degree == 0
-    with pytest.raises(ValueError):
-        ComplexPoly([])
+def test_roots_drop_trailing_zeros():
+    ctx = ArithmeticContext()
+    (r,), _ = poly_roots([1, 2, 0, 0], ctx)
+    assert abs(r + 0.5) < 1e-15
+    assert poly_roots([3, 0], ctx) == ([], 0)
+    with pytest.raises(RootFindingError):
+        poly_roots([0, 0], ctx)
 
 
-def test_poly_call_matches_power_sum(ctx15):
+def test_horner_matches_power_sum_and_derivative(ctx15):
     coeffs = [1.5, -2.0, 0.25, 3j]
-    p = ComplexPoly(coeffs)
     with ctx15.workprec():
         for z in (mp.mpc(0.3, -1.2), mp.mpc(2), mp.mpc(0)):
+            p, dp = _horner([mp.mpc(c) for c in coeffs], z)
             direct = sum(mp.mpc(c) * z ** j for j, c in enumerate(coeffs))
-            assert abs(p(z) - direct) < 1e-13
-
-
-def test_poly_derivative_rule():
-    p = ComplexPoly([5, 4, 3, 2])
-    q = p.derivative()
-    # coefficient rule: (c_j z^j)' = j c_j z^(j-1)
-    assert [complex(c) for c in q.coeffs] == [4 + 0j, 6 + 0j, 6 + 0j]
-    assert ComplexPoly([7]).derivative().degree == -1
+            # coefficient rule: (c_j z^j)' = j c_j z^(j-1)
+            slope = sum(j * mp.mpc(c) * z ** (j - 1) for j, c in enumerate(coeffs) if j)
+            assert abs(p - direct) < 1e-13
+            assert abs(dp - slope) < 1e-13
+    # exact for exact types
+    assert _horner([5, 4, 3, 2], 1) == (14, 4 + 6 + 6)
+    assert _horner([7], 3) == (7, 0)
 
 
 def _assert_root_sets_match(got, want, tol):
@@ -119,6 +117,12 @@ def _assert_root_sets_match(got, want, tol):
         best = min(remaining, key=lambda g: abs(g - w))
         assert abs(best - w) < tol
         remaining.remove(best)
+
+
+def _polished(coeffs, ctx):
+    """Every root of poly_roots, polished at full precision."""
+    roots, _ = poly_roots(coeffs, ctx)
+    return [polish_root(coeffs, r, ctx)[0] for r in roots]
 
 
 def _expand(roots):
@@ -136,28 +140,35 @@ def _expand(roots):
 def test_roots_of_expanded_product(ctx30):
     with ctx30.workprec():
         true = [mp.mpc(1, 1), mp.mpc(-2, 0.5), mp.mpc(0.25, -3)]
-        roots = poly_roots(ComplexPoly(_expand(true)), ctx30)
-        _assert_root_sets_match(roots, true, mp.mpf(10) ** -25)
+        coeffs = _expand(true)
+        roots, _ = poly_roots(coeffs, ctx30)
+        _assert_root_sets_match(roots, true, 1e-13)  # float64 level
+        _assert_root_sets_match(_polished(coeffs, ctx30), true, mp.mpf(10) ** -25)
 
 
 @pytest.mark.parametrize("dps", [15, 30, 60])
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_roots_of_exact_multiple_root(q, dps):
-    # a q-fold root is only determined to about eps^(1/q); the iterates must
-    # still get there and pass the residual gate, not stop early or raise
+    # a q-fold root is only determined to about eps^(1/q); Newton from each
+    # float64 cluster root must still get there and pass the residual gate,
+    # not stop early or raise.  It converges linearly, at rate 1 - 1/q, from
+    # float64 accuracy: under 3 (dps + 10) steps for q <= 5
     ctx = ArithmeticContext(precision_digits=dps)
     with ctx.workprec():
         a = mp.mpc(1, 0.5)
-        roots = poly_roots(ComplexPoly(_expand([a] * q + [mp.mpc(-2)])), ctx)
+        coeffs = _expand([a] * q + [mp.mpc(-2)])
+        roots, _ = poly_roots(coeffs, ctx)
         cluster = sorted(roots, key=lambda r: abs(r - a))[:q]
         floor = 100 * mp.mpf(10) ** (-mp.mpf(dps + 10) / q)
-        assert max(abs(r - a) for r in cluster) < floor
+        for r in cluster:
+            polished, steps = polish_root(coeffs, r, ctx)
+            assert abs(polished - a) < floor
+            assert steps <= 3 * (dps + 10)
 
 
 def test_roots_zero_factoring(ctx15):
     # z^2 (z - 1): the zero roots come out exactly
-    p = ComplexPoly([0, 0, -1, 1])
-    roots = poly_roots(p, ctx15)
+    roots, _ = poly_roots([0, 0, -1, 1], ctx15)
     assert len(roots) == 3
     zeros = [r for r in roots if r == 0]
     assert len(zeros) == 2
@@ -166,54 +177,87 @@ def test_roots_zero_factoring(ctx15):
 
 
 def test_roots_trivial_degrees(ctx15):
-    assert poly_roots(ComplexPoly([4]), ctx15) == []
+    assert poly_roots([4], ctx15) == ([], 0)
     with pytest.raises(RootFindingError):
-        poly_roots(ComplexPoly([0]), ctx15)  # zero polynomial
+        poly_roots([0], ctx15)  # zero polynomial
     with ctx15.workprec():
-        (r,) = poly_roots(ComplexPoly([-3, 2]), ctx15)
+        (r,), _ = poly_roots([-3, 2], ctx15)
         assert abs(r - mp.mpf(3) / 2) < 1e-14
 
 
 def test_roots_deterministic(ctx15):
-    p = ComplexPoly([1, 0.5, -2, 1j, 1])
+    p = [1, 0.5, -2, 1j, 1]
     a = poly_roots(p, ctx15)
     b = poly_roots(p, ctx15)
     assert a == b
+    assert polish_root(p, a[0][0], ctx15) == polish_root(p, b[0][0], ctx15)
 
 
-def test_roots_invariant_under_extreme_coefficient_scaling(ctx30):
-    # 1e400 and 1e-400 lie outside float64; the float phase divides by the
-    # largest modulus first, so it still seeds the full-precision phase
+def _sweep_types(monkeypatch):
+    """List that receives the number type of each Aberth run."""
+    kinds = []
+    real = numerics._sweep
+
+    def spy(coeffs, logs, exp):
+        kinds.append(type(coeffs[0]))
+        return real(coeffs, logs, exp)
+
+    monkeypatch.setattr(numerics, "_sweep", spy)
+    return kinds
+
+
+def test_roots_invariant_under_extreme_coefficient_scaling(ctx30, monkeypatch):
+    # 1e400 and 1e-400 lie outside float64; the float sweeps divide by the
+    # largest modulus first, so they still run in float64
     with ctx30.workprec():
         true = [mp.mpc(0.5), mp.mpc(3, 1), mp.mpc(0, -40), mp.mpc(1000),
                 mp.mpc(-2, -0.25)]
         coeffs = _expand(true)
-        plain = poly_roots(ComplexPoly(coeffs), ctx30)
+        plain = _polished(coeffs, ctx30)
         _assert_root_sets_match(plain, true, mp.mpf(10) ** -24)
         for scale in (mp.mpf("1e400"), mp.mpf("1e-400")):
             scaled = [c * scale for c in coeffs]
-            assert _float_seeds(scaled) is not None
-            roots = poly_roots(ComplexPoly(scaled), ctx30)
+            kinds = _sweep_types(monkeypatch)
+            roots = _polished(scaled, ctx30)
+            assert kinds == [complex]
             _assert_root_sets_match(roots, plain, mp.mpf(10) ** -24)
 
 
-def test_roots_fall_back_to_circle_start(ctx30):
+def test_roots_fall_back_to_circle_start(ctx30, monkeypatch):
     # z^2 + 1e-400: the constant term flushes to zero in float64, where the
-    # polynomial becomes z^2 with coincident roots at 0, so the
-    # full-precision phase starts from the circle and the gate still holds
+    # polynomial becomes z^2 with coincident roots at 0, so the sweeps run
+    # on mpc values, from the circle of radius 1e-200 the Newton polygon
+    # gives, and the roots pass the full-precision gate
     with ctx30.workprec():
         coeffs = [mp.mpc("1e-400"), mp.mpc(0), mp.mpc(1)]
-        assert _float_seeds(coeffs) is None
-        roots = poly_roots(ComplexPoly(coeffs), ctx30)  # raises on a bad root
-        assert len(roots) == 2
-        assert all(abs(r) < mp.mpf(10) ** -30 for r in roots)
+        kinds = _sweep_types(monkeypatch)
+        roots, sweeps = poly_roots(coeffs, ctx30)
+        assert kinds == [type(mp.mpc(0))]
+        assert len(roots) == 2 and sweeps >= 1
+        for r in roots:
+            assert abs(abs(r) - mp.mpf("1e-200")) < mp.mpf("1e-210")
+            polished, _ = polish_root(coeffs, r, ctx30)  # raises on a bad root
+            assert abs(polished) < mp.mpf(10) ** -30
 
 
 def test_coincident_iterates_raise_root_finding_error(ctx15, monkeypatch):
-    # coincident seeds would divide by zero in the Aberth correction
-    monkeypatch.setattr(numerics, "_float_seeds", lambda coeffs: [1j, 1j])
+    # coincident starts divide by zero in the Aberth correction: float64
+    # gives up, and the mpc sweeps raise
+    monkeypatch.setattr(numerics, "_hull_starts", lambda logs, exp: [exp(1j)] * 2)
     with pytest.raises(RootFindingError, match="coincide"):
-        poly_roots(ComplexPoly([-4, 0, 1]), ctx15)
+        poly_roots([-4, 0, 1], ctx15)
+
+
+def test_newton_polygon_starts_cover_wide_root_moduli(ctx30):
+    # roots from 1e-6 to 1e6: one start circle per hull edge puts a start
+    # near each modulus, where a single circle of radius about 1e6 would not
+    with ctx30.workprec():
+        true = [mp.mpf(10) ** e * mp.expjpi(mp.mpf(e) / 7) for e in range(-6, 7, 2)]
+        coeffs = _expand(true)
+        roots, sweeps = poly_roots(coeffs, ctx30)
+        for r, t in zip(sorted(roots, key=abs), sorted(true, key=abs)):
+            assert abs(r - t) < 1e-13 * abs(t)
+        assert sweeps <= 8
 
 
 @settings(max_examples=30, deadline=None)
@@ -230,7 +274,7 @@ def test_roots_recover_integer_lattice_products(pairs):
     ctx = ArithmeticContext(precision_digits=25)
     with ctx.workprec():
         true = [mp.mpc(a, b) for a, b in pairs]
-        roots = poly_roots(ComplexPoly(_expand(true)), ctx)
+        roots = _polished(_expand(true), ctx)
         _assert_root_sets_match(roots, true, mp.mpf(10) ** -18)
 
 

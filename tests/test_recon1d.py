@@ -70,13 +70,17 @@ def test_moments_reject_out_of_band(ctx15):
 # -- localization ------------------------------------------------------------
 
 def test_half_order_exact_when_stack_matches(ctx30):
-    # a stack of order exactly d1 makes the true root exact
+    # a stack of order exactly d1 makes the true root exact; the hint keeps
+    # its float64 root, and the full-order root is polished to precision
     with ctx30.workprec():
         c = _pure(0.7, (0.8, -0.3), 32, ctx30)
         est = half_order_localize(c, 1, ctx30)
-        assert abs(est.xi_h - mp.mpf(0.7)) < mp.mpf(10) ** -25
-        assert est.circle_distance < 1e-20
+        assert abs(est.xi_h - mp.mpf(0.7)) < 1e-13
+        assert est.circle_distance < 1e-13
         assert abs(abs(est.kappa_h) - 1) < mp.mpf(10) ** -28
+        _, xi, diag = full_order_localize(c, 1, est, ctx30)
+        assert abs(xi - mp.mpf(0.7)) < mp.mpf(10) ** -25
+        assert diag["circle_distance"] < 1e-20
 
 
 def test_half_order_is_a_usable_hint_at_reduced_order(ctx30):
@@ -130,26 +134,85 @@ def c1_style_coeffs(ctx50):
 
 def test_half_order_cluster_polish_needs_few_sweeps(c1_style_coeffs, ctx50):
     # at d1 = 4 the moments are nearly polynomial of degree d1 in k, so the
-    # half-order root is a (d1+1)-fold cluster; its update norm falls
-    # superlinearly to just above the stopping threshold, where the
-    # convergence rule ends it, so neither root reaches the noise floor
+    # half-order root is a (d1+1)-fold cluster; from Newton-polygon starts
+    # both float64 Aberth runs end in a few sweeps, and the hint is not
+    # polished.  The counts are deterministic, so this guards the root
+    # finder's cost without timing.
     rec = reconstruct1d(c1_style_coeffs, 9, ctx50)
     diag = rec.diagnostics
-    assert diag["half_root_stalled"] is False
-    assert diag["half_root_sweeps"] <= 4
-    assert diag["root_stalled"] is False
-    assert 1 <= diag["root_sweeps"] < diag["half_root_sweeps"]
+    assert diag["half_root_sweeps"] <= 16
+    assert diag["root_sweeps"] <= 16
 
 
 def test_full_order_root_polish_needs_few_sweeps(c1_style_coeffs, ctx50):
-    # float64 seeds leave only a few full-precision sweeps; the count is
-    # deterministic, so this guards the root finder's cost without timing
+    # Newton from the float64 root converges quadratically: three steps
+    # from about 1e-13 take it below 10^-55 at 60 working digits
     with ctx50.workprec():
         hint = half_order_localize(c1_style_coeffs, 4, ctx50)
         _, xi, diag = full_order_localize(c1_style_coeffs, 9, hint, ctx50)
         assert abs(xi - mp.mpf(-2.4)) < mp.mpf(10) ** -25
-    assert diag["root_sweeps"] <= 2
-    assert diag["root_stalled"] is False
+    assert 1 <= diag["root_newton_steps"] <= 3
+
+
+def test_float_hint_branch_gap_is_far_below_ambiguity(c1_style_coeffs, ctx50):
+    # the float64 hint lies within about 1e-8 of the true branch, against a
+    # tolerance of pi/N1
+    rec = reconstruct1d(c1_style_coeffs, 9, ctx50)
+    diag = rec.diagnostics
+    assert diag["N1"] == 18
+    assert diag["branch_gap"] / (math.pi / diag["N1"]) < 1e-6
+
+
+def test_one_branch_skips_the_hint_without_changing_results(ctx30):
+    # N1 = M // (d+2) = 1: reconstruct1d skips the half-order stage; the
+    # hinted path must give the same bits
+    d = 3
+    with ctx30.workprec():
+        c = _pure(1.1, (1.0, -0.5, 0.25, 0.8), 9, ctx30)
+        rec = reconstruct1d(c, d, ctx30)
+        assert rec.diagnostics["N1"] == 1
+        assert "half_root_sweeps" not in rec.diagnostics
+        assert rec.diagnostics["hint_xi"] is None
+        hint = half_order_localize(c, d // 2, ctx30)
+        kappa, xi, diag = full_order_localize(c, d, hint, ctx30)
+        mags = solve_magnitudes(c, d, kappa, ctx30, diag["N1"])
+    assert xi._mpf_ == rec.xi_tilde._mpf_
+    assert [m._mpc_ for m in mags] == [m._mpc_ for m in rec.magnitudes_tilde]
+    with pytest.raises(ValueError, match="hint"):
+        full_order_localize(_pure(1.1, (1.0,), 9, ctx30), 0, None, ctx30)
+
+
+def _brute_force_branch(theta, n1, kappa_h):
+    """The candidate exp(i (theta + 2pi r) / n1) nearest kappa_h in angle,
+    by trying every r, and its angular gap."""
+    best = None
+    for r in range(n1):
+        cand = mp.expj((theta + 2 * mp.pi * r) / n1)
+        gap = abs(mp.arg(cand * mp.conj(kappa_h)))
+        if best is None or gap < best[1]:
+            best = (r, gap)
+    return best
+
+
+def test_closed_form_branch_matches_brute_force(ctx30):
+    # many hints around the circle, and hints 1e-12 to either side of every
+    # midpoint between two branches, where the choice flips
+    with ctx30.workprec():
+        c = _pure(-0.9, (1.0, 0.4), 24, ctx30)
+        hint = half_order_localize(c, 1, ctx30)
+        kappa, _, diag = full_order_localize(c, 1, hint, ctx30)
+        n1 = diag["N1"]
+        theta = mp.arg(kappa ** n1)
+        phases = [mp.mpf(j) / 7 for j in range(-22, 23)]
+        for r in range(n1):
+            mid = (theta + 2 * mp.pi * (r + mp.mpf(1) / 2)) / n1
+            phases += [mid - mp.mpf(10) ** -12, mid + mp.mpf(10) ** -12]
+        for phase in phases:
+            probe = dataclasses.replace(hint, kappa_h=mp.expj(phase))
+            _, _, got = full_order_localize(c, 1, probe, ctx30)
+            r, gap = _brute_force_branch(theta, n1, probe.kappa_h)
+            assert got["branch_index"] == r
+            assert abs(got["branch_gap"] - float(gap)) < 1e-14
 
 
 def test_full_order_needs_wide_enough_band(ctx15):
