@@ -93,18 +93,27 @@ def test_roots_drop_trailing_zeros():
         poly_roots([0, 0], ctx)
 
 
-def test_horner_matches_power_sum_and_derivative(ctx15):
+def test_poly_call_matches_power_sum(ctx15):
     coeffs = [1.5, -2.0, 0.25, 3j]
     with ctx15.workprec():
         for z in (mp.mpc(0.3, -1.2), mp.mpc(2), mp.mpc(0)):
-            p, dp = _horner([mp.mpc(c) for c in coeffs], z)
+            p, _ = _horner([mp.mpc(c) for c in coeffs], z)
             direct = sum(mp.mpc(c) * z ** j for j, c in enumerate(coeffs))
+            assert abs(p - direct) < 1e-13
+    # exact for exact types
+    assert _horner([5, 4, 3, 2], 1)[0] == 14
+
+
+def test_poly_derivative_rule(ctx15):
+    coeffs = [1.5, -2.0, 0.25, 3j]
+    with ctx15.workprec():
+        for z in (mp.mpc(0.3, -1.2), mp.mpc(2), mp.mpc(0)):
+            _, dp = _horner([mp.mpc(c) for c in coeffs], z)
             # coefficient rule: (c_j z^j)' = j c_j z^(j-1)
             slope = sum(j * mp.mpc(c) * z ** (j - 1) for j, c in enumerate(coeffs) if j)
-            assert abs(p - direct) < 1e-13
             assert abs(dp - slope) < 1e-13
-    # exact for exact types
-    assert _horner([5, 4, 3, 2], 1) == (14, 4 + 6 + 6)
+    # exact for exact types; a constant has zero derivative
+    assert _horner([5, 4, 3, 2], 1)[1] == 4 + 6 + 6
     assert _horner([7], 3) == (7, 0)
 
 
