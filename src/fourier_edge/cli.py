@@ -46,17 +46,6 @@ from .numerics import ArithmeticContext
 from .oracle import quadrature2d_oracle
 from .recon2d import reconstruct_field, truncated_slice
 
-__all__ = [
-    "ExperimentConfig",
-    "MetricsRow",
-    "SlopeFit",
-    "cmd_generate",
-    "cmd_reconstruct",
-    "cmd_report",
-    "cmd_verify",
-    "main",
-]
-
 METRICS_HEADER = "# fourier-edge metrics v1"
 # curve metrics skip slices within this distance of the period edge x = +-pi
 BOUNDARY_COLLAR = math.pi / 64
@@ -138,10 +127,14 @@ def _trig_from_json(data) -> TrigBackground:
 
 
 def model_to_json(m: Model2D) -> dict:
+    """JSON form of a model; a profile given as a decimal string is written
+    unchanged, so the truth keeps every digit of it at any precision."""
     mags = []
     for prof in m.magnitudes:
         if isinstance(prof, TrigBackground):
             mags.append({"coeffs": _cpx_list(prof.coeffs)})
+        elif isinstance(prof, str):
+            mags.append(prof)
         else:
             mags.append(float(prof))
     out = {

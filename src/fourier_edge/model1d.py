@@ -29,14 +29,6 @@ from .numerics import (
     _over_two_pi,
 )
 
-__all__ = [
-    "CoeffVector1D",
-    "JumpModel1D",
-    "TrigBackground",
-    "eval_model",
-    "synth_coeffs",
-]
-
 
 def _trig_eval(coeffs, x):
     """Real trig polynomial with coefficients g_0..g_K (g_{-k} = conj g_k)

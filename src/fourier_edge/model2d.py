@@ -38,18 +38,6 @@ from .numerics import (
     _raw_mpc,
 )
 
-__all__ = [
-    "Background2D",
-    "CoeffGrid2D",
-    "Curve",
-    "Model2D",
-    "coeff_grid",
-    "eval2d",
-    "load_grid",
-    "save_grid",
-    "slice_coeff_exact",
-]
-
 Profile = Union[int, float, str, TrigBackground]
 
 _GRID_FORMAT = 2  # hex mantissas and a sha256 trailer; format 1 was decimal

@@ -24,15 +24,6 @@ from typing import Sequence
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_cos_sin, round_nearest, to_fixed
 
-__all__ = [
-    "ArithmeticContext",
-    "RootFindingError",
-    "annihilation_sum",
-    "poly_roots",
-    "polish_root",
-    "vandermonde_solve",
-]
-
 
 class RootFindingError(ArithmeticError):
     """Raised when an iteration breaks down or hits its cap, or a root fails

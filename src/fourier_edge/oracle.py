@@ -15,8 +15,6 @@ from .model1d import JumpModel1D, eval_model
 from .model2d import Model2D, eval2d
 from .numerics import ArithmeticContext
 
-__all__ = ["quadrature_oracle", "quadrature2d_oracle"]
-
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_mul, mpf_pi, mpf_sub, to_fixed
 
-from .kernels import _BASIS, _I_POW
+from .kernels import _I_POW, bernoulli_coeffs
 from .model1d import CoeffVector1D
 from .numerics import (
     ArithmeticContext,
@@ -43,29 +43,14 @@ from .numerics import (
     vandermonde_solve,
 )
 
-__all__ = [
-    "BranchAmbiguityError",
-    "HalfOrderEstimate",
-    "LocalizationError",
-    "Moments",
-    "Reconstruction1D",
-    "ReconstructionError",
-    "evaluate",
-    "evaluate_complex",
-    "full_order_localize",
-    "half_order_localize",
-    "moments",
-    "reconstruct1d",
-    "residual_coeffs",
-    "solve_magnitudes",
-    "solve_magnitudes_known_jump",
-]
-
 # A candidate root counts as "near the unit circle" within this band.
 _CIRCLE_BAND = 0.5
 # Residual bound of the unpolished half-order root, relative to
 # max|c_j| max(1, |z|)^n: a float64 Aberth root passes it with room.
 _HINT_TOL = 1e-10
+# Magnitudes A_0..A_15 use Bernoulli orders 1..16, the table over which the
+# guard bits of the fixed-point kernel stack are checked.
+_MAX_MAGNITUDES = 16
 
 
 class ReconstructionError(Exception):
@@ -76,23 +61,11 @@ class LocalizationError(ReconstructionError):
     """No usable root near the unit circle, or decimation infeasible."""
 
 
-class BranchAmbiguityError(LocalizationError):
-    """The hint does not single out one N_1-th root branch."""
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Scaled moments mtilde_k = 2pi (ik)^(order+1) c_k at chosen indices."""
-
-    order: int
-    indices: tuple
-    values: tuple
-
-
 def moments(
     c: CoeffVector1D, indices, order: int, ctx: ArithmeticContext
-) -> Moments:
-    """Scaled moments of the coefficient vector at the given indices.
+) -> tuple:
+    """Scaled moments mtilde_k = 2pi (ik)^(order+1) c_k at the given indices,
+    as a tuple of mpc values in the order of ``indices``.
 
     Parameters
     ----------
@@ -117,7 +90,7 @@ def moments(
         for k in idx:
             ik_pow = mp.mpc(_I_POW[(order + 1) % 4]) * mp.mpf(k) ** (order + 1)
             vals.append(two_pi * ik_pow * mp.mpc(c.c(k)))
-        return Moments(order, idx, tuple(vals))
+        return tuple(vals)
 
 
 @dataclass(frozen=True)
@@ -131,11 +104,11 @@ class HalfOrderEstimate:
     root_sweeps: int = 0
 
 
-def _circle_root(mom: Moments, ctx: ArithmeticContext, polish: bool):
+def _circle_root(mom: tuple, ctx: ArithmeticContext, polish: bool):
     """Root of the annihilation polynomial of ``mom`` closest to the unit circle.
 
-    The polynomial is sum_j (-1)^j C(deg, j) mom.values[j] u^(deg-j) with
-    deg = len(mom.values) - 1.  The root is picked among the float64-level
+    The polynomial is sum_j (-1)^j C(deg, j) mom[j] u^(deg-j) with
+    deg = len(mom) - 1.  The root is picked among the float64-level
     roots of :func:`poly_roots`.  With ``polish`` it is then refined by
     :func:`polish_root` at full precision under ``ctx.root_tol()``;
     without, it must pass a residual bound sized for float64.  Returns
@@ -151,11 +124,11 @@ def _circle_root(mom: Moments, ctx: ArithmeticContext, polish: bool):
     RootFindingError
         If the root fails its residual bound.
     """
-    deg = len(mom.values) - 1
+    deg = len(mom) - 1
     coeffs = [mp.mpc(0)] * (deg + 1)
     for j in range(deg + 1):
         sign = -1 if j % 2 else 1
-        coeffs[deg - j] = sign * math.comb(deg, j) * mom.values[j]
+        coeffs[deg - j] = sign * math.comb(deg, j) * mom[j]
     roots, sweeps = poly_roots(coeffs, ctx)
     if not roots:
         raise LocalizationError("degenerate annihilation polynomial")
@@ -226,7 +199,9 @@ def full_order_localize(
     exp(i (arg z + 2pi r) / N_1) are the candidate branches, and the hint
     picks the one nearest in angle: r = round((N_1 arg kappa_h - arg z) /
     2pi) mod N_1.  With N_1 = 1 there is one branch and ``hint`` may be
-    None.
+    None.  The chosen branch lies within pi/N_1 of the hint by construction
+    (diagnostics["branch_gap"]), so a hint that is off by more than that
+    picks a wrong branch without notice.
 
     Returns
     -------
@@ -238,9 +213,6 @@ def full_order_localize(
     LocalizationError
         If N_1 < 1 (band too short for the order) or no root is near the
         unit circle.
-    BranchAmbiguityError
-        If every candidate branch is angularly farther than pi/N_1 from the
-        hint.
     ValueError
         If ``hint`` is None while N_1 > 1.
     """
@@ -264,11 +236,6 @@ def full_order_localize(
             r = int(mp.nint(t))
             gap = 2 * mp.pi * abs(t - r) / N1
             r %= N1
-        if gap > mp.pi / N1:
-            raise BranchAmbiguityError(
-                f"hint {mp.nstr(hint.xi_h, 6)} does not select a branch "
-                f"(best angular gap {mp.nstr(gap, 6)} > pi/{N1})"
-            )
         best = mp.expj((theta + 2 * mp.pi * r) / N1)
         xi = -mp.arg(best)
         if xi >= mp.pi:
@@ -308,7 +275,7 @@ def solve_magnitudes(
         power = mp.mpc(1)
         for j in range(d + 1):
             power *= step  # kappa^((j+1) n1)
-            rhs.append(mom.values[j] * mp.conj(power) / abs(power) ** 2)
+            rhs.append(mom[j] * mp.conj(power) / abs(power) ** 2)
         alpha = vandermonde_solve(d, n1, rhs, ctx)
         mags = []
         for l in range(d + 1):
@@ -420,6 +387,9 @@ class _FixedForm:
         self.stack = ()
         if not mags:
             return
+        if len(mags) > _MAX_MAGNITUDES:
+            raise ValueError(f"{len(mags)} magnitudes: the Bernoulli table "
+                             f"ends at order {_MAX_MAGNITUDES}")
         self.xi = mp.mpf(xi)._mpf_
         if not self.xi[1] and self.xi[2]:  # NaN or infinite, as in _mpc_parts
             raise ValueError(f"non-finite location xi: {xi}")
@@ -432,7 +402,7 @@ class _FixedForm:
         for l, (re, im) in enumerate(mags):
             ar, ai = to_fixed(re, shift), to_fixed(im, shift)
             den = math.factorial(l + 1)
-            for j, b in enumerate(_BASIS.poly_coeffs(l + 1)):
+            for j, b in enumerate(bernoulli_coeffs(l + 1)):
                 t = -(power * b.numerator) // (b.denominator * den)
                 stack[j][0] += ar * t
                 stack[j][1] += ai * t
@@ -542,14 +512,14 @@ def reconstruct1d(
     ------
     ReconstructionError
         When d exceeds the kernel table (d <= 15), before any work.
-    LocalizationError, BranchAmbiguityError
+    LocalizationError
         Propagated from the localization stages.
     """
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    if d >= _BASIS.max_order:
+    if d >= _MAX_MAGNITUDES:
         raise ReconstructionError(
-            f"order d={d} is beyond the kernel table: d <= {_BASIS.max_order - 1}"
+            f"order d={d} is beyond the kernel table: d <= {_MAX_MAGNITUDES - 1}"
         )
     with ctx.workprec():
         if known_jump is not None:

@@ -30,18 +30,6 @@ from .recon1d import (
     reconstruct1d,
 )
 
-__all__ = [
-    "FieldReconstruction",
-    "PsiReconstructionSet",
-    "SliceReconstruction",
-    "reconstruct_field",
-    "reconstruct_psi_set",
-    "reconstruct_slice",
-    "slice_coeff_vector",
-    "truncated_baseline",
-    "truncated_slice",
-]
-
 
 @dataclass(frozen=True)
 class PsiReconstructionSet:
@@ -53,7 +41,6 @@ class PsiReconstructionSet:
     """
 
     grid: CoeffGrid2D
-    d_psi: int
     rows: dict = field(compare=False)
     degraded: dict = field(compare=False)
 
@@ -86,7 +73,7 @@ def reconstruct_psi_set(
                 )
             except (ReconstructionError, RootFindingError) as exc:
                 degraded[wy] = f"{type(exc).__name__}: {exc}"
-    return PsiReconstructionSet(grid, d_psi, rows, degraded)
+    return PsiReconstructionSet(grid, rows, degraded)
 
 
 def slice_coeff_vector(
@@ -103,9 +90,7 @@ def slice_coeff_vector(
 class SliceReconstruction:
     """Stage-two output at one x: a full 1D reconstruction in y."""
 
-    x: float
     recon: Reconstruction1D
-    degraded_rows: tuple
 
     @property
     def xi_tilde(self):
@@ -133,9 +118,7 @@ def reconstruct_slice(
     """
     vec = slice_coeff_vector(psi, x, ctx)
     rec = reconstruct1d(vec, d, ctx, assume_real=True)
-    return SliceReconstruction(
-        x=float(x), recon=rec, degraded_rows=tuple(sorted(psi.degraded))
-    )
+    return SliceReconstruction(rec)
 
 
 @dataclass(frozen=True)
@@ -147,21 +130,8 @@ class FieldReconstruction:
     """
 
     psi: PsiReconstructionSet
-    d: int
     slices: dict = field(compare=False)
     failures: dict = field(compare=False)
-    diagnostics: dict = field(compare=False, default_factory=dict)
-
-    def xi_curve(self) -> list:
-        return [
-            (x, float(s.recon.xi_tilde)) for x, s in sorted(self.slices.items())
-        ]
-
-    def value(self, x, y, ctx: ArithmeticContext):
-        s = self.slices.get(float(x))
-        if s is None:
-            raise KeyError(f"no reconstructed slice at x={x}")
-        return s.value(y, ctx)
 
 
 def reconstruct_field(
@@ -198,16 +168,7 @@ def reconstruct_field(
             slices[float(x)] = reconstruct_slice(psi, x, d, ctx)
         except (ReconstructionError, RootFindingError) as exc:
             failures[float(x)] = f"{type(exc).__name__}: {exc}"
-    return FieldReconstruction(
-        psi=psi,
-        d=d,
-        slices=slices,
-        failures=failures,
-        diagnostics={
-            "degraded_rows": sorted(psi.degraded),
-            "n_slices_failed": len(failures),
-        },
-    )
+    return FieldReconstruction(psi=psi, slices=slices, failures=failures)
 
 
 def truncated_slice(grid: CoeffGrid2D, x, ctx: ArithmeticContext) -> _FixedForm:
@@ -218,7 +179,7 @@ def truncated_slice(grid: CoeffGrid2D, x, ctx: ArithmeticContext) -> _FixedForm:
     ``ctx.workprec()``, is the complex sum at (x, y).  Raises ValueError,
     naming the entry, on a non-finite grid entry.
     """
-    vec = slice_coeff_vector(PsiReconstructionSet(grid, 0, {}, {}), x, ctx)
+    vec = slice_coeff_vector(PsiReconstructionSet(grid, {}, {}), x, ctx)
     with ctx.workprec():
         return _FixedForm(vec)
 

@@ -24,14 +24,9 @@ from fourier_edge import (
     JumpModel1D,
     Model2D,
     TrigBackground,
-    annihilation_sum,
-    bernoulli_poly,
     coeff_grid,
-    evaluate_complex,
     reconstruct1d,
     synth_coeffs,
-    v_fourier_coeff,
-    v_kernel,
 )
 from fourier_edge.cli import (
     ExperimentConfig,
@@ -40,8 +35,11 @@ from fourier_edge.cli import (
     fit_loglog,
     model_from_config,
 )
+from fourier_edge.kernels import bernoulli_poly, v_fourier_coeff, v_kernel
 from fourier_edge.model2d import slice_coeff_exact
+from fourier_edge.numerics import annihilation_sum
 from fourier_edge.oracle import _GL32, _composite_gl
+from fourier_edge.recon1d import evaluate_complex
 
 RESULTS = []
 

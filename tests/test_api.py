@@ -1,20 +1,44 @@
 """The package's public API: one deliberate list of names.
 
-``fourier_edge.__all__`` is the union of the pipeline modules' own
-``__all__`` lists.  The oracles and the CLI stay out of it, and every
-function the benchmark's span tracer rebinds must remain a module-level
-name of the module it lists.
+``fourier_edge.__all__`` is written out in ``__init__.py`` and nowhere
+else.  Stage internals stay importable from their modules, the oracles and
+the CLI stay out of the API, and every function the benchmark's span tracer
+rebinds must remain a module-level name of the module it lists.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import fourier_edge
-from fourier_edge import cli, oracle
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fourier_edge"
+SPANS = ROOT / "perfbench" / "spans.py"
+
+PUBLIC = {
+    # models and their truth
+    "JumpModel1D", "TrigBackground", "Model2D", "Curve", "Background2D",
+    "eval_model", "eval2d",
+    # data
+    "CoeffVector1D", "CoeffGrid2D", "synth_coeffs", "coeff_grid",
+    "save_grid", "load_grid",
+    # reconstruction
+    "reconstruct1d", "Reconstruction1D", "evaluate", "reconstruct_field",
+    "FieldReconstruction",
+    # context and errors
+    "ArithmeticContext", "ReconstructionError", "LocalizationError",
+    "RootFindingError",
+}
+
+
+def test_all_is_the_chosen_public_api():
+    assert len(PUBLIC) == 22
+    assert set(fourier_edge.__all__) == PUBLIC
 
 
 def test_all_is_unique_and_resolves():
@@ -28,8 +52,36 @@ def test_all_is_unique_and_resolves():
 
 
 def test_all_excludes_oracle_and_cli_names():
-    assert not set(fourier_edge.__all__) & set(oracle.__all__)
-    assert not set(fourier_edge.__all__) & set(cli.__all__)
+    for name in fourier_edge.__all__:
+        module = getattr(fourier_edge, name).__module__
+        assert module not in ("fourier_edge.oracle", "fourier_edge.cli"), name
+
+
+def test_only_the_package_declares_all():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        stores = {
+            node.id
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert "__all__" not in stores, path.name
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy serves only the quadrature oracles, which the package does not
+    # import; a fresh interpreter shows what ``import fourier_edge`` loads
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fourier_edge; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_traced_functions_resolve():

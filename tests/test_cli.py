@@ -108,9 +108,10 @@ def test_canonical_model_round_trip():
 
 
 def test_custom_model_round_trip():
+    # a decimal-string profile is kept as written, not rounded to a float
     m = Model2D(
-        2,
-        (1.0, TrigBackground((0.5, 0.25j)), 0.75),
+        3,
+        (1.0, TrigBackground((0.5, 0.25j)), 0.75, "0.1"),
         Curve("trig", (0.2, 0.15 + 0.1j)),
         Background2D(
             ((TrigBackground((0.1, 0.2j)), TrigBackground((0.3, -0.1))),)

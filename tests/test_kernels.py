@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from fourier_edge import (
-    ArithmeticContext,
-    BernoulliBasis,
-    JumpModel1D,
+from fourier_edge import ArithmeticContext, JumpModel1D
+from fourier_edge.kernels import (
+    bernoulli_coeffs,
     bernoulli_poly,
     v_fourier_coeff,
     v_kernel,
@@ -37,18 +36,17 @@ _KNOWN_NUMBERS = {
 
 
 def test_bernoulli_numbers_against_classical_table():
-    basis = BernoulliBasis(12)
+    # the Bernoulli numbers are the constant terms B_n = B_n(0)
     for n, want in _KNOWN_NUMBERS.items():
-        assert basis.number(n) == want
+        assert bernoulli_coeffs(n)[0] == want
     for n in (3, 5, 7, 9, 11):
-        assert basis.number(n) == 0
+        assert bernoulli_coeffs(n)[0] == 0
 
 
 def test_bernoulli_numbers_against_mpmath():
-    basis = BernoulliBasis(16)
     with mp.workdps(40):
         for n in range(17):
-            ours = basis.number(n)
+            ours = bernoulli_coeffs(n)[0]
             ref = mp.bernoulli(n)
             assert abs(mp.mpf(ours.numerator) / ours.denominator - ref) < mp.mpf(
                 10
@@ -71,7 +69,7 @@ def test_bernoulli_poly_exact_for_rationals():
 
 
 def test_bernoulli_poly_beyond_shared_table():
-    # n = 18 exercises the dedicated-basis path; classical value
+    # n = 18 lies above the orders reconstruction uses; classical value
     assert bernoulli_poly(18, Fraction(0)) == Fraction(43867, 798)
 
 
@@ -88,10 +86,9 @@ def test_endpoint_identity():
 
 def test_zero_mean_of_periodized_polynomials():
     # integral of B_n over [0, 1] vanishes for n >= 1, done on exact tables
-    basis = BernoulliBasis(14)
     for n in range(1, 15):
         total = sum(
-            c / (j + 1) for j, c in enumerate(basis.poly_coeffs(n))
+            c / (j + 1) for j, c in enumerate(bernoulli_coeffs(n))
         )
         assert total == 0
 
@@ -131,9 +128,8 @@ def test_derivative_cascade_on_exact_tables():
     Bernoulli table at the period endpoints.  Lower derivatives must be
     continuous there.
     """
-    basis = BernoulliBasis(12)
     for l in range(9):
-        coeffs = basis.poly_coeffs(l + 1)
+        coeffs = bernoulli_coeffs(l + 1)
         for j in range(l):
             cj = coeffs
             for _ in range(j):

@@ -21,8 +21,8 @@ from fourier_edge import (
     TrigBackground,
     eval_model,
     synth_coeffs,
-    v_fourier_coeff,
 )
+from fourier_edge.kernels import v_fourier_coeff
 from fourier_edge.oracle import quadrature_oracle
 
 # fixed reference model for the frozen-value checks

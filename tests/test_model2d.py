@@ -23,9 +23,8 @@ from fourier_edge import (
     load_grid,
     reconstruct_field,
     save_grid,
-    slice_coeff_exact,
 )
-from fourier_edge.model2d import _trapezoid_grid
+from fourier_edge.model2d import _trapezoid_grid, slice_coeff_exact
 from fourier_edge.oracle import quadrature2d_oracle
 
 _TRIG_CURVE = Curve("trig", (0.2, 0.15 + 0.1j))

@@ -13,16 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from fourier_edge import (
-    ArithmeticContext,
-    RootFindingError,
+from fourier_edge import ArithmeticContext, RootFindingError
+from fourier_edge import numerics
+from fourier_edge.numerics import (
+    _horner,
     annihilation_sum,
     poly_roots,
     polish_root,
     vandermonde_solve,
 )
-from fourier_edge import numerics
-from fourier_edge.numerics import _horner
 
 
 # -- context -----------------------------------------------------------------

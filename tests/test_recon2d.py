@@ -15,14 +15,16 @@ from fourier_edge import (
     Model2D,
     coeff_grid,
     reconstruct_field,
+)
+from fourier_edge import recon2d
+from fourier_edge.model2d import slice_coeff_exact
+from fourier_edge.recon2d import (
     reconstruct_psi_set,
     reconstruct_slice,
     slice_coeff_vector,
     truncated_baseline,
     truncated_slice,
 )
-from fourier_edge import recon2d
-from fourier_edge.model2d import slice_coeff_exact
 from test_model2d import _dense_model
 
 
@@ -93,7 +95,6 @@ def test_slice_reconstruction_accuracy(canonical_grid, ctx40):
         # scale like N^(l-10): sharp at the bottom of the stack, order one
         # at the top
         assert abs(sl.xi_tilde - mp.mpf(1.1)) < 1e-6
-        assert sl.degraded_rows == ()
         assert abs(sl.magnitudes_tilde[0] - 1) < 1e-4
         assert abs(sl.magnitudes_tilde[2] - 1) < 1e-2
         assert abs(sl.magnitudes_tilde[9] - 1) < 50
@@ -112,13 +113,10 @@ def test_field_reconstruction_and_diagnostics(canonical_grid, ctx40):
         canonical_grid, d_psi=9, d=9, x_points=(0.7, 1.1), ctx=ctx40
     )
     assert not fld.failures
-    curve = fld.xi_curve()
-    assert [x for x, _ in curve] == [0.7, 1.1]
-    for x, xi in curve:
-        assert abs(xi - x) < 1e-6  # identity curve
-    assert fld.diagnostics["degraded_rows"] == []
-    with pytest.raises(KeyError):
-        fld.value(0.123, 0.0, ctx40)
+    assert sorted(fld.slices) == [0.7, 1.1]
+    for x, s in fld.slices.items():
+        assert abs(s.xi_tilde - x) < 1e-6  # identity curve
+    assert not fld.psi.degraded
 
 
 def test_field_warns_when_underresolved(ctx40):
