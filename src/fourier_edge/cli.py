@@ -7,7 +7,6 @@ generate      synthesize Fourier grids for a sweep of band limits and save
 reconstruct   run the two-stage pipeline on saved grids, compare against the
               stored truth, and append one metrics row per band limit
 report        fit log-log slopes through the metrics and write a JSON report
-              plus a tidy CSV with reference-rate columns
 verify        re-check a random sample of saved grid entries against the
               slow 2D quadrature oracle
 
@@ -95,40 +94,41 @@ class ExperimentConfig:
     def M_for(self, N: int) -> int:
         return self.override_M if self.override_M is not None else N * N
 
-    def degenerate_sweep_entries(self) -> list:
-        return [n for n in self.sweep_N if n < self.d + 2]
-
     def ctx(self) -> ArithmeticContext:
         return ArithmeticContext(self.precision_digits)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
+        extra = set(data) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
         return cls(**data)
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["sweep_N"] = list(self.sweep_N)
-        d["x_points"] = list(self.x_points)
-        return d
+        return asdict(self)
 
 
 # -- model (de)serialization -------------------------------------------------
 
 def _cpx_list(values) -> list:
-    return [[complex(v).real, complex(v).imag] for v in values]
+    return [
+        v if isinstance(v, str) else [complex(v).real, complex(v).imag]
+        for v in values
+    ]
+
+
+def _cpx_from_json(data) -> tuple:
+    return tuple(v if isinstance(v, str) else complex(*v) for v in data)
 
 
 def _trig_from_json(data) -> TrigBackground:
-    return TrigBackground(tuple(complex(re, im) for re, im in data))
+    return TrigBackground(_cpx_from_json(data))
 
 
 def model_to_json(m: Model2D) -> dict:
-    """JSON form of a model; a profile given as a decimal string is written
-    unchanged, so the truth keeps every digit of it at any precision."""
+    """JSON form of a model; a profile or coefficient given as a decimal
+    string is written unchanged, so the truth keeps every digit of it at any
+    precision."""
     mags = []
     for prof in m.magnitudes:
         if isinstance(prof, TrigBackground):
@@ -152,16 +152,11 @@ def model_to_json(m: Model2D) -> dict:
 
 
 def model_from_json(data: dict) -> Model2D:
-    curve = Curve(
-        data["curve"]["kind"],
-        tuple(complex(re, im) for re, im in data["curve"]["coeffs"]),
-    )
-    mags = []
-    for prof in data["magnitudes"]:
-        if isinstance(prof, dict):
-            mags.append(_trig_from_json(prof["coeffs"]))
-        else:
-            mags.append(prof)
+    curve = Curve(data["curve"]["kind"], _cpx_from_json(data["curve"]["coeffs"]))
+    mags = [
+        _trig_from_json(prof["coeffs"]) if isinstance(prof, dict) else prof
+        for prof in data["magnitudes"]
+    ]
     background = None
     if data.get("background"):
         background = Background2D(
@@ -289,19 +284,6 @@ def compute_metrics(
 
 # -- slope fitting -----------------------------------------------------------
 
-@dataclass
-class SlopeFit:
-    """Least-squares line through (log N, log err)."""
-
-    metric: str
-    slope: float
-    intercept: float
-    n_points: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
 def fit_loglog(points) -> tuple:
     """(slope, intercept) of log(err) vs log(N); needs >= 3 finite points."""
     clean = [
@@ -330,17 +312,22 @@ def _grid_path(out: Path, N: int) -> Path:
     return out / f"grid_N{N}.fec"
 
 
-def _append_metrics(path: Path, cfg: ExperimentConfig, rows, notes=()) -> None:
-    """Append rows to the metrics file, writing its header when it is new.
-
-    An existing file must have the columns of order cfg.d, or the rows would
-    shift under its column names: ValueError before anything is written.
-    """
-    fresh = not path.exists()
-    if not fresh and read_metrics(path)[0] != metrics_columns(cfg.d).split(","):
+def _check_metrics_order(path: Path, cfg: ExperimentConfig) -> None:
+    """ValueError unless the metrics file is new or has the columns of order
+    cfg.d; rows of another order would shift under its column names."""
+    if path.exists() and read_metrics(path)[0] != metrics_columns(cfg.d).split(","):
         raise ValueError(
             f"{path} holds the metrics of an order other than d={cfg.d}"
         )
+
+
+def _append_metrics(path: Path, cfg: ExperimentConfig, rows, notes=()) -> None:
+    """Append rows to the metrics file, writing its header when it is new.
+
+    A file of another order raises ValueError before anything is written.
+    """
+    _check_metrics_order(path, cfg)
+    fresh = not path.exists()
     with open(path, "a") as fh:
         if fresh:
             fh.write(METRICS_HEADER + "\n")
@@ -400,10 +387,16 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _load_model(out: Path) -> Model2D:
+    return model_from_json(json.loads((out / "model2d.json").read_text())["model"])
+
+
 def cmd_reconstruct(cfg: ExperimentConfig) -> int:
+    """One metrics row per sweep entry, appended to metrics.csv once the
+    whole sweep has run, so a refusal leaves every file as it was."""
     out = Path(cfg.out_dir)
-    data = json.loads((out / "model2d.json").read_text())
-    model = model_from_json(data["model"])
+    model = _load_model(out)
+    _check_metrics_order(out / "metrics.csv", cfg)
     rows = []
     notes = []
     for N in cfg.sweep_N:
@@ -423,15 +416,6 @@ def cmd_reconstruct(cfg: ExperimentConfig) -> int:
         print(f"reconstruct: N={N} M={row.M} "
               f"delta_xi={row.delta_xi:.3e} delta_F={row.delta_F:.3e} "
               f"({row.seconds:.1f}s)")
-        field_json = {
-            "N": N,
-            "M": row.M,
-            "delta_xi": row.delta_xi,
-            "delta_A": list(row.delta_A),
-            "delta_F": row.delta_F,
-            "delta_T": row.delta_T,
-        }
-        (out / f"metrics_N{N}.json").write_text(json.dumps(field_json, indent=2))
     _append_metrics(out / "metrics.csv", cfg, rows, notes)
     return 0
 
@@ -440,9 +424,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     columns, rows = read_metrics(out / "metrics.csv")
     # keep the latest row per N (the metrics file is append-only)
-    latest = {}
-    for r in rows:
-        latest[r["N"]] = r
+    latest = {r["N"]: r for r in rows}
     rows = [latest[n] for n in sorted(latest)]
     fits = {}
     failures = {}
@@ -452,22 +434,13 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         pts = [(r["N"], r[metric]) for r in rows]
         try:
             slope, intercept, n = fit_loglog(pts)
-            fits[metric] = SlopeFit(metric, slope, intercept, n).to_json()
+            fits[metric] = dict(
+                metric=metric, slope=slope, intercept=intercept, n_points=n
+            )
         except ValueError as exc:
             failures[metric] = str(exc)
     report = {"fits": fits, "refused": failures, "d": cfg.d}
     (out / "report.json").write_text(json.dumps(report, indent=2))
-    with open(out / "report_tidy.csv", "w") as fh:
-        fh.write("N,metric,value,ref_full_order,ref_localization\n")
-        for r in rows:
-            for metric in columns:
-                if metric in ("N", "M", "seconds"):
-                    continue
-                n = r["N"]
-                fh.write(
-                    f"{n},{metric},{r[metric]!r},"
-                    f"{n ** float(-(cfg.d + 1))!r},{n ** float(-(cfg.d + 2))!r}\n"
-                )
     for metric, f in fits.items():
         print(f"report: {metric} slope {f['slope']:+.2f} over {f['n_points']} points")
     for metric, why in failures.items():
@@ -475,25 +448,25 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, entries: int = 16, nodes: int = 512) -> int:
+def cmd_verify(cfg: ExperimentConfig, entries: int = 16) -> int:
     out = Path(cfg.out_dir)
-    data = json.loads((out / "model2d.json").read_text())
-    model = model_from_json(data["model"])
-    N = min(cfg.sweep_N)
-    grid = load_grid(_grid_path(out, N))
+    model = _load_model(out)
+    grid = load_grid(_grid_path(out, min(cfg.sweep_N)))
     ctx = ArithmeticContext(15)
     rng = random.Random(1729)
     cap_x = min(grid.M, 16)
+    picks = [
+        (rng.randint(-cap_x, cap_x), rng.randint(-grid.N, grid.N))
+        for _ in range(entries)
+    ]
     worst = 0.0
-    for _ in range(entries):
-        wx = rng.randint(-cap_x, cap_x)
-        wy = rng.randint(-grid.N, grid.N)
-        with ctx.workprec():
-            ref = quadrature2d_oracle(model, wx, wy, ctx, nodes=nodes)
+    with ctx.workprec():
+        refs = quadrature2d_oracle(model, picks, ctx)
+        for (wx, wy), ref in zip(picks, refs):
             err = float(abs(grid.c(wx, wy) - ref))
-        worst = max(worst, err)
-        status = "ok" if err <= 1e-8 else "FAIL"
-        print(f"verify: ({wx:+3d},{wy:+3d}) |stored - oracle| = {err:.2e} {status}")
+            worst = max(worst, err)
+            status = "ok" if err <= 1e-8 else "FAIL"
+            print(f"verify: ({wx:+3d},{wy:+3d}) |stored - oracle| = {err:.2e} {status}")
     print(f"verify: worst deviation {worst:.2e}")
     return 0 if worst <= 1e-8 else 1
 
@@ -518,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("report", help="fit slopes, write report")
     v = sub.add_parser("verify", help="re-check grid entries vs quadrature")
     v.add_argument("--entries", type=int, default=16)
-    v.add_argument("--nodes", type=int, default=512)
     return p
 
 
@@ -544,12 +516,6 @@ def load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = load_config(args)
-    for n in cfg.degenerate_sweep_entries():
-        print(
-            f"note: sweep entry N={n} < d+2 = {cfg.d + 2} is degenerate; "
-            "it will be recorded but excluded from slope fits",
-            file=sys.stderr,
-        )
     if args.command == "generate":
         return cmd_generate(cfg)
     if args.command == "reconstruct":
@@ -557,7 +523,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         return cmd_report(cfg)
     if args.command == "verify":
-        return cmd_verify(cfg, entries=args.entries, nodes=args.nodes)
+        return cmd_verify(cfg, entries=args.entries)
     raise AssertionError(f"unhandled command {args.command}")
 
 

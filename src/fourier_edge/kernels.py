@@ -59,23 +59,22 @@ def _mpf_coeffs(n: int, prec: int) -> tuple:
         )
 
 
-def bernoulli_poly(n: int, t, ctx: ArithmeticContext | None = None):
+def bernoulli_poly(n: int, t):
     """B_n(t) by Horner on :func:`bernoulli_coeffs`.
 
-    Exact Fraction for rational t; otherwise an mpf at the precision of
-    ``ctx`` (15 digits when it is None).
+    Exact Fraction for rational t; otherwise an mpf at the caller's working
+    precision.
     """
     if isinstance(t, (int, Fraction)):
         acc = Fraction(0)
         for c in reversed(bernoulli_coeffs(n)):
             acc = acc * t + c
         return acc
-    with (ctx or ArithmeticContext()).workprec():
-        acc = mp.mpf(0)
-        tm = mp.mpf(t)
-        for c in _mpf_coeffs(n, mp.prec):
-            acc = acc * tm + c
-        return acc
+    acc = mp.mpf(0)
+    tm = mp.mpf(t)
+    for c in _mpf_coeffs(n, mp.prec):
+        acc = acc * tm + c
+    return acc
 
 
 def _wrap_offset(x, x0):
@@ -110,7 +109,7 @@ def v_kernel(l: int, x0, x, ctx: ArithmeticContext):
         t = _wrap_offset(x, x0)
         u = t / (2 * mp.pi)
         scale = kernel_scale(l, ctx.precision_digits)
-        return scale * bernoulli_poly(l + 1, u, ctx)
+        return scale * bernoulli_poly(l + 1, u)
 
 
 def v_fourier_coeff(l: int, x0, k: int, ctx: ArithmeticContext):

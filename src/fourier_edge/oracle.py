@@ -62,71 +62,51 @@ def quadrature_oracle(
         return total / (2 * pi)
 
 
-_ORACLE_CACHE: dict = {}
-
-
-def _oracle_nodes(m: Model2D, ctx: ArithmeticContext, nodes: int):
-    """Cached 2D quadrature nodes/weights/values with a y-split at the curve."""
-    key = (m, nodes, ctx.precision_digits)
-    hit = _ORACLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    t32, w32 = _GL32
-    with ctx.workprec():
-        pi = mp.pi
-        x_panels = max(1, nodes // 32)
-        hx = 2 * pi / x_panels
-        entries = []
-        for px in range(x_panels):
-            for ti, wi in zip(t32, w32):
-                x = -pi + px * hx + hx / 2 * (1 + mp.mpf(ti))
-                wx_weight = mp.mpf(wi) * hx / 2
-                xi = m.curve.xi(x, ctx)
-                # wrap the split point into the base period
-                xi = xi - 2 * pi * mp.floor((xi + pi) / (2 * pi))
-                inner = []
-                segs = [(-pi, xi), (xi, pi)] if -pi < xi < pi else [(-pi, pi)]
-                for lo, hi in segs:
-                    frac = float((hi - lo) / (2 * pi))
-                    y_panels = max(1, round(nodes * frac / 32))
-                    hy = (hi - lo) / y_panels
-                    for py in range(y_panels):
-                        for tj, wj in zip(t32, w32):
-                            y = lo + py * hy + hy / 2 * (1 + mp.mpf(tj))
-                            wy_weight = mp.mpf(wj) * hy / 2
-                            inner.append((y, wy_weight, eval2d(m, x, y, ctx)))
-                entries.append((x, wx_weight, inner))
-    out = (entries, {})
-    _ORACLE_CACHE[key] = out
-    return out
+def _gl_nodes(lo, hi, panels: int):
+    """(node, weight) pairs of composite 32-point Gauss-Legendre on [lo, hi],
+    under caller precision."""
+    h = (hi - lo) / panels
+    for p in range(panels):
+        for t, w in zip(*_GL32):
+            yield lo + p * h + h / 2 * (1 + mp.mpf(t)), mp.mpf(w) * h / 2
 
 
 def quadrature2d_oracle(
-    m: Model2D, wx: int, wy: int, ctx: ArithmeticContext, nodes: int = 512
-):
-    """Independent double integral for one grid entry.
+    m: Model2D, entries, ctx: ArithmeticContext, nodes: int = 512
+) -> list:
+    """Independent double integrals for a batch of grid entries.
 
+    ``entries`` is a list of (wx, wy); one value is returned per entry.
     Gauss-Legendre panels on both axes with the y-range split at the curve,
-    ~`nodes` points per axis (>= 512).  Model values are cached per
-    (model, nodes, precision), and inner y-sums are cached per wy, so
-    verifying a batch of entries costs one model sweep plus cheap sums.
+    ~`nodes` points per axis (>= 512).  The model is evaluated once per node;
+    each x node keeps only its inner y-sums, one per distinct wy, so a batch
+    costs one model sweep plus cheap sums and holds the model values of one
+    x node at a time.
     """
     if nodes < 512:
         raise ValueError(f"nodes must be >= 512, got {nodes}")
-    entries, inner_cache = _oracle_nodes(m, ctx, nodes)
     with ctx.workprec():
-        key = wy
-        sums = inner_cache.get(key)
-        if sums is None:
-            sums = [
-                sum(
-                    (wyw * fv * mp.expj(-wy * y) for y, wyw, fv in inner),
-                    mp.mpc(0),
-                )
-                for _, _, inner in entries
-            ]
-            inner_cache[key] = sums
-        total = mp.mpc(0)
-        for (x, wxw, _), s in zip(entries, sums):
-            total += wxw * s * mp.expj(-wx * x)
-        return total / (4 * mp.pi ** 2)
+        pi = mp.pi
+        x_nodes = []
+        sums = {wy: [] for _, wy in entries}
+        for x, x_weight in _gl_nodes(-pi, pi, max(1, nodes // 32)):
+            xi = m.curve.xi(x, ctx)
+            # wrap the split point into the base period
+            xi = xi - 2 * pi * mp.floor((xi + pi) / (2 * pi))
+            inner = []
+            segs = [(-pi, xi), (xi, pi)] if -pi < xi < pi else [(-pi, pi)]
+            for lo, hi in segs:
+                y_panels = max(1, round(nodes * float((hi - lo) / (2 * pi)) / 32))
+                for y, y_weight in _gl_nodes(lo, hi, y_panels):
+                    inner.append((y, y_weight, eval2d(m, x, y, ctx)))
+            x_nodes.append((x, x_weight))
+            for wy, per_x in sums.items():
+                terms = (wyw * fv * mp.expj(-wy * y) for y, wyw, fv in inner)
+                per_x.append(sum(terms, mp.mpc(0)))
+        out = []
+        for wx, wy in entries:
+            total = mp.mpc(0)
+            for (x, wxw), s in zip(x_nodes, sums[wy]):
+                total += wxw * s * mp.expj(-wx * x)
+            out.append(total / (4 * mp.pi ** 2))
+        return out

@@ -12,6 +12,7 @@ import re
 import pytest
 
 from fourier_edge import Background2D, Curve, Model2D, TrigBackground
+from fourier_edge import cli
 from fourier_edge.cli import (
     ExperimentConfig,
     METRICS_HEADER,
@@ -38,7 +39,6 @@ def test_config_defaults():
     assert cfg.d == 9 and cfg.d_psi == 9
     assert cfg.sweep_N == (8, 12, 16, 24, 32)
     assert cfg.M_for(12) == 144
-    assert cfg.degenerate_sweep_entries() == [8]
 
 
 def test_config_override_M():
@@ -118,6 +118,17 @@ def test_custom_model_round_trip():
         ),
     )
     again = model_from_json(json.loads(json.dumps(model_to_json(m))))
+    assert again == m
+    # so are decimal-string trig, curve and background coefficients
+    m = Model2D(
+        1,
+        (TrigBackground(("0.1", "0.05")), 1.0),
+        Curve("trig", ("0.3", 0.1j)),
+        Background2D(((TrigBackground(("0.2",)), TrigBackground((0.5, "0.25"))),)),
+    )
+    text = json.dumps(model_to_json(m))
+    assert '"0.05"' in text and '"0.3"' in text and '"0.25"' in text
+    again = model_from_json(json.loads(text))
     assert again == m
 
 
@@ -309,11 +320,12 @@ def test_full_pipeline_round_trip(tiny_config, tmp_path):
     assert (out / "grid_N5.fec").exists()
 
     assert main(base + ["reconstruct"]) == 0
-    per_n = json.loads((out / "metrics_N5.json").read_text())
+    (row,) = read_metrics(out / "metrics.csv")[1]
     # order matches the model exactly, so the only error left is roundoff
-    assert per_n["delta_xi"] < 1e-8
-    assert per_n["delta_F"] < 1e-8
-    assert per_n["delta_T"] > 1e-3  # raw truncation is the honest baseline
+    assert row["N"] == 5
+    assert row["delta_xi"] < 1e-8
+    assert row["delta_F"] < 1e-8
+    assert row["delta_T"] > 1e-3  # raw truncation is the honest baseline
 
     assert main(base + ["report"]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -321,9 +333,13 @@ def test_full_pipeline_round_trip(tiny_config, tmp_path):
     # a single sweep point cannot support a slope fit
     assert report["fits"] == {}
     assert all("refusing" in why for why in report["refused"].values())
-    tidy = (out / "report_tidy.csv").read_text().splitlines()
-    assert tidy[0] == "N,metric,value,ref_full_order,ref_localization"
-    assert len(tidy) == 1 + 6  # delta_xi, 3 magnitudes, delta_F, delta_T
+    # delta_xi, 3 magnitudes, delta_F, delta_T
+    assert len(report["refused"]) == 6
+    # each result is written once: the rows to metrics.csv, the fits to
+    # report.json
+    assert sorted(p.name for p in out.iterdir()) == [
+        "grid_N5.fec", "metrics.csv", "model2d.json", "report.json"
+    ]
 
     assert main(base + ["verify", "--entries", "2"]) == 0
 
@@ -347,6 +363,25 @@ def test_reconstruct_refuses_an_edited_grid_file(tiny_config):
     with pytest.raises(ValueError, match="sha256 checksum does not match"):
         main(["--config", str(cfg_path), "reconstruct"])
     assert not (out / "metrics.csv").exists()
+
+
+def test_reconstruct_refuses_another_order_before_it_computes(
+    tiny_config, monkeypatch
+):
+    # the column check runs before the sweep, so a refusal costs no
+    # reconstruction and leaves every file as it was
+    cfg_path, out = tiny_config
+    assert main(["--config", str(cfg_path), "generate"]) == 0  # d = 2
+    _append_metrics(out / "metrics.csv", ExperimentConfig(d=1), [_row(5, 1)])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("compute_metrics ran before the column check")
+
+    monkeypatch.setattr(cli, "compute_metrics", must_not_run)
+    with pytest.raises(ValueError, match="order other than d=2"):
+        main(["--config", str(cfg_path), "reconstruct"])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_reconstruct_refuses_grids_below_run_precision(tiny_config):

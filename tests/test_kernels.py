@@ -57,8 +57,16 @@ def test_bernoulli_poly_against_mpmath(ctx30):
     with ctx30.workprec():
         for n in (0, 1, 2, 5, 9, 12):
             for t in ("0.17", "0.5", "0.93", "-0.4", "1.6"):
-                ours = bernoulli_poly(n, mp.mpf(t), ctx30)
+                ours = bernoulli_poly(n, mp.mpf(t))
                 assert abs(ours - mp.bernpoly(n, mp.mpf(t))) < mp.mpf(10) ** -27
+
+
+def test_bernoulli_poly_at_the_callers_precision():
+    # an mpf argument is evaluated at the working precision in force
+    with mp.workdps(50):
+        t = mp.mpf(1) / 3
+        want = t * t - t + mp.mpf(1) / 6
+        assert abs(bernoulli_poly(2, t) - want) < mp.mpf(10) ** -48
 
 
 def test_bernoulli_poly_exact_for_rationals():

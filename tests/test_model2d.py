@@ -327,23 +327,25 @@ def test_trapezoid_grid_against_oracle(ctx15):
     grid = coeff_grid(m, 4, 2, ctx15)
     assert grid.diagnostics["method"] == "trapezoid"
     assert grid.diagnostics["doubling_error"] < 1e-12
+    entries = [(0, 1), (2, -1), (1, 0), (-3, 2)]
     with ctx15.workprec():
-        for wx, wy in ((0, 1), (2, -1), (1, 0), (-3, 2)):
-            ref = quadrature2d_oracle(m, wx, wy, ctx15)
+        refs = quadrature2d_oracle(m, entries, ctx15)
+        for (wx, wy), ref in zip(entries, refs):
             assert abs(grid.c(wx, wy) - ref) < 1e-8
 
 
 def test_oracle_on_pure_background(ctx15):
     m = Model2D(0, (0.0,), Curve("identity"), _BG)
+    entries = [(0, 0), (1, -1), (1, 1)]
     with ctx15.workprec():
-        for wx, wy in ((0, 0), (1, -1), (1, 1)):
-            ref = quadrature2d_oracle(m, wx, wy, ctx15)
+        refs = quadrature2d_oracle(m, entries, ctx15)
+        for (wx, wy), ref in zip(entries, refs):
             assert abs(ref - _BG.coeff2d(wx, wy)) < 1e-10
 
 
 def test_oracle_node_floor(ctx15):
     with pytest.raises(ValueError):
-        quadrature2d_oracle(Model2D.canonical(1), 0, 1, ctx15, nodes=128)
+        quadrature2d_oracle(Model2D.canonical(1), [(0, 1)], ctx15, nodes=128)
 
 
 def _sign(lines):
