@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_mul, mpf_pi, mpf_sub, to_fixed
@@ -59,6 +60,17 @@ class ReconstructionError(Exception):
 
 class LocalizationError(ReconstructionError):
     """No usable root near the unit circle, or decimation infeasible."""
+
+
+def _check_order(d: int) -> None:
+    """Refuse a reconstruction order before any work: ValueError for d < 0,
+    ReconstructionError beyond the kernel table (d <= 15)."""
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
+    if d >= _MAX_MAGNITUDES:
+        raise ReconstructionError(
+            f"order d={d} is beyond the kernel table: d <= {_MAX_MAGNITUDES - 1}"
+        )
 
 
 def moments(
@@ -352,6 +364,68 @@ def residual_coeffs(
         return CoeffVector1D(M, tuple(vals))
 
 
+@lru_cache(maxsize=8)
+def _kernel_table(wp: int) -> tuple:
+    """1/2pi and the kernels v_0..v_15 as integer polynomials, at 2^wp.
+
+    Returns (inv_two_pi, table): entry table[l][j] is kernel_scale(l)
+    b_{l+1,j}, the coefficient of u^j in v_l for u = wrap(x - xi) / 2pi,
+    from the exact Bernoulli tables and (2pi)^l by a fixed-point recurrence.
+    """
+    two_pi = to_fixed(mpf_pi(wp + 4), wp + 1)
+    table = []
+    power = 1 << wp  # (2pi)^l
+    for l in range(_MAX_MAGNITUDES):
+        den = math.factorial(l + 1)
+        table.append(tuple(
+            -(power * b.numerator) // (b.denominator * den)
+            for b in bernoulli_coeffs(l + 1)
+        ))
+        power = (power * two_pi) >> wp
+    return (1 << 2 * wp) // two_pi, tuple(table)
+
+
+def _wrapped_u(t, wp: int, inv_two_pi: int) -> int:
+    """u = t / 2pi mod 1 of the raw mpf t, as a fixed-point int at 2^wp."""
+    return (to_fixed(t, wp) * inv_two_pi >> wp) & ((1 << wp) - 1)
+
+
+def _kernel_tails(x, xi, M: int, n: int) -> list:
+    """Truncation tails tau_l = v_l - S_M[v_l] of the kernels l < n anchored
+    at xi, evaluated at x, as fixed-point ints at 2^wp, where wp is that of
+    a band-M series at working precision.
+
+    v_l is Horner on the kernel table at u = wrap(x - xi) / 2pi of the
+    exact difference, so u = 0 at the anchor gives the right-sided limit.
+    The partial sum S_M[v_l] = (1/pi) sum_{k=1..M} Re((-i)^(l+1) e^{ikt})
+    / k^(l+1), t = x - xi, reads sin(kt) for even l and cos(kt) for odd l
+    from one phase recurrence in k.
+    """
+    t = mpf_sub(mp.mpf(x)._mpf_, mp.mpf(xi)._mpf_)
+    if not t[1] and t[2]:  # NaN or infinite, as in _mpc_parts
+        raise ValueError(f"non-finite evaluation point {mp.mpf(x)}")
+    wp = mp.prec + _guard_bits(M)
+    inv_two_pi, table = _kernel_table(wp)
+    u = _wrapped_u(t, wp, inv_two_pi)
+    sums = [0] * n
+    er, ei = _fixed_expj(t, wp)
+    pr, pi_ = 1 << wp, 0
+    for k in range(1, M + 1):
+        pr, pi_ = (pr * er - pi_ * ei) >> wp, (pr * ei + pi_ * er) >> wp
+        q = k
+        for l in range(n):
+            sums[l] += (pr if l % 2 else pi_) // q
+            q *= k
+    tails = []
+    for l in range(n):
+        v = 0
+        for b in reversed(table[l]):
+            v = ((v * u) >> wp) + b
+        s = sums[l] * inv_two_pi >> (wp - 1)  # times 1/pi
+        tails.append(v - s if l % 4 in (0, 3) else v + s)
+    return tails
+
+
 class _FixedForm:
     """Residual series plus kernel stack, prepared for evaluation at the
     working precision of its construction (``prec``).
@@ -393,30 +467,26 @@ class _FixedForm:
         self.xi = mp.mpf(xi)._mpf_
         if not self.xi[1] and self.xi[2]:  # NaN or infinite, as in _mpc_parts
             raise ValueError(f"non-finite location xi: {xi}")
-        two_pi = to_fixed(mpf_pi(wp + 4), wp + 1)
-        self.inv_two_pi = (1 << 2 * wp) // two_pi
+        self.inv_two_pi, table = _kernel_table(wp)
         # stack[j] = sum_l A_l kernel_scale(l) b_{l+1,j}: A_l at 2^shift
-        # times kernel_scale(l) b_{l+1,j} at 2^wp, one shift per coefficient
+        # times the table entry at 2^wp, one shift per coefficient
         stack = [[0, 0] for _ in range(len(mags) + 1)]
-        power = 1 << wp  # (2pi)^l
-        for l, (re, im) in enumerate(mags):
+        for (re, im), row in zip(mags, table):
             ar, ai = to_fixed(re, shift), to_fixed(im, shift)
-            den = math.factorial(l + 1)
-            for j, b in enumerate(bernoulli_coeffs(l + 1)):
-                t = -(power * b.numerator) // (b.denominator * den)
+            for j, t in enumerate(row):
                 stack[j][0] += ar * t
                 stack[j][1] += ai * t
-            power = (power * two_pi) >> wp
         self.stack = [(re >> wp, im >> wp) for re, im in reversed(stack)]
 
-    def value(self, x):
+    def value(self, x, extra=(0, 0)):
         """Value at x, rounded once to working precision; caller holds
         the precision of the form.
 
         One wrap u = (x - xi) / 2pi mod 1 of the exact difference, so u = 0
         at the anchor gives the right-sided limit; integer Horner in u over
         the stack; Horner in z = e^{ix} over the series, then one multiply
-        by e^{-iMx}.
+        by e^{-iMx}.  ``extra``, a fixed-point pair at the form's scale, is
+        added before the rounding.
         """
         x = mp.mpf(x)._mpf_
         if not x[1] and x[2]:
@@ -424,8 +494,7 @@ class _FixedForm:
         wp = self.wp
         ar = ai = 0
         if self.stack:
-            u = to_fixed(mpf_sub(x, self.xi), wp) * self.inv_two_pi >> wp
-            u &= (1 << wp) - 1
+            u = _wrapped_u(mpf_sub(x, self.xi), wp, self.inv_two_pi)
             for cr, ci in self.stack:
                 ar = ((ar * u) >> wp) + cr
                 ai = ((ai * u) >> wp) + ci
@@ -438,8 +507,8 @@ class _FixedForm:
             )
         er, ei = _fixed_expj(mpf_mul(x, from_int(-self.M)), wp)
         return _from_fixed(
-            ar + ((sr * er - si * ei) >> wp),
-            ai + ((sr * ei + si * er) >> wp),
+            ar + extra[0] + ((sr * er - si * ei) >> wp),
+            ai + extra[1] + ((sr * ei + si * er) >> wp),
             self.shift,
         )
 
@@ -515,12 +584,7 @@ def reconstruct1d(
     LocalizationError
         Propagated from the localization stages.
     """
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    if d >= _MAX_MAGNITUDES:
-        raise ReconstructionError(
-            f"order d={d} is beyond the kernel table: d <= {_MAX_MAGNITUDES - 1}"
-        )
+    _check_order(d)
     with ctx.workprec():
         if known_jump is not None:
             mags, M1 = solve_magnitudes_known_jump(c, d, known_jump, ctx)

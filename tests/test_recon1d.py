@@ -30,8 +30,9 @@ from fourier_edge import (
     synth_coeffs,
 )
 from fourier_edge import recon1d
-from fourier_edge.kernels import v_kernel
+from fourier_edge.kernels import v_fourier_coeff, v_kernel
 from fourier_edge.model1d import eval_model
+from fourier_edge.numerics import _guard_bits
 from fourier_edge.recon1d import (
     evaluate_complex,
     full_order_localize,
@@ -419,6 +420,31 @@ def test_non_finite_location_or_point_raises(bad, ctx30):
         rec = reconstruct1d(c, 1, ctx30)
         with pytest.raises(ValueError, match="non-finite"):
             evaluate_complex(rec, bad, ctx30)
+
+
+@pytest.mark.parametrize("M", [1, 12, 144])
+def test_kernel_tails_match_the_closed_forms(M):
+    # tau_l = v_l - S_M[v_l] against v_kernel minus the v_fourier_coeff
+    # partial sum, both at 40 more digits: at the anchor (the right-sided
+    # limit), 1e-30 left of it, and mid-period
+    ctx, ref = ArithmeticContext(40), ArithmeticContext(80)
+    with ctx.workprec():
+        xi = -mp.pi
+        points = [xi, xi - mp.mpf(10) ** -30, xi + mp.pi]
+        wp = mp.prec + _guard_bits(M)
+        got = [recon1d._kernel_tails(x, xi, M, 16) for x in points]
+    with ref.workprec():
+        # the tails carry at least 25 guard bits over working precision
+        tol = mp.mpf(10) ** -45
+        for x, tails in zip(points, got):
+            assert len(tails) == 16
+            for l, t in enumerate(tails):
+                partial = sum(
+                    v_fourier_coeff(l, xi, k, ref) * mp.expj(k * x)
+                    for k in range(-M, M + 1)
+                )
+                want = v_kernel(l, xi, x, ref) - partial
+                assert abs(mp.mpf(t) / 2 ** wp - want) < tol, (l, x)
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -16,8 +16,11 @@ from fourier_edge import (
     coeff_grid,
     reconstruct_field,
 )
-from fourier_edge import recon2d
+from fourier_edge import recon1d, recon2d
+from fourier_edge.kernels import v_fourier_coeff
+from fourier_edge.model1d import CoeffVector1D
 from fourier_edge.model2d import slice_coeff_exact
+from fourier_edge.recon1d import evaluate_complex, reconstruct1d
 from fourier_edge.recon2d import (
     reconstruct_psi_set,
     reconstruct_slice,
@@ -160,7 +163,7 @@ def test_programming_errors_propagate(error, ctx40, monkeypatch):
         raise error("broken")
 
     with monkeypatch.context() as m:
-        m.setattr(recon2d, "reconstruct1d", broken)
+        m.setattr(recon2d, "solve_magnitudes_known_jump", broken)
         with pytest.raises(error):
             reconstruct_psi_set(grid, 1, ctx40)
     monkeypatch.setattr(recon2d, "reconstruct_slice", broken)
@@ -201,3 +204,101 @@ def test_degraded_row_fallback_refuses_non_finite_entries(ctx40):
     psi.row_value(2, 0.4, ctx40)  # the other rows still evaluate
     with pytest.raises(ValueError, match="coefficient c_2"):
         truncated_baseline(psi.grid, 0.4, -1.2, ctx40)
+
+
+@pytest.fixture(scope="module")
+def seam_heavy_grid():
+    # dense identity-curve model (a_{l,k} = a_{l,0} 0.5^k e^{i phi k}): its
+    # rows carry seam magnitudes up to about 7e10 at N = 12, M = 144
+    return coeff_grid(_dense_model(144, 12, 11), 144, 12, ArithmeticContext(60))
+
+
+def test_row_stage_holds_working_precision_at_large_seam_magnitudes(
+        seam_heavy_grid):
+    # the same grid's row stage at 100 digits is the reference; residual
+    # coefficients rounded at 60 digits lose about eight digits here (5e-52)
+    ctx, ref = ArithmeticContext(60), ArithmeticContext(100)
+    psi = reconstruct_psi_set(seam_heavy_grid, 9, ctx)
+    exact = reconstruct_psi_set(seam_heavy_grid, 9, ref)
+    assert not psi.degraded
+    with ctx.workprec():
+        assert max(abs(a) for r in psi.rows.values()
+                   for a in r.magnitudes_tilde) > 1e10
+    for x in (-3.0, 0.7, 2.5):
+        got = slice_coeff_vector(psi, x, ctx)
+        want = slice_coeff_vector(exact, x, ref)
+        with ref.workprec():
+            err = max(abs(mp.mpc(a) - b) for a, b in zip(got.values, want.values))
+            assert err < mp.mpf(10) ** -57
+
+
+def _seam_surrogate(M, ctx):
+    """C3's seam row: an order-11 stack at -pi plus a spike at k = 4."""
+    with ctx.workprec():
+        seam = -mp.pi
+        vals = []
+        for k in range(-M, M + 1):
+            c = sum((mp.mpf("0.7") ** l * v_fourier_coeff(l, seam, k, ctx)
+                     for l in range(12)), mp.mpc(0))
+            vals.append(c + (mp.mpc("0.3", "0.2") if k == 4 else 0))
+        return CoeffVector1D(M, tuple(vals))
+
+
+def test_row_values_match_the_jump_known_1d_pipeline(seam_heavy_grid):
+    # psi.row_value against evaluate_complex of reconstruct1d at the seam,
+    # the path C3 certifies, within one rounding of the largest stack term
+    ctx = ArithmeticContext(60)
+    row = _seam_surrogate(256, ctx)
+    surrogate = CoeffGrid2D(256, 0, tuple((v,) for v in row.values))
+    cases = [(surrogate, 0), (seam_heavy_grid, -12), (seam_heavy_grid, 0),
+             (seam_heavy_grid, 7)]
+    with ctx.workprec():
+        seam = -mp.pi
+        xs = [seam, seam + mp.mpf(10) ** -50, seam - mp.mpf("0.01"),
+              mp.mpf("0.7"), mp.mpf("2.9")]
+    for grid, wy in cases:
+        psi = reconstruct_psi_set(grid, 9, ctx)
+        rec = reconstruct1d(grid.row(wy), 9, ctx, known_jump=seam,
+                            assume_real=False)
+        mags = psi.rows[wy].magnitudes_tilde
+        assert [a._mpc_ for a in mags] == [a._mpc_ for a in rec.magnitudes_tilde]
+        with ctx.workprec():
+            tol = mp.mpf(10) ** -60 * max(1, sum(abs(a) for a in mags))
+            for x in xs:
+                got = psi.row_value(wy, x, ctx)
+                assert abs(got - evaluate_complex(rec, x, ctx)) <= tol, (wy, x)
+    # read at another precision, both rebuild their forms at that one (a
+    # 60-digit row form would meet 40-digit tails at the wrong scale)
+    low = ArithmeticContext(40)
+    got = psi.row_value(wy, xs[3], low)
+    with low.workprec():
+        tol = mp.mpf(10) ** -40 * max(1, sum(abs(a) for a in mags))
+        assert abs(got - evaluate_complex(rec, xs[3], low)) <= tol
+
+
+def test_field_computes_one_residual_per_slice(canonical_grid, ctx40,
+                                               monkeypatch):
+    # the row stage adds shared kernel tails to the raw rows: residual
+    # vectors are built by the slice stage only, once per x
+    calls = []
+    original = recon1d.residual_coeffs
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].M)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(recon1d, "residual_coeffs", spy)
+    xs = (-2.0, 0.7, 1.1)
+    fld = reconstruct_field(canonical_grid, 9, 9, xs, ctx40)
+    assert sorted(fld.slices) == sorted(xs)
+    assert calls == [12] * len(xs)
+
+
+def test_row_stage_refuses_a_negative_order(ctx40):
+    # the order check of reconstruct1d: a ValueError propagates, while an
+    # order beyond the kernel table degrades each row (see above)
+    grid = coeff_grid(Model2D.canonical(3), 40, 6, ctx40)
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        reconstruct_psi_set(grid, -1, ctx40)
+    with pytest.raises(ValueError, match="d must be >= 0"):
+        reconstruct1d(grid.row(0), -1, ctx40)
