@@ -114,14 +114,20 @@ _ABERTH_STOP = 1e-13
 _ABERTH_FLOOR = 1e-6
 # Phase offset of the starting points, in radians.
 _START_PHASE = 0.3779 * math.pi
+# Hull edges whose slopes differ by less than this (in log radius) are one
+# edge.  Two edges on nearly the same circle can put a start of each at the
+# same phase, and Aberth does not separate a pair that starts a rounding
+# error apart before its noise-floor stop ends the sweeps.
+_HULL_MERGE = 0.01
 
 
 def _hull_starts(logs: list, exp) -> list:
     """Bini's starting points from the Newton polygon of a polynomial.
 
     ``logs`` holds log|c_j| for j = 0..n (-inf for a zero coefficient).
-    Each edge (j0, j1) of the upper convex hull of the points (j, log|c_j|)
-    gets j1 - j0 points, equally spaced on the circle whose radius is
+    Each edge (j0, j1) of the upper convex hull of the points (j, log|c_j|),
+    with edges of nearly equal slope merged (``_HULL_MERGE``), gets j1 - j0
+    points, equally spaced on the circle whose radius is
     exp(-slope) of the edge, where that many roots lie; the circle is turned
     by 2pi j0 / n and a fixed offset.  ``exp`` maps a Python complex w to
     e^w in the arithmetic the points are wanted in.
@@ -131,10 +137,11 @@ def _hull_starts(logs: list, exp) -> list:
     for j, y in enumerate(logs):
         if y == -math.inf:
             continue
-        # drop the last vertex while it lies on or below the chord to (j, y)
+        # drop the last vertex while the slope does not fall there by more
+        # than _HULL_MERGE: it lies below, on or just above the chord to (j, y)
         while len(hull) >= 2:
             (j0, y0), (j1, y1) = hull[-2], hull[-1]
-            if (y1 - y0) * (j - j0) > (y - y0) * (j1 - j0):
+            if (y1 - y0) / (j1 - j0) - (y - y1) / (j - j1) > _HULL_MERGE:
                 break
             hull.pop()
         hull.append((j, y))

@@ -5,11 +5,12 @@ power sums for polynomial evaluation, and exact integer Vandermonde matrices
 rebuilt from scratch for the solver.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -277,6 +278,10 @@ def test_newton_polygon_starts_cover_wide_root_moduli(ctx30):
         unique=True,
     )
 )
+# the log|c_j| of this product are collinear up to rounding at j = 0, 2, 4:
+# two Newton-polygon edges of one circle once put two starts a rounding
+# error apart, and both sweeps ended on -1j
+@example(pairs=[(0, -1), (1, 2), (-1, -1), (-1, -2)])
 def test_roots_recover_integer_lattice_products(pairs):
     # integer-lattice roots are pairwise separated by >= 1, a benign case
     ctx = ArithmeticContext(precision_digits=25)
@@ -284,6 +289,24 @@ def test_roots_recover_integer_lattice_products(pairs):
         true = [mp.mpc(a, b) for a, b in pairs]
         roots = _polished(_expand(true), ctx)
         _assert_root_sets_match(roots, true, mp.mpf(10) ** -18)
+
+
+def test_hull_starts_merge_edges_of_one_circle():
+    # (z + i)(z - 1 - 2i)(z + 1 + i)(z + 1 + 2i) has |c_1| = 5 sqrt 5,
+    # |c_3| = sqrt 5 and c_4 = 1, collinear in log up to rounding: one edge
+    # (1, 4) of three starts on the circle of radius sqrt 5, not two edges
+    # whose starts meet at the same point
+    true = [complex(a, b) for a, b in [(0, -1), (1, 2), (-1, -1), (-1, -2)]]
+    cs = [complex(c) for c in _expand([mp.mpc(r) for r in true])]
+    # scaled as poly_roots scales them; the rounding then keeps vertex 3
+    top = max(abs(c) for c in cs)
+    logs = [math.log(abs(c / top)) for c in cs]
+    starts = numerics._hull_starts(logs, cmath.exp)
+    assert len(starts) == 4
+    radii = sorted(abs(z) for z in starts)
+    assert radii[1:] == pytest.approx([math.sqrt(5)] * 3, rel=1e-12)
+    gaps = [abs(a - b) for i, a in enumerate(starts) for b in starts[i + 1:]]
+    assert min(gaps) > 1
 
 
 # -- scaled Vandermonde systems ----------------------------------------------
