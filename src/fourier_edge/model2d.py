@@ -412,9 +412,14 @@ def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
 
 
 def _raw_part(text: bytes):
-    """The raw mpf of a part written by :func:`_hex_part`, without rounding."""
+    """The raw mpf of a part written by :func:`_hex_part`, without rounding.
+    An odd mantissa, as :func:`save_grid` writes, is normalised as it stands;
+    mpmath arithmetic needs an even or zero one normalised by from_man_exp."""
     man, _, exp = text.partition(b"p")
-    return from_man_exp(int(man, 16), int(exp))
+    man, exp = int(man, 16), int(exp)
+    if man & 1:
+        return (int(man < 0), abs(man), exp, abs(man).bit_length())
+    return from_man_exp(man, exp)
 
 
 def load_grid(path) -> CoeffGrid2D:

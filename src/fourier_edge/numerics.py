@@ -3,9 +3,10 @@
 This module is the arithmetic substrate for the reconstruction pipeline:
 a precision context wrapping mpmath, exact combinatorial sums, a
 simultaneous-iteration root finder with a full-precision Newton polish for
-the one root a caller keeps, a solver for the scaled Vandermonde systems
-produced by moment decimation, and the Python-int fixed-point primitives
-that the O(M) series loops of synthesis and reconstruction share.
+the one root a caller keeps, an exact integer solver for the scaled
+Vandermonde systems produced by moment decimation, and the Python-int
+fixed-point primitives that the O(M) series loops of synthesis and
+reconstruction share.
 
 Everything here is deterministic: no randomness is used anywhere, and root
 lists come back in a fixed sort order, so repeated runs at the same
@@ -16,13 +17,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_cos_sin, round_nearest, to_fixed
+from mpmath.libmp import (from_man_exp, from_rational, mpf_cos_sin, mpf_shift,
+                          round_nearest, to_fixed)
 
 
 class RootFindingError(ArithmeticError):
@@ -343,15 +346,16 @@ def _unit_vandermonde_inverse(d: int) -> tuple:
 
 
 def vandermonde_solve(
-    d: int, base: int, rhs: Sequence, ctx: ArithmeticContext
+    d: int, base: int, rhs: Sequence, shift: int, ctx: ArithmeticContext
 ) -> list:
     """Solve the Vandermonde system on the decimated nodes (j+1)*base, j = 0..d.
 
     The coefficient matrix V has entries ((j+1)*base)**l.  It factors as
-    V1 * diag(base**l) with V1 the integer step-1 matrix, so a solve applies
-    the exact integer inverse of V1 (one integer division per unknown) and
-    then rescales by base**-l.  Rounding enters only in the final
-    integer-times-complex accumulation.  Returns a list of d+1 mpc values.
+    V1 * diag(base**l) with V1 the integer step-1 matrix.  ``rhs`` holds
+    fixed-point pairs (re, im) of Python ints at scale 2^shift, so the exact
+    integer inverse of V1 applies to them without rounding; each unknown
+    x_l = sum_j num[l][j] b_j / (den_l base**l) is then rounded once, to
+    nearest, at working precision.  Returns a list of d+1 mpc values.
 
     Raises
     ------
@@ -367,19 +371,17 @@ def vandermonde_solve(
             f"rhs length {len(rhs)} != {d + 1} (order {d})"
         )
     nums, dens = _unit_vandermonde_inverse(d)
+    parts = list(zip(*rhs))  # the real parts, then the imaginary parts
     with ctx.workprec():
-        b = [mp.mpc(v) for v in rhs]
+        prec = mp.prec
         out = []
-        for l in range(d + 1):
-            acc = mp.mpc(0)
-            for j in range(d + 1):
-                c = nums[l][j]
-                if c:
-                    acc += c * b[j]
-            acc = acc / dens[l]
-            if l and base != 1:
-                acc = acc / mp.mpf(base) ** l
-            out.append(acc)
+        for l, (row, den) in enumerate(zip(nums, dens)):
+            q = den * base**l
+            out.append(mp.make_mpc(tuple(
+                mpf_shift(from_rational(sum(map(operator.mul, row, b)), q,
+                                        prec, round_nearest), -shift)
+                for b in parts
+            )))
         return out
 
 

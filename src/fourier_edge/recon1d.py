@@ -10,7 +10,9 @@ c_k, |k| <= M:
 3. full-order localization from decimated indices (j+1)N_1 via the root of
    an annihilation polynomial, with the hint selecting among the N_1
    possible arguments;
-4. kernel magnitudes from a scaled Vandermonde system at the same nodes;
+4. kernel magnitudes from a scaled Vandermonde system at the same nodes,
+   whose right-hand side mtilde_k kappa^-k is built on fixed-point ints
+   and solved by an exact integer inverse, one rounding per magnitude;
 5. a residual coefficient vector representing the smooth remainder.
 
 The jump-known variant (anchor fixed, e.g. at -pi for slice rows of a 2D
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_mul, mpf_pi, mpf_sub, to_fixed
+from mpmath.libmp import from_int, mpf_mul, mpf_neg, mpf_pi, mpf_sub, to_fixed
 
 from .kernels import _I_POW, bernoulli_coeffs
 from .model1d import CoeffVector1D
@@ -272,27 +274,46 @@ def solve_magnitudes(
 ):
     """Kernel magnitudes given the localized jump.
 
-    Solves the scaled Vandermonde system on nodes (j+1)N_1, j = 0..d with
-    right-hand side mtilde_{(j+1)N_1} * kappa_tilde^(-(j+1)N_1); unknowns
-    alpha_l map back to magnitudes via A_l = (-i)^(d-l) alpha_{d-l}.
-    Returns a tuple of d+1 mpc values.
+    Solves the scaled Vandermonde system on nodes k = (j+1)N_1, j = 0..d,
+    with right-hand side mtilde_k kappa_tilde^-k; unknowns alpha_l map back
+    to magnitudes via A_l = (-i)^(d-l) alpha_{d-l}.  The right-hand side is
+    fixed point: k^(d+1) c_k formed exactly from the mantissa and truncated
+    once, times 2pi i^(d+1) kappa_tilde^-k from one step kappa_tilde^-N_1
+    and a recurrence (exact signs at kappa_tilde = -1).
+    :func:`vandermonde_solve` rounds each unknown once.  Returns a tuple of
+    d+1 mpc values; raises ValueError for a step that does not fit the band
+    or a non-finite coefficient at a node.
     """
     if n1 < 1 or (d + 1) * n1 > c.M:
         raise ValueError(f"invalid decimation step n1={n1} for M={c.M}, d={d}")
-    mom = moments(c, [(j + 1) * n1 for j in range(d + 1)], d, ctx)
     with ctx.workprec():
-        kap = mp.mpc(kappa_tilde)
-        step = kap ** n1
+        # max|rhs| <= (d+1) ((d+1) n1)^d max|alpha|: these bits keep its
+        # truncation below working precision in every unknown, and the guard
+        # bits cover the growth of the inverse
+        wp = mp.prec + _guard_bits(c.M) + (d + 1) * ((d + 1) * n1).bit_length()
+        scaled = []
+        for k in range(n1, (d + 1) * n1 + 1, n1):
+            (re, im), = _mpc_parts((c.c(k),), "coefficient c_", k)
+            w = from_int(k ** (d + 1))
+            scaled.append((mpf_mul(re, w), mpf_mul(im, w)))  # exact
+        shift = _fixed_shift(scaled, wp)
+        with mp.workprec(wp):
+            step = mp.mpc(kappa_tilde) ** -n1
+        sr, si = (to_fixed(p, wp) for p in step._mpc_)
+        two_pi = to_fixed(mpf_pi(wp + 4), wp + 1)  # phase 2pi i^(d+1) at k = 0
+        pr, pi_ = ((two_pi, 0), (0, two_pi), (-two_pi, 0), (0, -two_pi))[(d + 1) % 4]
         rhs = []
-        power = mp.mpc(1)
-        for j in range(d + 1):
-            power *= step  # kappa^((j+1) n1)
-            rhs.append(mom[j] * mp.conj(power) / abs(power) ** 2)
-        alpha = vandermonde_solve(d, n1, rhs, ctx)
+        for re, im in scaled:
+            pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
+            br, bi = to_fixed(re, shift), to_fixed(im, shift)
+            rhs.append(((br * pr - bi * pi_) >> wp, (br * pi_ + bi * pr) >> wp))
         mags = []
-        for l in range(d + 1):
-            mags.append(mp.mpc(_I_POW[(-(d - l)) % 4]) * alpha[d - l])
-        return tuple(mags)
+        for m, a in enumerate(vandermonde_solve(d, n1, rhs, shift, ctx)):
+            re, im = a._mpc_
+            for _ in range(m % 4):  # A_{d-m} = (-i)^m alpha_m
+                re, im = im, mpf_neg(re)
+            mags.append(mp.make_mpc((re, im)))
+        return tuple(reversed(mags))
 
 
 def solve_magnitudes_known_jump(
@@ -305,7 +326,10 @@ def solve_magnitudes_known_jump(
 
     Decimates at M_1 = floor(M / (d+1)) (indices jM_1, j = 1..d+1) and
     solves with the known kappa = exp(-i xi), as :func:`solve_magnitudes`
-    does with a localized one.  Returns (magnitudes, M_1).
+    does with a localized one.  A jump at xi = +-pi (pi at working
+    precision) is the period seam, where kappa = -1 exactly; exp(-i xi) of
+    the rounded pi would be off by about k 2^-prec in the k-th phase.
+    Returns (magnitudes, M_1).
     """
     M1 = c.M // (d + 1)
     if M1 < 1:
@@ -313,7 +337,8 @@ def solve_magnitudes_known_jump(
             f"known-jump decimation infeasible: M={c.M}, d={d}, M1={M1}"
         )
     with ctx.workprec():
-        kappa = mp.expj(-mp.mpf(known_xi))
+        xi = mp.mpf(known_xi)
+        kappa = -1 if abs(xi) == mp.pi else mp.expj(-xi)
     return solve_magnitudes(c, d, kappa, ctx, M1), M1
 
 
@@ -322,7 +347,7 @@ def residual_coeffs(
     xi_tilde,
     magnitudes_tilde,
     ctx: ArithmeticContext,
-) -> CoeffVector1D:
+) -> tuple:
     """Coefficients of the smooth remainder: c_k minus the jump-part closed form.
 
     The jump part of c_k is exp(-ik xi) / 2pi * sum_l A_l / (ik)^(l+1) (the
@@ -331,6 +356,10 @@ def residual_coeffs(
     the phases by the recurrence with step exp(-i xi) (conjugated for k < 0),
     the kernel sum by Horner in u = 1/(ik) = -i/k with 1/2pi folded into the
     magnitudes.  c_0 is returned as given.
+
+    Returns (vector, form): the CoeffVector1D, each value rounded once to
+    working precision, and the record's :class:`_FixedForm`, built from the
+    unrounded ints, so that large magnitudes cost its evaluation no digits.
 
     Raises
     ------
@@ -342,26 +371,26 @@ def residual_coeffs(
         wp = mp.prec + _guard_bits(M)
         xi = mp.mpf(xi_tilde)._mpf_
         parts = _mpc_parts(c.values, "coefficient c_", -M)
-        mags = _over_two_pi(_mpc_parts(magnitudes_tilde, "magnitude A_", 0), wp)
-        shift = _fixed_shift(parts + mags, wp)
+        mags = _mpc_parts(magnitudes_tilde, "magnitude A_", 0)
+        scaled = _over_two_pi(mags, wp)
+        shift = _fixed_shift(parts + scaled, wp)
         fixed = [(to_fixed(re, shift), to_fixed(im, shift)) for re, im in parts]
-        stack = _fixed_stack(mags, shift)
+        stack = _fixed_stack(scaled, shift)
         sr, si = _fixed_expj(xi, wp)
         si = -si  # exp(-i xi)
         pr, pi_ = 1 << wp, 0
-        vals = [None] * (2 * M + 1)
-        vals[M] = mp.mpc(c.values[M])
         for k in range(1, M + 1):
             pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
             for n, qi in ((k, pi_), (-k, -pi_)):
                 tr, ti = _fixed_horner(stack, n)
                 cr, ci = fixed[n + M]
-                vals[n + M] = _from_fixed(
-                    cr - ((pr * tr - qi * ti) >> wp),
-                    ci - ((pr * ti + qi * tr) >> wp),
-                    shift,
-                )
-        return CoeffVector1D(M, tuple(vals))
+                fixed[n + M] = (cr - ((pr * tr - qi * ti) >> wp),
+                                ci - ((pr * ti + qi * tr) >> wp))
+        vals = [_from_fixed(re, im, shift) for re, im in fixed]
+        vals[M] = mp.mpc(c.values[M])
+        residual = CoeffVector1D(M, tuple(vals))
+        return residual, _FixedForm(residual, xi_tilde, magnitudes_tilde,
+                                    (shift, fixed))
 
 
 @lru_cache(maxsize=8)
@@ -426,6 +455,13 @@ def _kernel_tails(x, xi, M: int, n: int) -> list:
     return tails
 
 
+def _series_phases(x, M: int) -> tuple:
+    """e^{ix} and e^{-iMx} of the raw mpf x, with M x formed exactly, as
+    fixed-point pairs at the 2^wp of a band-M series."""
+    wp = mp.prec + _guard_bits(M)
+    return _fixed_expj(x, wp), _fixed_expj(mpf_mul(x, from_int(-M)), wp)
+
+
 class _FixedForm:
     """Residual series plus kernel stack, prepared for evaluation at the
     working precision of its construction (``prec``).
@@ -436,6 +472,9 @@ class _FixedForm:
     tables, are held as Python-int fixed-point values at working precision
     plus guard bits, at one scale set by the largest coefficient or
     magnitude.  Without magnitudes it is the plain truncated series.
+    ``fixed``, (shift, pairs), gives the residual as fixed-point pairs
+    c_-M..c_M at 2^shift in place of ``residual``, which they round to; such
+    a form keeps (residual, xi, magnitudes) as ``fields``.
 
     Raises
     ------
@@ -444,19 +483,27 @@ class _FixedForm:
         are more than 16 magnitudes (the Bernoulli table ends at order 16).
     """
 
-    __slots__ = ("prec", "wp", "shift", "M", "re", "im", "xi", "inv_two_pi", "stack")
+    __slots__ = ("prec", "wp", "shift", "M", "re", "im", "xi", "inv_two_pi",
+                 "stack", "fields")
 
-    def __init__(self, residual: CoeffVector1D, xi=None, magnitudes=()):
+    def __init__(self, residual: CoeffVector1D, xi=None, magnitudes=(),
+                 fixed=None):
         self.prec = mp.prec
         self.M = M = residual.M
         self.wp = wp = mp.prec + _guard_bits(M)
-        parts = _mpc_parts(residual.values, "coefficient c_", -M)
+        self.fields = None if fixed is None else (residual, xi, magnitudes)
         mags = _mpc_parts(magnitudes, "magnitude A_", 0)
-        self.shift = shift = _fixed_shift(parts + mags, wp)
+        if fixed is None:
+            parts = _mpc_parts(residual.values, "coefficient c_", -M)
+            shift = _fixed_shift(parts + mags, wp)
+            fixed = shift, [(to_fixed(re, shift), to_fixed(im, shift))
+                            for re, im in parts]
+        shift, pairs = fixed
+        self.shift = shift
         # Horner in e^{ix} runs from c_M down to c_-M; two lists of ints, not
         # a list of pairs, keep a W3 row stage about 0.4 MB smaller
-        self.re = [to_fixed(re, shift) for re, _ in reversed(parts)]
-        self.im = [to_fixed(im, shift) for _, im in reversed(parts)]
+        self.re = [re for re, _ in reversed(pairs)]
+        self.im = [im for _, im in reversed(pairs)]
         self.xi = self.inv_two_pi = None
         self.stack = ()
         if not mags:
@@ -478,7 +525,7 @@ class _FixedForm:
                 stack[j][1] += ai * t
         self.stack = [(re >> wp, im >> wp) for re, im in reversed(stack)]
 
-    def value(self, x, extra=(0, 0)):
+    def value(self, x, extra=(0, 0), phases=None):
         """Value at x, rounded once to working precision; caller holds
         the precision of the form.
 
@@ -486,7 +533,8 @@ class _FixedForm:
         at the anchor gives the right-sided limit; integer Horner in u over
         the stack; Horner in z = e^{ix} over the series, then one multiply
         by e^{-iMx}.  ``extra``, a fixed-point pair at the form's scale, is
-        added before the rounding.
+        added before the rounding.  ``phases`` are those of
+        :func:`_series_phases` at x, when the caller has taken them.
         """
         x = mp.mpf(x)._mpf_
         if not x[1] and x[2]:
@@ -498,14 +546,13 @@ class _FixedForm:
             for cr, ci in self.stack:
                 ar = ((ar * u) >> wp) + cr
                 ai = ((ai * u) >> wp) + ci
-        zr, zi = _fixed_expj(x, wp)
+        (zr, zi), (er, ei) = phases or _series_phases(x, self.M)
         sr = si = 0
         for cr, ci in zip(self.re, self.im):
             sr, si = (
                 ((sr * zr - si * zi) >> wp) + cr,
                 ((sr * zi + si * zr) >> wp) + ci,
             )
-        er, ei = _fixed_expj(mpf_mul(x, from_int(-self.M)), wp)
         return _from_fixed(
             ar + extra[0] + ((sr * er - si * ei) >> wp),
             ai + extra[1] + ((sr * ei + si * er) >> wp),
@@ -519,9 +566,10 @@ class Reconstruction1D:
 
     ``magnitudes_tilde`` are mpc (near-real for real input data);
     ``residual`` is the smooth-part coefficient vector; ``diagnostics`` is a
-    JSON-friendly dict (floats/ints/strings only).  The fixed-point form that
-    :func:`evaluate_complex` uses is built from these fields at construction,
-    under the precision then in force.
+    JSON-friendly dict (floats/ints/strings only).  :func:`evaluate_complex`
+    uses ``_form``, kept if it was made for these fields (as by
+    :func:`reconstruct1d`), else built from them under the precision then in
+    force.
     """
 
     xi_tilde: object
@@ -530,12 +578,14 @@ class Reconstruction1D:
     d: int
     known_jump: bool
     diagnostics: dict = field(compare=False, default_factory=dict)
-    _form: _FixedForm = field(init=False, repr=False, compare=False)
+    _form: _FixedForm = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_form", _FixedForm(
-            self.residual, self.xi_tilde, self.magnitudes_tilde
-        ))
+        form = self._form
+        fields = (self.residual, self.xi_tilde, self.magnitudes_tilde)
+        if form is None or form.fields != fields:
+            form = _FixedForm(*fields)
+        object.__setattr__(self, "_form", form)
 
 
 def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):
@@ -600,13 +650,15 @@ def reconstruct1d(
             kappa, xi, loc_diag = full_order_localize(c, d, hint, ctx)
             mags = solve_magnitudes(c, d, kappa, ctx, loc_diag["N1"])
             diagnostics.update(loc_diag)
+        residual, form = residual_coeffs(c, xi, mags, ctx)
         rec = Reconstruction1D(
             xi_tilde=xi,
             magnitudes_tilde=mags,
-            residual=residual_coeffs(c, xi, mags, ctx),
+            residual=residual,
             d=d,
             known_jump=known_jump is not None,
             diagnostics=diagnostics,
+            _form=form,
         )
         if assume_real:
             diagnostics["imag_residue"] = max(

@@ -31,6 +31,7 @@ from .recon1d import (
     _FixedForm,
     _check_order,
     _kernel_tails,
+    _series_phases,
     evaluate_complex,
     reconstruct1d,
     solve_magnitudes_known_jump,
@@ -61,16 +62,16 @@ class SeamRow:
             (to_fixed(re, shift), to_fixed(im, shift)) for re, im in parts
         ))
 
-    def value(self, x, tails):
-        """C(x) + sum_l A_l tau_l(x), rounded once; ``tails`` are those of
-        :func:`_kernel_tails` at x, and the caller holds the form's
-        precision."""
+    def value(self, x, tails, phases):
+        """C(x) + sum_l A_l tau_l(x), rounded once; ``tails`` and ``phases``
+        are those of :func:`_kernel_tails` and :func:`_series_phases` at x,
+        and the caller holds the form's precision."""
         ar = ai = 0
         for (re, im), t in zip(self.amps, tails):
             ar += re * t
             ai += im * t
         wp = self.form.wp
-        return self.form.value(x, (ar >> wp, ai >> wp))
+        return self.form.value(x, (ar >> wp, ai >> wp), phases)
 
 
 @dataclass(frozen=True)
@@ -89,21 +90,24 @@ class PsiReconstructionSet:
     def _values(self, wys, x) -> list:
         """Row values at x for the rows ``wys``; caller holds the precision.
 
-        The kernel tails are taken once for all rows.  A degraded row
-        builds its raw form per call; a row built at another precision is
-        rebuilt at this one.
+        The kernel tails and the series phases are taken once for all rows,
+        which share M and the working bits.  A degraded row builds its raw
+        form per call; a row built at another precision is rebuilt at this
+        one.
         """
+        M = self.grid.M
         rows = [self.rows.get(wy) for wy in wys]
         n = max((len(r.amps) for r in rows if r is not None), default=0)
-        tails = _kernel_tails(x, -mp.pi, self.grid.M, n) if n else ()
+        tails = _kernel_tails(x, -mp.pi, M, n) if n else ()
+        phases = _series_phases(mp.mpf(x)._mpf_, M)
         vals = []
         for wy, row in zip(wys, rows):
             if row is None:
-                vals.append(_FixedForm(self.grid.row(wy)).value(x))
+                vals.append(_FixedForm(self.grid.row(wy)).value(x, phases=phases))
                 continue
             if row.form.prec != mp.prec:
                 row = SeamRow(row.magnitudes_tilde, _FixedForm(self.grid.row(wy)))
-            vals.append(row.value(x, tails))
+            vals.append(row.value(x, tails, phases))
         return vals
 
     def row_value(self, wy: int, x, ctx: ArithmeticContext):

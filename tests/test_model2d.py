@@ -447,6 +447,25 @@ def test_save_grid_refuses_non_finite_entries(tmp_path):
         save_grid(CoeffGrid2D(1, 1, values), tmp_path / "grid.fec", 15)
 
 
+def test_load_grid_normalises_even_mantissas(tmp_path):
+    # save_grid writes odd mantissas, which load as they stand; a hand-written
+    # even or zero mantissa must load normalised, or mpmath arithmetic on it
+    # goes wrong
+    path = tmp_path / "grid.fec"
+    header = '{"format": 2, "M": 0, "N": 1, "precision": 15}'
+    path.write_text(_sign([header, "0, -1, -c0p-8, 0p5", "0, 0, 3p-1, -18p2",
+                           "0, 1, -1p0, 0p0"]))
+    grid = load_grid(path)
+    with mp.workdps(15):
+        want = (mp.mpc("-0.75", 0), mp.mpc("1.5", -96), mp.mpc(-1, 0))
+    for wy, v in zip((-1, 0, 1), want):
+        assert grid.c(0, wy)._mpc_ == v._mpc_
+    assert grid.c(0, -1)._mpc_[0] == (1, 3, -2, 2)
+    assert grid.c(0, 0)._mpc_[1] == (1, 3, 5, 2)
+    with mp.workdps(15):
+        assert grid.c(0, 0) * 2 == mp.mpc(3, -192)
+
+
 def test_load_grid_requires_every_entry_once(tmp_path, ctx15):
     path = tmp_path / "grid.fec"
     save_grid(coeff_grid(Model2D.canonical(1), 3, 2, ctx15), path, 15)

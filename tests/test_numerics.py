@@ -323,12 +323,12 @@ def test_vandermonde_solver_recovers_exact_integer_solutions(ctx30):
         for base in (1, 2, 5):
             truth = [(-1) ** l * (l + 2) for l in range(d + 1)]
             V = _vandermonde_matrix(d, base)
+            rhs = [
+                (sum(V[j][l] * truth[l] for l in range(d + 1)), 0)
+                for j in range(d + 1)
+            ]
+            sol = vandermonde_solve(d, base, rhs, 0, ctx30)
             with ctx30.workprec():
-                rhs = [
-                    sum(mp.mpf(V[j][l]) * truth[l] for l in range(d + 1))
-                    for j in range(d + 1)
-                ]
-                sol = vandermonde_solve(d, base, rhs, ctx30)
                 for got, want in zip(sol, truth):
                     assert abs(got - want) < mp.mpf(10) ** -25
 
@@ -336,8 +336,8 @@ def test_vandermonde_solver_recovers_exact_integer_solutions(ctx30):
 def test_vandermonde_inverse_is_exact():
     """Residuals of the solved system vanish exactly for Fraction inputs.
 
-    Uses a rational right-hand side; the solver's exact inverse means the
-    only error is the final mpf conversion.
+    Uses a rational right-hand side, truncated to fixed point; the solver's
+    exact inverse means the only other error is the final rounding.
     """
     d, base = 4, 2
     ctx = ArithmeticContext(precision_digits=15)
@@ -347,12 +347,15 @@ def test_vandermonde_inverse_is_exact():
         sum(Fraction(V[j][l]) * truth[l] for l in range(d + 1))
         for j in range(d + 1)
     ]
+    shift = 64
+    sol = vandermonde_solve(
+        d, base,
+        [((r.numerator << shift) // r.denominator, 0) for r in rhs_exact],
+        shift, ctx,
+    )
     with ctx.workprec():
-        sol = vandermonde_solve(
-            d, base, [mp.mpf(r.numerator) / r.denominator for r in rhs_exact], ctx
-        )
-        # inverse entries grow like (d+1)! and amplify rhs rounding; the
-        # 15-digit context leaves roughly 1e-11 here
+        # inverse entries grow like (d+1)! and amplify rhs truncation, which
+        # 64 bits keep far below the 15-digit rounding
         for got, want in zip(sol, truth):
             assert abs(got - mp.mpf(want.numerator) / want.denominator) < 2e-11
 
@@ -360,8 +363,8 @@ def test_vandermonde_inverse_is_exact():
 def test_vandermonde_validation():
     ctx = ArithmeticContext()
     with pytest.raises(ValueError):
-        vandermonde_solve(-1, 2, [], ctx)
+        vandermonde_solve(-1, 2, [], 0, ctx)
     with pytest.raises(ValueError):
-        vandermonde_solve(2, 0, [1, 2, 3], ctx)
+        vandermonde_solve(2, 0, [(1, 0), (2, 0), (3, 0)], 0, ctx)
     with pytest.raises(ValueError):
-        vandermonde_solve(2, 1, [1, 2], ctx)  # wrong length
+        vandermonde_solve(2, 1, [(1, 0), (2, 0)], 0, ctx)  # wrong length

@@ -287,12 +287,44 @@ def test_known_jump_infeasible(ctx15):
         solve_magnitudes_known_jump(c, 3, 0.0, ctx15)
 
 
+def _reference_magnitudes(c, d, kappa, n1, ref):
+    """The system of solve_magnitudes for the same c and kappa, solved by
+    mpmath's LU at ref's precision."""
+    with ref.workprec():
+        nodes = [(j + 1) * n1 for j in range(d + 1)]
+        V = mp.matrix([[mp.mpf(k) ** l for l in range(d + 1)] for k in nodes])
+        b = mp.matrix([
+            2 * mp.pi * mp.mpc(0, k) ** (d + 1) * mp.mpc(c.c(k))
+            / mp.mpc(kappa) ** k for k in nodes
+        ])
+        alpha = mp.lu_solve(V, b)
+        return [mp.mpc(0, -1) ** (d - l) * alpha[d - l] for l in range(d + 1)]
+
+
+def test_localized_solve_matches_a_higher_precision_solve(c1_style_coeffs, ctx50):
+    # each magnitude is rounded once; rounding the right-hand side to working
+    # precision first loses about 20 digits of the largest magnitude here,
+    # where the top node carries k^(d+1) = 180^10 and the lowest order does
+    # not
+    with ctx50.workprec():
+        hint = half_order_localize(c1_style_coeffs, 4, ctx50)
+        kappa, _, diag = full_order_localize(c1_style_coeffs, 9, hint, ctx50)
+        got = solve_magnitudes(c1_style_coeffs, 9, kappa, ctx50, diag["N1"])
+    assert diag["N1"] == 18
+    ref = ArithmeticContext(120)
+    want = _reference_magnitudes(c1_style_coeffs, 9, kappa, 18, ref)
+    with ref.workprec():
+        top = max(abs(w) for w in want)
+        err = max(abs(mp.mpc(a) - w) for a, w in zip(got, want))
+        assert err / top < 2e-51
+
+
 # -- residual and end-to-end -------------------------------------------------
 
 def test_residual_vanishes_for_exact_jump_part(ctx30):
     with ctx30.workprec():
         c = _pure(0.4, (1.0, -0.6), 16, ctx30)
-        res = residual_coeffs(c, mp.mpf(0.4), (1.0, -0.6), ctx30)
+        res, _ = residual_coeffs(c, mp.mpf(0.4), (1.0, -0.6), ctx30)
         worst = max(abs(res.c(k)) for k in range(-16, 17))
         assert worst < mp.mpf(10) ** -28
 
@@ -344,7 +376,7 @@ def test_series_kernels_match_mpmath_reference(M, dps):
         seam = -mp.pi
         x = mp.mpf("0.7")
     for anchor in (xi, seam):
-        res = residual_coeffs(c, anchor, mags, ctx)
+        res, _ = residual_coeffs(c, anchor, mags, ctx)
         with ref.workprec():
             want = _reference_residual(c, anchor, mags)
             scale = max(1, max(abs(v) for v in c.values))
@@ -364,7 +396,7 @@ def test_series_kernels_are_pinned_bit_for_bit():
     c, mags, xi = _random_series_inputs(200, ctx, seed=7)
     digest = hashlib.sha256()
     with ctx.workprec():
-        res = residual_coeffs(c, xi, mags, ctx)
+        res, _ = residual_coeffs(c, xi, mags, ctx)
         forms = (recon1d._FixedForm(res, xi, mags), recon1d._FixedForm(c))
         values = [f.value(-mp.pi + 2 * mp.pi * (j + mp.mpf(1) / 3) / 16)
                   for j in range(16) for f in forms]
@@ -382,8 +414,8 @@ def test_series_kernels_accept_mixed_input_types(ctx30):
         mixed = CoeffVector1D(3, raw)
         plain = CoeffVector1D(3, rounded)
         x = mp.mpf("-1.9")
-        a = residual_coeffs(mixed, 0.4, (1, "0.5", mp.mpf(2)), ctx30)
-        b = residual_coeffs(plain, 0.4, (mp.mpc(1), mp.mpc("0.5"), 2), ctx30)
+        a, _ = residual_coeffs(mixed, 0.4, (1, "0.5", mp.mpf(2)), ctx30)
+        b, _ = residual_coeffs(plain, 0.4, (mp.mpc(1), mp.mpc("0.5"), 2), ctx30)
         assert [v._mpc_ for v in a.values] == [v._mpc_ for v in b.values]
         assert a.c(0) == mp.mpc(raw[3])  # c_0 passes through
         got = recon1d._FixedForm(mixed).value(x)

@@ -29,6 +29,7 @@ from fourier_edge.recon2d import (
     truncated_slice,
 )
 from test_model2d import _dense_model
+from test_recon1d import _reference_magnitudes
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +231,59 @@ def test_row_stage_holds_working_precision_at_large_seam_magnitudes(
         with ref.workprec():
             err = max(abs(mp.mpc(a) - b) for a, b in zip(got.values, want.values))
             assert err < mp.mpf(10) ** -57
+
+
+@pytest.fixture(scope="module")
+def seam_heavy_reference(seam_heavy_grid):
+    # the row stage of the same grid at 100 digits
+    return reconstruct_psi_set(seam_heavy_grid, 9, ArithmeticContext(100))
+
+
+def test_row_magnitudes_are_rounded_once(seam_heavy_grid, seam_heavy_reference):
+    # the exact-sign integer solve of every row against the 100-digit row
+    # stage, relative to the row's largest magnitude; an mpc solve at the
+    # rounded pi reads 2.0e-60 here
+    ctx, ref = ArithmeticContext(60), ArithmeticContext(100)
+    psi = reconstruct_psi_set(seam_heavy_grid, 9, ctx)
+    with ref.workprec():
+        for wy, row in psi.rows.items():
+            want = seam_heavy_reference.rows[wy].magnitudes_tilde
+            top = max(abs(a) for a in want)
+            err = max(abs(mp.mpc(a) - b)
+                      for a, b in zip(row.magnitudes_tilde, want))
+            assert err / top < 2e-61, wy
+
+
+def test_localized_slice_solve_matches_a_higher_precision_solve(
+        seam_heavy_grid):
+    # the slice solve at the localized kappa against an LU solve of the same
+    # data at 120 digits; an mpc solve reads about 1e-51 here
+    ctx, ref = ArithmeticContext(60), ArithmeticContext(120)
+    psi = reconstruct_psi_set(seam_heavy_grid, 9, ctx)
+    for x in (-2.0, 0.7, 2.5):
+        vec = slice_coeff_vector(psi, x, ctx)
+        kappa, _, diag = recon1d.full_order_localize(vec, 9, None, ctx)
+        got = recon1d.solve_magnitudes(vec, 9, kappa, ctx, diag["N1"])
+        want = _reference_magnitudes(vec, 9, kappa, diag["N1"], ref)
+        with ref.workprec():
+            top = max(abs(w) for w in want)
+            err = max(abs(mp.mpc(a) - w) for a, w in zip(got, want))
+            assert err / top < 2e-61, x
+
+
+def test_jump_known_record_holds_working_precision_at_large_seam_magnitudes(
+        seam_heavy_grid, seam_heavy_reference):
+    # the record's form is built from the unrounded residual: rounding the
+    # residual of the row with max|A_l| 6.8e10 to 60 digits read 7.7e-52
+    ctx, ref = ArithmeticContext(60), ArithmeticContext(100)
+    with ctx.workprec():
+        seam = -mp.pi
+    rec = reconstruct1d(seam_heavy_grid.row(-12), 9, ctx, known_jump=seam)
+    for x in (-3.0, 0.7, 2.5):
+        got = evaluate_complex(rec, x, ctx)
+        want = seam_heavy_reference.row_value(-12, x, ref)
+        with ref.workprec():
+            assert abs(mp.mpc(got) - want) < mp.mpf(10) ** -57, x
 
 
 def _seam_surrogate(M, ctx):
