@@ -86,6 +86,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.override_M is not None and self.override_M < 1:
             raise ValueError(f"override_M must be >= 1, got {self.override_M}")
+        if not self.sweep_N:
+            raise ValueError("sweep_N must name at least one N")
         if any(n < 1 for n in self.sweep_N):
             raise ValueError(f"sweep_N entries must be >= 1, got {self.sweep_N}")
         if not all(-math.pi <= x < math.pi for x in self.x_points):
@@ -285,7 +287,8 @@ def compute_metrics(
 # -- slope fitting -----------------------------------------------------------
 
 def fit_loglog(points) -> tuple:
-    """(slope, intercept) of log(err) vs log(N); needs >= 3 finite points."""
+    """(slope, intercept, n_points) of log(err) vs log(N), fitted on the
+    n_points >= 3 positive finite errors."""
     clean = [
         (math.log(n), math.log(e))
         for n, e in points

@@ -414,28 +414,18 @@ def _kernel_table(wp: int) -> tuple:
     return (1 << 2 * wp) // two_pi, tuple(table)
 
 
-def _wrapped_u(t, wp: int, inv_two_pi: int) -> int:
-    """u = t / 2pi mod 1 of the raw mpf t, as a fixed-point int at 2^wp."""
-    return (to_fixed(t, wp) * inv_two_pi >> wp) & ((1 << wp) - 1)
+def _partial_sums(x, xi, M: int, n: int) -> list:
+    """Partial sums S_M[v_l] of the kernels l < n anchored at xi, evaluated
+    at x, as fixed-point ints at 2^wp, where wp is that of a band-M series
+    at working precision.
 
-
-def _kernel_tails(x, xi, M: int, n: int) -> list:
-    """Truncation tails tau_l = v_l - S_M[v_l] of the kernels l < n anchored
-    at xi, evaluated at x, as fixed-point ints at 2^wp, where wp is that of
-    a band-M series at working precision.
-
-    v_l is Horner on the kernel table at u = wrap(x - xi) / 2pi of the
-    exact difference, so u = 0 at the anchor gives the right-sided limit.
-    The partial sum S_M[v_l] = (1/pi) sum_{k=1..M} Re((-i)^(l+1) e^{ikt})
-    / k^(l+1), t = x - xi, reads sin(kt) for even l and cos(kt) for odd l
-    from one phase recurrence in k.
+    S_M[v_l] = (1/pi) sum_{k=1..M} Re((-i)^(l+1) e^{ikt}) / k^(l+1),
+    t = x - xi, reads sin(kt) for even l and cos(kt) for odd l from one
+    phase recurrence in k; the sign of (-i)^(l+1) is folded in.
     """
     t = mpf_sub(mp.mpf(x)._mpf_, mp.mpf(xi)._mpf_)
-    if not t[1] and t[2]:  # NaN or infinite, as in _mpc_parts
-        raise ValueError(f"non-finite evaluation point {mp.mpf(x)}")
     wp = mp.prec + _guard_bits(M)
-    inv_two_pi, table = _kernel_table(wp)
-    u = _wrapped_u(t, wp, inv_two_pi)
+    inv_two_pi = _kernel_table(wp)[0]
     sums = [0] * n
     er, ei = _fixed_expj(t, wp)
     pr, pi_ = 1 << wp, 0
@@ -445,14 +435,8 @@ def _kernel_tails(x, xi, M: int, n: int) -> list:
         for l in range(n):
             sums[l] += (pr if l % 2 else pi_) // q
             q *= k
-    tails = []
-    for l in range(n):
-        v = 0
-        for b in reversed(table[l]):
-            v = ((v * u) >> wp) + b
-        s = sums[l] * inv_two_pi >> (wp - 1)  # times 1/pi
-        tails.append(v - s if l % 4 in (0, 3) else v + s)
-    return tails
+    return [(1 if l % 4 in (0, 3) else -1) * (s * inv_two_pi >> (wp - 1))
+            for l, s in enumerate(sums)]  # times 1/pi
 
 
 def _series_phases(x, M: int) -> tuple:
@@ -472,6 +456,7 @@ class _FixedForm:
     tables, are held as Python-int fixed-point values at working precision
     plus guard bits, at one scale set by the largest coefficient or
     magnitude.  Without magnitudes it is the plain truncated series.
+    ``amps`` keeps the magnitudes as fixed-point pairs at that scale.
     ``fixed``, (shift, pairs), gives the residual as fixed-point pairs
     c_-M..c_M at 2^shift in place of ``residual``, which they round to; such
     a form keeps (residual, xi, magnitudes) as ``fields``.
@@ -484,7 +469,7 @@ class _FixedForm:
     """
 
     __slots__ = ("prec", "wp", "shift", "M", "re", "im", "xi", "inv_two_pi",
-                 "stack", "fields")
+                 "amps", "stack", "fields")
 
     def __init__(self, residual: CoeffVector1D, xi=None, magnitudes=(),
                  fixed=None):
@@ -505,6 +490,8 @@ class _FixedForm:
         self.re = [re for re, _ in reversed(pairs)]
         self.im = [im for _, im in reversed(pairs)]
         self.xi = self.inv_two_pi = None
+        self.amps = tuple((to_fixed(re, shift), to_fixed(im, shift))
+                          for re, im in mags)
         self.stack = ()
         if not mags:
             return
@@ -518,8 +505,7 @@ class _FixedForm:
         # stack[j] = sum_l A_l kernel_scale(l) b_{l+1,j}: A_l at 2^shift
         # times the table entry at 2^wp, one shift per coefficient
         stack = [[0, 0] for _ in range(len(mags) + 1)]
-        for (re, im), row in zip(mags, table):
-            ar, ai = to_fixed(re, shift), to_fixed(im, shift)
+        for (ar, ai), row in zip(self.amps, table):
             for j, t in enumerate(row):
                 stack[j][0] += ar * t
                 stack[j][1] += ai * t
@@ -542,7 +528,8 @@ class _FixedForm:
         wp = self.wp
         ar = ai = 0
         if self.stack:
-            u = _wrapped_u(mpf_sub(x, self.xi), wp, self.inv_two_pi)
+            t = to_fixed(mpf_sub(x, self.xi), wp)
+            u = (t * self.inv_two_pi >> wp) & ((1 << wp) - 1)
             for cr, ci in self.stack:
                 ar = ((ar * u) >> wp) + cr
                 ai = ((ai * u) >> wp) + ci
@@ -611,9 +598,11 @@ def reconstruct1d(
     d: int,
     ctx: ArithmeticContext,
     known_jump=None,
-    assume_real: bool = True,
 ) -> Reconstruction1D:
     """One-call pipeline: localize (unless known), solve magnitudes, residual.
+
+    ``diagnostics["imag_residue"]`` records an imaginary-residue probe: the
+    largest |Im| of the reconstruction at eight points of the period.
 
     Parameters
     ----------
@@ -624,8 +613,6 @@ def reconstruct1d(
         If given, the jump location is taken as known (no localization);
         pass a value constructed at working precision when exactness at the
         anchor matters.
-    assume_real : bool
-        When True, an imaginary-residue probe is recorded in diagnostics.
 
     Raises
     ------
@@ -660,9 +647,8 @@ def reconstruct1d(
             diagnostics=diagnostics,
             _form=form,
         )
-        if assume_real:
-            diagnostics["imag_residue"] = max(
-                float(abs(rec._form.value(-mp.pi + mp.pi * q / 4).imag))
-                for q in range(8)
-            )
+        diagnostics["imag_residue"] = max(
+            float(abs(rec._form.value(-mp.pi + mp.pi * q / 4).imag))
+            for q in range(8)
+        )
         return rec

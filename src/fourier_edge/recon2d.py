@@ -3,15 +3,17 @@
 Stage one treats each horizontal grid row {Fhat(., wy)} as the coefficient
 vector of a 1D function of x whose only possible jump sits at the known
 period seam x = -pi, and solves for its seam magnitudes A_l.  The row value
-is then psi_wy(x) = C_wy(x) + sum_l A_l tau_l(x), with C_wy the raw row
-series and tau_l = v_l - S_M[v_l] the truncation tail of the seam kernel,
-which every row shares.  Stage two evaluates all rows at a fixed x,
-obtaining the Fourier coefficients (in y) of the slice F(x, .), and runs
-the full unknown-jump 1D pipeline on them to recover the curve crossing
-xi(x), the kernel magnitudes A_l(x), and the slice itself.
+is then psi_wy(x) = C_wy(x) + sum_l A_l v_l(x) - sum_l A_l S_M[v_l](x),
+with C_wy the raw row series, v_l the seam kernels and S_M[v_l] their
+partial sums, which every row shares.  Stage two evaluates all rows at a
+fixed x, obtaining the Fourier coefficients (in y) of the slice F(x, .),
+and runs the full unknown-jump 1D pipeline on them to recover the curve
+crossing xi(x), the kernel magnitudes A_l(x), and the slice itself.
 
-Row failures are contained: a failed row degrades to raw truncated-series
-evaluation and is flagged, so one bad row cannot sink a whole field run.
+Failures are contained: a row that raises ``ReconstructionError`` (an
+order beyond the kernel table, or a band too short for the decimation)
+degrades to raw truncated-series evaluation and is flagged, and a failed
+slice is recorded, so neither sinks a field run.
 """
 
 from __future__ import annotations
@@ -20,17 +22,16 @@ from dataclasses import dataclass, field
 import warnings
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
 
 from .model1d import CoeffVector1D
 from .model2d import CoeffGrid2D
-from .numerics import ArithmeticContext, RootFindingError, _mpc_parts
+from .numerics import ArithmeticContext, RootFindingError
 from .recon1d import (
     Reconstruction1D,
     ReconstructionError,
     _FixedForm,
     _check_order,
-    _kernel_tails,
+    _partial_sums,
     _series_phases,
     evaluate_complex,
     reconstruct1d,
@@ -40,36 +41,22 @@ from .recon1d import (
 
 @dataclass(frozen=True)
 class SeamRow:
-    """One reconstructed grid row: its seam magnitudes A_0..A_d and its raw
-    series C, a fixed-point form; built under the form's precision.
-
-    ``amps`` holds the magnitudes as fixed-point pairs at the form's scale.
-
-    Raises
-    ------
-    ValueError
-        If a magnitude is NaN or infinite.
-    """
+    """One reconstructed grid row: its seam magnitudes A_0..A_d and its
+    form, the raw series C with the seam stack sum_l A_l v_l, built under
+    the form's precision."""
 
     magnitudes_tilde: tuple
     form: _FixedForm = field(repr=False, compare=False)
-    amps: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        shift = self.form.shift
-        parts = _mpc_parts(self.magnitudes_tilde, "magnitude A_", 0)
-        object.__setattr__(self, "amps", tuple(
-            (to_fixed(re, shift), to_fixed(im, shift)) for re, im in parts
-        ))
-
-    def value(self, x, tails, phases):
-        """C(x) + sum_l A_l tau_l(x), rounded once; ``tails`` and ``phases``
-        are those of :func:`_kernel_tails` and :func:`_series_phases` at x,
-        and the caller holds the form's precision."""
+    def value(self, x, sums, phases):
+        """C(x) + sum_l A_l (v_l(x) - S_M[v_l](x)), rounded once; ``sums``
+        and ``phases`` are those of :func:`_partial_sums` and
+        :func:`_series_phases` at x, and the caller holds the form's
+        precision."""
         ar = ai = 0
-        for (re, im), t in zip(self.amps, tails):
-            ar += re * t
-            ai += im * t
+        for (re, im), s in zip(self.form.amps, sums):
+            ar -= re * s
+            ai -= im * s
         wp = self.form.wp
         return self.form.value(x, (ar >> wp, ai >> wp), phases)
 
@@ -90,24 +77,23 @@ class PsiReconstructionSet:
     def _values(self, wys, x) -> list:
         """Row values at x for the rows ``wys``; caller holds the precision.
 
-        The kernel tails and the series phases are taken once for all rows,
-        which share M and the working bits.  A degraded row builds its raw
-        form per call; a row built at another precision is rebuilt at this
-        one.
+        The partial sums and the series phases are taken once for all rows,
+        which share M and the working bits.  A degraded row, and a row
+        built at another precision, builds its form per call at this one.
         """
         M = self.grid.M
+        seam = -mp.pi
         rows = [self.rows.get(wy) for wy in wys]
-        n = max((len(r.amps) for r in rows if r is not None), default=0)
-        tails = _kernel_tails(x, -mp.pi, M, n) if n else ()
+        n = max((len(r.magnitudes_tilde) for r in rows if r is not None),
+                default=0)
+        sums = _partial_sums(x, seam, M, n) if n else ()
         phases = _series_phases(mp.mpf(x)._mpf_, M)
         vals = []
         for wy, row in zip(wys, rows):
-            if row is None:
-                vals.append(_FixedForm(self.grid.row(wy)).value(x, phases=phases))
-                continue
-            if row.form.prec != mp.prec:
-                row = SeamRow(row.magnitudes_tilde, _FixedForm(self.grid.row(wy)))
-            vals.append(row.value(x, tails, phases))
+            if row is None or row.form.prec != mp.prec:
+                mags = () if row is None else row.magnitudes_tilde
+                row = SeamRow(mags, _FixedForm(self.grid.row(wy), seam, mags))
+            vals.append(row.value(x, sums, phases))
         return vals
 
     def row_value(self, wy: int, x, ctx: ArithmeticContext):
@@ -122,12 +108,12 @@ def reconstruct_psi_set(
     """Solve the seam magnitudes of every grid row wy = -N..N.
 
     Each row's magnitudes come from :func:`solve_magnitudes_known_jump` at
-    the seam -pi, and its raw series is prepared once for evaluation.
-    Per-row failures (``ReconstructionError``, including an order beyond
-    the kernel table, and ``RootFindingError``) are recorded as degraded
-    rows, not raised; any other exception, including the ``ValueError`` of
-    a negative order or a non-finite entry, is a programming or input error
-    and propagates.
+    the seam -pi, and its form, the raw series with the seam stack, is
+    built once for evaluation.  A ``ReconstructionError`` (an order beyond
+    the kernel table, or a band too short for the decimation) is recorded as
+    a degraded row, not raised; any other exception, including the
+    ``ValueError`` of a negative order or a non-finite entry, is a
+    programming or input error and propagates.
     """
     rows: dict = {}
     degraded: dict = {}
@@ -138,10 +124,10 @@ def reconstruct_psi_set(
             try:
                 _check_order(d_psi)
                 mags, _ = solve_magnitudes_known_jump(row, d_psi, seam, ctx)
-            except (ReconstructionError, RootFindingError) as exc:
+            except ReconstructionError as exc:
                 degraded[wy] = f"{type(exc).__name__}: {exc}"
                 continue
-            rows[wy] = SeamRow(mags, _FixedForm(row))
+            rows[wy] = SeamRow(mags, _FixedForm(row, seam, mags))
     return PsiReconstructionSet(grid, rows, degraded)
 
 
@@ -186,7 +172,7 @@ def reconstruct_slice(
     reduction).
     """
     vec = slice_coeff_vector(psi, x, ctx)
-    rec = reconstruct1d(vec, d, ctx, assume_real=True)
+    rec = reconstruct1d(vec, d, ctx)
     return SliceReconstruction(rec)
 
 

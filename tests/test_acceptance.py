@@ -147,7 +147,7 @@ def test_c3_row_stage_rate(ctx60):
         # error bound collapses and recovery is exact to roundoff
         m = Model2D.canonical(11)
         row = coeff_grid(m, 256, 4, ctx60).row(4)
-        rec = reconstruct1d(row, 9, ctx60, known_jump=seam, assume_real=False)
+        rec = reconstruct1d(row, 9, ctx60, known_jump=seam)
         exact_err = 0.0
         for x in xs[::2]:
             want = slice_coeff_exact(m, x, 4, ctx60)
@@ -188,7 +188,7 @@ def test_c3_row_stage_rate(ctx60):
         pts = []
         for M in (256, 512, 1024, 2048):
             rec = reconstruct1d(
-                surrogate(M), 9, ctx60, known_jump=seam, assume_real=False
+                surrogate(M), 9, ctx60, known_jump=seam
             )
             # the sup lives within O(1/M) of the seam; at fixed distance the
             # oscillatory tail cancels one extra order, so the max must be

@@ -78,6 +78,18 @@ def test_config_refuses_values_that_would_fail_later(kwargs, field_name):
         ExperimentConfig(**kwargs)
 
 
+def test_config_refuses_an_empty_sweep(tmp_path):
+    # an empty sweep would make generate and reconstruct do nothing and
+    # verify fail on min() of nothing
+    with pytest.raises(ValueError, match=r"^sweep_N\b"):
+        ExperimentConfig(sweep_N=())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sweep_N": []}))
+    args = _build_parser().parse_args(["--config", str(cfg_path), "report"])
+    with pytest.raises(ValueError, match=r"^sweep_N\b"):
+        load_config(args)
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_json({"d": 5, "bogus_knob": 1})
@@ -311,6 +323,7 @@ def tiny_config(tmp_path):
     return path, tmp_path / "out"
 
 
+@pytest.mark.slow
 def test_full_pipeline_round_trip(tiny_config, tmp_path):
     cfg_path, out = tiny_config
     base = ["--config", str(cfg_path)]

@@ -322,6 +322,7 @@ def test_doubling_error_is_the_full_doubled_grid_value(ctx30):
     assert grid.diagnostics["doubling_error"] < 1e-25
 
 
+@pytest.mark.slow
 def test_trapezoid_grid_against_oracle(ctx15):
     m = _trig_model()
     grid = coeff_grid(m, 4, 2, ctx15)
@@ -334,6 +335,7 @@ def test_trapezoid_grid_against_oracle(ctx15):
             assert abs(grid.c(wx, wy) - ref) < 1e-8
 
 
+@pytest.mark.slow
 def test_oracle_on_pure_background(ctx15):
     m = Model2D(0, (0.0,), Curve("identity"), _BG)
     entries = [(0, 0), (1, -1), (1, 1)]

@@ -455,28 +455,27 @@ def test_non_finite_location_or_point_raises(bad, ctx30):
 
 
 @pytest.mark.parametrize("M", [1, 12, 144])
-def test_kernel_tails_match_the_closed_forms(M):
-    # tau_l = v_l - S_M[v_l] against v_kernel minus the v_fourier_coeff
-    # partial sum, both at 40 more digits: at the anchor (the right-sided
-    # limit), 1e-30 left of it, and mid-period
+def test_partial_sums_match_the_closed_forms(M):
+    # S_M[v_l] against the v_fourier_coeff partial sum at 40 more digits: at
+    # the anchor, 1e-30 left of it, and mid-period (v_l itself is held by
+    # test_evaluator_matches_kernel_and_series_reference)
     ctx, ref = ArithmeticContext(40), ArithmeticContext(80)
     with ctx.workprec():
         xi = -mp.pi
         points = [xi, xi - mp.mpf(10) ** -30, xi + mp.pi]
         wp = mp.prec + _guard_bits(M)
-        got = [recon1d._kernel_tails(x, xi, M, 16) for x in points]
+        got = [recon1d._partial_sums(x, xi, M, 16) for x in points]
     with ref.workprec():
-        # the tails carry at least 25 guard bits over working precision
+        # the sums carry at least 25 guard bits over working precision
         tol = mp.mpf(10) ** -45
-        for x, tails in zip(points, got):
-            assert len(tails) == 16
-            for l, t in enumerate(tails):
-                partial = sum(
+        for x, sums in zip(points, got):
+            assert len(sums) == 16
+            for l, s in enumerate(sums):
+                want = sum(
                     v_fourier_coeff(l, xi, k, ref) * mp.expj(k * x)
                     for k in range(-M, M + 1)
                 )
-                want = v_kernel(l, xi, x, ref) - partial
-                assert abs(mp.mpf(t) / 2 ** wp - want) < tol, (l, x)
+                assert abs(mp.mpf(s) / 2 ** wp - want) < tol, (l, x)
 
 
 # -- evaluation ----------------------------------------------------------------

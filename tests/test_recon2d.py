@@ -154,10 +154,10 @@ def test_orders_beyond_the_kernel_table_are_contained(ctx40):
 
 @pytest.mark.parametrize("error", [TypeError, ValueError, ZeroDivisionError])
 def test_programming_errors_propagate(error, ctx40, monkeypatch):
-    # only ReconstructionError and RootFindingError are contained; any other
-    # exception is a bug and must not turn into a degraded row or a failed
-    # slice, including the ValueError and ArithmeticError families that a
-    # broad handler would catch
+    # only ReconstructionError (and, per slice, RootFindingError) is
+    # contained; any other exception is a bug and must not turn into a
+    # degraded row or a failed slice, including the ValueError and
+    # ArithmeticError families that a broad handler would catch
     grid = coeff_grid(Model2D.canonical(5), 9, 3, ctx40)
 
     def broken(*args, **kwargs):
@@ -312,8 +312,7 @@ def test_row_values_match_the_jump_known_1d_pipeline(seam_heavy_grid):
               mp.mpf("0.7"), mp.mpf("2.9")]
     for grid, wy in cases:
         psi = reconstruct_psi_set(grid, 9, ctx)
-        rec = reconstruct1d(grid.row(wy), 9, ctx, known_jump=seam,
-                            assume_real=False)
+        rec = reconstruct1d(grid.row(wy), 9, ctx, known_jump=seam)
         mags = psi.rows[wy].magnitudes_tilde
         assert [a._mpc_ for a in mags] == [a._mpc_ for a in rec.magnitudes_tilde]
         with ctx.workprec():
@@ -322,7 +321,7 @@ def test_row_values_match_the_jump_known_1d_pipeline(seam_heavy_grid):
                 got = psi.row_value(wy, x, ctx)
                 assert abs(got - evaluate_complex(rec, x, ctx)) <= tol, (wy, x)
     # read at another precision, both rebuild their forms at that one (a
-    # 60-digit row form would meet 40-digit tails at the wrong scale)
+    # 60-digit row form would meet 40-digit partial sums at the wrong scale)
     low = ArithmeticContext(40)
     got = psi.row_value(wy, xs[3], low)
     with low.workprec():
@@ -332,8 +331,9 @@ def test_row_values_match_the_jump_known_1d_pipeline(seam_heavy_grid):
 
 def test_field_computes_one_residual_per_slice(canonical_grid, ctx40,
                                                monkeypatch):
-    # the row stage adds shared kernel tails to the raw rows: residual
-    # vectors are built by the slice stage only, once per x
+    # the row stage evaluates the raw rows with their seam stacks and the
+    # shared partial sums: residual vectors are built by the slice stage
+    # only, once per x
     calls = []
     original = recon1d.residual_coeffs
 
