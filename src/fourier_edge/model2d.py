@@ -426,11 +426,11 @@ def load_grid(path) -> CoeffGrid2D:
     """Read a grid file written by :func:`save_grid`, bit for bit.
 
     Raises ValueError naming the file unless line 1 is a JSON object with
-    integer "M", "N" and "precision", when the header is not format 2 (a
-    decimal format-1 file must be written again by ``generate``), when the
-    sha256 trailer is missing or does not match the lines before it, and,
-    with counts, unless every (omega_x, omega_y) of the header's ranges
-    appears exactly once.
+    integer "M", "N" and "precision" and M, N >= 0, when the header is not
+    format 2 (a decimal format-1 file must be written again by
+    ``generate``), when the sha256 trailer is missing or does not match the
+    lines before it, and, with counts, unless every (omega_x, omega_y) of
+    the header's ranges appears exactly once.
     """
     digest = hashlib.sha256()
     trailer = None
@@ -445,6 +445,8 @@ def load_grid(path) -> CoeffGrid2D:
         if not all(type(v) is int for v in (M, N, prec)):
             raise ValueError(f"{path}: line 1 is not a JSON header with "
                              "integer M, N and precision")
+        if M < 0 or N < 0:
+            raise ValueError(f"{path}: header M={M}, N={N} must be >= 0")
         fmt = header.get("format", 1)
         if fmt != _GRID_FORMAT:
             raise ValueError(

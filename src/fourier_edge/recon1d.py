@@ -15,8 +15,10 @@ c_k, |k| <= M:
    and solved by an exact integer inverse, one rounding per magnitude;
 5. a residual coefficient vector representing the smooth remainder.
 
-The jump-known variant (anchor fixed, e.g. at -pi for slice rows of a 2D
-problem) skips localization and uses d+1 decimated nodes jM_1.
+The rows of a 2D grid have their only jump at the known period seam -pi:
+:func:`solve_magnitudes_known_jump` solves their magnitudes without
+localization, on d+1 decimated nodes jM_1, and the 2D row stage
+(:mod:`fourier_edge.recon2d`) evaluates them.
 """
 
 from __future__ import annotations
@@ -319,27 +321,26 @@ def solve_magnitudes(
 def solve_magnitudes_known_jump(
     c: CoeffVector1D,
     d: int,
-    known_xi,
     ctx: ArithmeticContext,
 ):
-    """Magnitudes when the jump location is known a priori.
+    """Magnitudes of a jump at the period seam x = -pi.
 
-    Decimates at M_1 = floor(M / (d+1)) (indices jM_1, j = 1..d+1) and
-    solves with the known kappa = exp(-i xi), as :func:`solve_magnitudes`
-    does with a localized one.  A jump at xi = +-pi (pi at working
-    precision) is the period seam, where kappa = -1 exactly; exp(-i xi) of
-    the rounded pi would be off by about k 2^-prec in the k-th phase.
-    Returns (magnitudes, M_1).
+    :func:`solve_magnitudes` at kappa = -1 exactly, decimated at
+    M_1 = floor(M / (d+1)) (indices jM_1, j = 1..d+1): the phases are the
+    exact signs (-1)^k, where exp(i pi) of the rounded pi would be off by
+    about k 2^-prec in the k-th phase.  Returns the d+1 magnitudes.
+
+    Raises
+    ------
+    LocalizationError
+        If M_1 < 1 (band too short for the order).
     """
     M1 = c.M // (d + 1)
     if M1 < 1:
         raise LocalizationError(
             f"known-jump decimation infeasible: M={c.M}, d={d}, M1={M1}"
         )
-    with ctx.workprec():
-        xi = mp.mpf(known_xi)
-        kappa = -1 if abs(xi) == mp.pi else mp.expj(-xi)
-    return solve_magnitudes(c, d, kappa, ctx, M1), M1
+    return solve_magnitudes(c, d, -1, ctx, M1)
 
 
 def residual_coeffs(
@@ -563,7 +564,6 @@ class Reconstruction1D:
     magnitudes_tilde: tuple
     residual: CoeffVector1D
     d: int
-    known_jump: bool
     diagnostics: dict = field(compare=False, default_factory=dict)
     _form: _FixedForm = field(default=None, repr=False, compare=False)
 
@@ -597,9 +597,8 @@ def reconstruct1d(
     c: CoeffVector1D,
     d: int,
     ctx: ArithmeticContext,
-    known_jump=None,
 ) -> Reconstruction1D:
-    """One-call pipeline: localize (unless known), solve magnitudes, residual.
+    """One-call pipeline: localize the jump, solve magnitudes, residual.
 
     ``diagnostics["imag_residue"]`` records an imaginary-residue probe: the
     largest |Im| of the reconstruction at eight points of the period.
@@ -609,10 +608,6 @@ def reconstruct1d(
     c : CoeffVector1D
     d : int
         Reconstruction order (kernel stack height - 1).
-    known_jump : optional
-        If given, the jump location is taken as known (no localization);
-        pass a value constructed at working precision when exactness at the
-        anchor matters.
 
     Raises
     ------
@@ -623,27 +618,21 @@ def reconstruct1d(
     """
     _check_order(d)
     with ctx.workprec():
-        if known_jump is not None:
-            mags, M1 = solve_magnitudes_known_jump(c, d, known_jump, ctx)
-            xi = mp.mpf(known_jump)
-            diagnostics = {"stage": "known-jump", "M1": M1, "d": d}
-        else:
-            diagnostics = {"stage": "full", "d": d}
-            hint = None
-            if c.M // (d + 2) > 1:  # N1 = 1 has one branch: no hint needed
-                hint = half_order_localize(c, d // 2, ctx)
-                diagnostics["d1"] = hint.d1
-                diagnostics["half_root_sweeps"] = hint.root_sweeps
-            kappa, xi, loc_diag = full_order_localize(c, d, hint, ctx)
-            mags = solve_magnitudes(c, d, kappa, ctx, loc_diag["N1"])
-            diagnostics.update(loc_diag)
+        diagnostics = {"d": d}
+        hint = None
+        if c.M // (d + 2) > 1:  # N1 = 1 has one branch: no hint needed
+            hint = half_order_localize(c, d // 2, ctx)
+            diagnostics["d1"] = hint.d1
+            diagnostics["half_root_sweeps"] = hint.root_sweeps
+        kappa, xi, loc_diag = full_order_localize(c, d, hint, ctx)
+        mags = solve_magnitudes(c, d, kappa, ctx, loc_diag["N1"])
+        diagnostics.update(loc_diag)
         residual, form = residual_coeffs(c, xi, mags, ctx)
         rec = Reconstruction1D(
             xi_tilde=xi,
             magnitudes_tilde=mags,
             residual=residual,
             d=d,
-            known_jump=known_jump is not None,
             diagnostics=diagnostics,
             _form=form,
         )

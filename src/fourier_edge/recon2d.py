@@ -33,7 +33,7 @@ from .recon1d import (
     _check_order,
     _partial_sums,
     _series_phases,
-    evaluate_complex,
+    evaluate,
     reconstruct1d,
     solve_magnitudes_known_jump,
 )
@@ -107,9 +107,9 @@ def reconstruct_psi_set(
 ) -> PsiReconstructionSet:
     """Solve the seam magnitudes of every grid row wy = -N..N.
 
-    Each row's magnitudes come from :func:`solve_magnitudes_known_jump` at
-    the seam -pi, and its form, the raw series with the seam stack, is
-    built once for evaluation.  A ``ReconstructionError`` (an order beyond
+    Each row's magnitudes come from :func:`solve_magnitudes_known_jump`,
+    which solves at the seam -pi, and its form, the raw series with the seam
+    stack, is built once for evaluation.  A ``ReconstructionError`` (an order beyond
     the kernel table, or a band too short for the decimation) is recorded as
     a degraded row, not raised; any other exception, including the
     ``ValueError`` of a negative order or a non-finite entry, is a
@@ -123,7 +123,7 @@ def reconstruct_psi_set(
             row = grid.row(wy)
             try:
                 _check_order(d_psi)
-                mags, _ = solve_magnitudes_known_jump(row, d_psi, seam, ctx)
+                mags = solve_magnitudes_known_jump(row, d_psi, ctx)
             except ReconstructionError as exc:
                 degraded[wy] = f"{type(exc).__name__}: {exc}"
                 continue
@@ -156,7 +156,7 @@ class SliceReconstruction:
         return self.recon.magnitudes_tilde
 
     def value(self, y, ctx: ArithmeticContext):
-        return evaluate_complex(self.recon, y, ctx).real
+        return evaluate(self.recon, y, ctx)
 
 
 def reconstruct_slice(

@@ -19,6 +19,7 @@ from mpmath import mp
 from fourier_edge import (
     ArithmeticContext,
     Background2D,
+    CoeffGrid2D,
     CoeffVector1D,
     Curve,
     JumpModel1D,
@@ -39,7 +40,7 @@ from fourier_edge.kernels import bernoulli_poly, v_fourier_coeff, v_kernel
 from fourier_edge.model2d import slice_coeff_exact
 from fourier_edge.numerics import annihilation_sum
 from fourier_edge.oracle import _GL32, _composite_gl
-from fourier_edge.recon1d import evaluate_complex
+from fourier_edge.recon2d import reconstruct_psi_set
 
 RESULTS = []
 
@@ -146,13 +147,12 @@ def test_c3_row_stage_rate(ctx60):
         # the canonical model's rows carry no seam jump, so the stage's
         # error bound collapses and recovery is exact to roundoff
         m = Model2D.canonical(11)
-        row = coeff_grid(m, 256, 4, ctx60).row(4)
-        rec = reconstruct1d(row, 9, ctx60, known_jump=seam)
+        psi = reconstruct_psi_set(coeff_grid(m, 256, 4, ctx60), 9, ctx60)
         exact_err = 0.0
         for x in xs[::2]:
             want = slice_coeff_exact(m, x, 4, ctx60)
             exact_err = max(
-                exact_err, float(abs(evaluate_complex(rec, x, ctx60) - want))
+                exact_err, float(abs(psi.row_value(4, x, ctx60) - want))
             )
 
         # rate check needs a row with genuine seam content: an order-11
@@ -187,8 +187,9 @@ def test_c3_row_stage_rate(ctx60):
 
         pts = []
         for M in (256, 512, 1024, 2048):
-            rec = reconstruct1d(
-                surrogate(M), 9, ctx60, known_jump=seam
+            row = surrogate(M)
+            psi = reconstruct_psi_set(
+                CoeffGrid2D(M, 0, tuple((v,) for v in row.values)), 9, ctx60
             )
             # the sup lives within O(1/M) of the seam; at fixed distance the
             # oscillatory tail cancels one extra order, so the max must be
@@ -197,7 +198,7 @@ def test_c3_row_stage_rate(ctx60):
             sample = xs + [seam + o for o in offs]
             sample += [seam + 2 * mp.pi - o for o in offs]
             err = max(
-                abs(evaluate_complex(rec, x, ctx60) - truth(x))
+                abs(psi.row_value(0, x, ctx60) - truth(x))
                 for x in sample
             )
             pts.append((M, float(err)))

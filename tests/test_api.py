@@ -97,3 +97,38 @@ def test_traced_functions_resolve():
     for module, function in traced:
         home = importlib.import_module(f"fourier_edge.{module}")
         assert callable(getattr(home, function)), (module, function)
+
+
+def _imports(module):
+    """(module, name) pairs that ``fourier_edge.<module>`` imports, with the
+    package prefix dropped: ``from .recon1d import f`` gives ("recon1d",
+    "f"), and ``from . import recon1d`` and ``import fourier_edge.recon1d``
+    give ("recon1d", None)."""
+    pairs = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.name.removeprefix("fourier_edge")
+                pairs.add((name.lstrip("."), None))
+        elif isinstance(node, ast.ImportFrom):
+            home = node.module or ""
+            if not node.level:
+                home = home.removeprefix("fourier_edge").lstrip(".")
+            for alias in node.names:
+                pairs.add((home, alias.name))
+                if not home:  # a module of the package, or a re-export
+                    pairs.add((alias.name, None))
+    return pairs
+
+
+def test_ground_truth_and_pipeline_stay_independent():
+    # the truth cannot lean on what it checks, and the pipeline cannot
+    # reach for the truth's closed forms
+    for truth in ("kernels", "model1d", "model2d", "oracle"):
+        homes = {home for home, _ in _imports(truth)}
+        assert not homes & {"recon1d", "recon2d"}, truth
+    closed_forms = {"v_kernel", "v_fourier_coeff", "bernoulli_poly",
+                    "eval_model", "eval2d", "slice_coeff_exact"}
+    for stage in ("recon1d", "recon2d"):
+        names = {name for _, name in _imports(stage)}
+        assert not names & closed_forms, stage

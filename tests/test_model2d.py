@@ -436,6 +436,8 @@ def test_load_grid_refuses_decimal_files(tmp_path):
         '{"format": 2, "M": 0, "N": 0, "precision": 1.5}': no_header,
         "format 2, M 0, N 0": no_header,
         "[2, 0, 0, 15]": no_header,
+        '{"format": 2, "M": -1, "N": 0, "precision": 15}':
+            "header M=-1, N=0 must be >= 0",
     }
     for header, message in headers.items():
         path.write_text(f"{header}\n{body}")

@@ -258,33 +258,42 @@ def test_magnitudes_invalid_step(ctx15):
         solve_magnitudes(c, 2, 1, ctx15, n1=4)  # 3*4 > 10
 
 
+def _seam_stack(mags, M, ctx):
+    """Coefficients of a pure kernel stack at the period seam -pi, built at
+    working precision (the float64 pi would shift every phase by k 1.2e-16)."""
+    with ctx.workprec():
+        seam = -mp.pi
+        return CoeffVector1D(M, tuple(
+            sum((mp.mpf(a) * v_fourier_coeff(l, seam, k, ctx)
+                 for l, a in enumerate(mags)), mp.mpc(0))
+            for k in range(-M, M + 1)
+        ))
+
+
 def test_known_jump_magnitudes(ctx30):
     truth = (0.9, 0.0, -1.1, 0.33)
+    c = _seam_stack(truth, 39, ctx30)
+    mags = solve_magnitudes_known_jump(c, 3, ctx30)
+    assert len(mags) == 4
     with ctx30.workprec():
-        c = _pure(-math.pi, truth, 39, ctx30)
-        # the model anchor is the float64 pi, so pass exactly that value;
-        # passing the 30-digit pi would shift every phase by k * 1.2e-16
-        mags, M1 = solve_magnitudes_known_jump(c, 3, mp.mpf(-math.pi), ctx30)
-        assert M1 == 9  # floor(39 / 4)
         for got, want in zip(mags, truth):
             assert abs(got - mp.mpf(want)) < mp.mpf(10) ** -22
 
 
 def test_known_jump_solve_is_the_localized_solve(ctx30):
-    # the known-jump path is solve_magnitudes at kappa = exp(-i xi) and
-    # step M1; both must give the same digits
-    with ctx30.workprec():
-        c = _pure(0.7, (0.4, -1.2, 0.05), 37, ctx30)
-        mags, M1 = solve_magnitudes_known_jump(c, 2, mp.mpf(0.7), ctx30)
-        assert M1 == 12  # floor(37 / 3)
-        kappa = mp.expj(-mp.mpf(0.7))
-        assert mags == solve_magnitudes(c, 2, kappa, ctx30, M1)
+    # the seam solve is solve_magnitudes at kappa = -1 exactly and step
+    # M1 = floor(M / (d+1)); both must give the same bits
+    c = _seam_stack((0.4, -1.2, 0.05), 37, ctx30)
+    mags = solve_magnitudes_known_jump(c, 2, ctx30)
+    want = solve_magnitudes(c, 2, -1, ctx30, 12)  # floor(37 / 3)
+    assert [a._mpc_ for a in mags] == [a._mpc_ for a in want]
 
 
 def test_known_jump_infeasible(ctx15):
-    c = CoeffVector1D(3, (0,) * 7)
-    with pytest.raises(LocalizationError):
-        solve_magnitudes_known_jump(c, 3, 0.0, ctx15)
+    # M1 = floor(3 / 4) = 0: no node fits the band
+    c = _seam_stack((1.0, 0.5, 0.25, 0.125), 3, ctx15)
+    with pytest.raises(LocalizationError, match="decimation infeasible"):
+        solve_magnitudes_known_jump(c, 3, ctx15)
 
 
 def _reference_magnitudes(c, d, kappa, n1, ref):
@@ -515,7 +524,7 @@ def test_evaluator_matches_kernel_and_series_reference(d, M, dps):
             mp.mpc(rng.uniform(-3, 3), rng.uniform(-0.1, 0.1)) for _ in range(d + 1)
         )
         for anchor in (xi, -mp.pi):
-            rec = Reconstruction1D(anchor, mags, c, d, False)
+            rec = Reconstruction1D(anchor, mags, c, d)
             points = [anchor, anchor - mp.mpf(10) ** -(dps - 5), mp.mpf("1.9")]
             points += [x + 2 * mp.pi for x in points]
             tol = mp.mpf(10) ** -dps * _value_scale(rec)
@@ -601,24 +610,12 @@ def test_reconstruct_pure_model(ctx30):
         assert abs(rec.xi_tilde - mp.mpf(-0.55)) < mp.mpf(10) ** -20
         for got, want in zip(rec.magnitudes_tilde, truth):
             assert abs(got - mp.mpf(want)) < mp.mpf(10) ** -17
-        assert rec.d == 3 and not rec.known_jump
-        assert rec.diagnostics["stage"] == "full"
+        assert rec.d == 3
         assert rec.diagnostics["N1"] == 12
         assert rec.diagnostics["imag_residue"] < 1e-17
         # residual of a pure model is numerically zero
         worst = max(abs(rec.residual.c(k)) for k in range(-64, 65))
         assert worst < mp.mpf(10) ** -16
-
-
-def test_reconstruct_known_jump_path(ctx30):
-    with ctx30.workprec():
-        anchor = mp.mpf(-math.pi)  # float64 value, matching the model
-        c = _pure(-math.pi, (0.8, 0.3), 20, ctx30)
-        rec = reconstruct1d(c, 1, ctx30, known_jump=anchor)
-        assert rec.known_jump
-        assert rec.diagnostics["stage"] == "known-jump"
-        assert rec.xi_tilde == anchor
-        assert abs(rec.magnitudes_tilde[0] - mp.mpf(0.8)) < mp.mpf(10) ** -24
 
 
 def test_reconstruct_with_bandlimited_smooth_part(ctx30):
@@ -649,7 +646,7 @@ def test_reconstruct_validates_order(ctx15):
     assert type(err.value) is ReconstructionError
     # a record built by hand with 17 magnitudes is refused by its form
     with pytest.raises(ValueError, match="Bernoulli table ends at order 16"):
-        Reconstruction1D(0.5, (1,) * 17, c, 16, False)
+        Reconstruction1D(0.5, (1,) * 17, c, 16)
 
 
 def test_shift_equivariance_single_case(ctx30):
@@ -672,7 +669,7 @@ def test_shift_equivariance_single_case(ctx30):
 
 
 def test_reconstruction_pickles(ctx15):
-    # process-pool workers ship these across pickling
+    # a record is plain data: a caller may store it or send it elsewhere
     with ctx15.workprec():
         c = _pure(0.1, (1.0,), 12, ctx15)
         rec = reconstruct1d(c, 0, ctx15)

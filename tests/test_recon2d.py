@@ -5,6 +5,8 @@ makes the row stage exact to working precision; slice-stage tolerances
 below come from measured behavior with a wide margin.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from mpmath import mp
 
@@ -20,7 +22,7 @@ from fourier_edge import recon1d, recon2d
 from fourier_edge.kernels import v_fourier_coeff
 from fourier_edge.model1d import CoeffVector1D
 from fourier_edge.model2d import slice_coeff_exact
-from fourier_edge.recon1d import evaluate_complex, reconstruct1d
+from fourier_edge.recon1d import reconstruct1d
 from fourier_edge.recon2d import (
     reconstruct_psi_set,
     reconstruct_slice,
@@ -29,7 +31,7 @@ from fourier_edge.recon2d import (
     truncated_slice,
 )
 from test_model2d import _dense_model
-from test_recon1d import _reference_magnitudes
+from test_recon1d import _reference_magnitudes, _reference_value
 
 
 @pytest.fixture(scope="module")
@@ -271,21 +273,6 @@ def test_localized_slice_solve_matches_a_higher_precision_solve(
             assert err / top < 2e-61, x
 
 
-def test_jump_known_record_holds_working_precision_at_large_seam_magnitudes(
-        seam_heavy_grid, seam_heavy_reference):
-    # the record's form is built from the unrounded residual: rounding the
-    # residual of the row with max|A_l| 6.8e10 to 60 digits read 7.7e-52
-    ctx, ref = ArithmeticContext(60), ArithmeticContext(100)
-    with ctx.workprec():
-        seam = -mp.pi
-    rec = reconstruct1d(seam_heavy_grid.row(-12), 9, ctx, known_jump=seam)
-    for x in (-3.0, 0.7, 2.5):
-        got = evaluate_complex(rec, x, ctx)
-        want = seam_heavy_reference.row_value(-12, x, ref)
-        with ref.workprec():
-            assert abs(mp.mpc(got) - want) < mp.mpf(10) ** -57, x
-
-
 def _seam_surrogate(M, ctx):
     """C3's seam row: an order-11 stack at -pi plus a spike at k = 4."""
     with ctx.workprec():
@@ -298,10 +285,26 @@ def _seam_surrogate(M, ctx):
         return CoeffVector1D(M, tuple(vals))
 
 
+def _jump_known_reference(row, seam, mags, ref):
+    """x -> the jump-known 1D reconstruction of ``row`` at ref's precision:
+    the residual c_k minus the v_fourier_coeff closed forms of ``mags`` at
+    ``seam``, summed as an mpmath series, plus the v_kernel stack."""
+    with ref.workprec():
+        residual = CoeffVector1D(row.M, tuple(
+            mp.mpc(row.c(k)) - sum((mp.mpc(a) * v_fourier_coeff(l, seam, k, ref)
+                                    for l, a in enumerate(mags)), mp.mpc(0))
+            for k in range(-row.M, row.M + 1)
+        ))
+    rec = SimpleNamespace(xi_tilde=seam, magnitudes_tilde=mags,
+                          residual=residual)
+    return lambda x: _reference_value(rec, x, ref)
+
+
 def test_row_values_match_the_jump_known_1d_pipeline(seam_heavy_grid):
-    # psi.row_value against evaluate_complex of reconstruct1d at the seam,
-    # the path C3 certifies, within one rounding of the largest stack term
-    ctx = ArithmeticContext(60)
+    # psi.row_value against the jump-known 1D reconstruction of the row with
+    # the row's own magnitudes, written out in mpmath at 40 more digits,
+    # within one rounding of the largest stack term
+    ctx, ref = ArithmeticContext(60), ArithmeticContext(100)
     row = _seam_surrogate(256, ctx)
     surrogate = CoeffGrid2D(256, 0, tuple((v,) for v in row.values))
     cases = [(surrogate, 0), (seam_heavy_grid, -12), (seam_heavy_grid, 0),
@@ -312,21 +315,22 @@ def test_row_values_match_the_jump_known_1d_pipeline(seam_heavy_grid):
               mp.mpf("0.7"), mp.mpf("2.9")]
     for grid, wy in cases:
         psi = reconstruct_psi_set(grid, 9, ctx)
-        rec = reconstruct1d(grid.row(wy), 9, ctx, known_jump=seam)
         mags = psi.rows[wy].magnitudes_tilde
-        assert [a._mpc_ for a in mags] == [a._mpc_ for a in rec.magnitudes_tilde]
+        want = _jump_known_reference(grid.row(wy), seam, mags, ref)
         with ctx.workprec():
             tol = mp.mpf(10) ** -60 * max(1, sum(abs(a) for a in mags))
-            for x in xs:
-                got = psi.row_value(wy, x, ctx)
-                assert abs(got - evaluate_complex(rec, x, ctx)) <= tol, (wy, x)
-    # read at another precision, both rebuild their forms at that one (a
+        for x in xs:
+            got = psi.row_value(wy, x, ctx)
+            with ref.workprec():
+                assert abs(mp.mpc(got) - want(x)) <= tol, (wy, x)
+    # read at another precision, the row rebuilds its form at that one (a
     # 60-digit row form would meet 40-digit partial sums at the wrong scale)
     low = ArithmeticContext(40)
     got = psi.row_value(wy, xs[3], low)
     with low.workprec():
         tol = mp.mpf(10) ** -40 * max(1, sum(abs(a) for a in mags))
-        assert abs(got - evaluate_complex(rec, xs[3], low)) <= tol
+    with ref.workprec():
+        assert abs(mp.mpc(got) - want(xs[3])) <= tol
 
 
 def test_field_computes_one_residual_per_slice(canonical_grid, ctx40,
