@@ -4,7 +4,8 @@ This module is the arithmetic substrate for the reconstruction pipeline:
 a precision context wrapping mpmath, exact combinatorial sums, a
 simultaneous-iteration root finder with a full-precision Newton polish for
 the one root a caller keeps, an exact integer solver for the scaled
-Vandermonde systems produced by moment decimation, and the Python-int
+Vandermonde systems produced by moment decimation, whose inverse comes in
+closed form from the Lagrange basis on the nodes 1..d+1, and the Python-int
 fixed-point primitives that the O(M) series loops of synthesis and
 reconstruction share.
 
@@ -19,7 +20,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -318,29 +318,23 @@ def _unit_vandermonde_inverse(d: int) -> tuple:
     Returned as (numerators, denominators): integer matrix plus one positive
     integer denominator per row, so applying the inverse costs a single
     exact integer division per unknown.
+
+    Column j holds the coefficients of the Lagrange basis polynomial
+    prod_{m != j} (t - m - 1) / (j - m), which is 1 at the node j+1 and 0
+    at the others; row l shares the least common denominator of its entries.
     """
-    size = d + 1
-    # Gauss-Jordan over Fraction; the matrix is tiny (d <= ~13 in practice).
-    a = [
-        [Fraction((j + 1) ** l) for l in range(size)] +
-        [Fraction(int(i == j)) for i in range(size)]
-        for j in range(size)
-    ]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    cols = []  # column j: prod_{m != j} (t - m - 1), over prod_{m != j} (j - m)
+    for j in range(d + 1):
+        poly = [1]
+        for m in range(d + 1):
+            if m != j:
+                poly = [a - (m + 1) * b for a, b in zip([0] + poly, poly + [0])]
+        cols.append((poly, math.prod(j - m for m in range(d + 1) if m != j)))
     nums = []
     dens = []
-    for r in range(size):
-        row = a[r][size:]
-        den = math.lcm(*(f.denominator for f in row))
-        nums.append(tuple(f.numerator * (den // f.denominator) for f in row))
+    for l in range(d + 1):
+        den = math.lcm(*(q // math.gcd(p[l], q) for p, q in cols))
+        nums.append(tuple(p[l] * den // q for p, q in cols))
         dens.append(den)
     return tuple(nums), tuple(dens)
 

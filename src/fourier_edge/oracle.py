@@ -18,20 +18,20 @@ from .numerics import ArithmeticContext
 _GL32 = np.polynomial.legendre.leggauss(32)
 
 
+def _gl_nodes(lo, hi, panels: int):
+    """(node, weight) pairs of composite 32-point Gauss-Legendre on [lo, hi],
+    under caller precision."""
+    h = (hi - lo) / panels
+    for p in range(panels):
+        for t, w in zip(*_GL32):
+            yield lo + p * h + h / 2 * (1 + mp.mpf(t)), mp.mpf(w) * h / 2
+
+
 def _composite_gl(f, a, b, nodes: int):
     """Composite 32-point Gauss-Legendre of f over [a, b] under caller prec."""
     panels = max(1, math.ceil(nodes / 32))
-    t, w = _GL32
-    a = mp.mpf(a)
-    b = mp.mpf(b)
-    h = (b - a) / panels
-    half = h / 2
-    acc = mp.mpc(0)
-    for p in range(panels):
-        mid = a + p * h + half
-        for ti, wi in zip(t, w):
-            acc += mp.mpf(wi) * f(mid + half * mp.mpf(ti))
-    return acc * half
+    return sum((w * f(x) for x, w in _gl_nodes(mp.mpf(a), mp.mpf(b), panels)),
+               mp.mpc(0))
 
 
 def quadrature_oracle(
@@ -60,15 +60,6 @@ def quadrature_oracle(
                 frac = float((hi - lo) / (2 * pi))
                 total += _composite_gl(g, lo, hi, max(32, round(nodes * frac)))
         return total / (2 * pi)
-
-
-def _gl_nodes(lo, hi, panels: int):
-    """(node, weight) pairs of composite 32-point Gauss-Legendre on [lo, hi],
-    under caller precision."""
-    h = (hi - lo) / panels
-    for p in range(panels):
-        for t, w in zip(*_GL32):
-            yield lo + p * h + h / 2 * (1 + mp.mpf(t)), mp.mpf(w) * h / 2
 
 
 def quadrature2d_oracle(

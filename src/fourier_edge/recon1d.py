@@ -4,15 +4,17 @@ The pipeline separates a single interior jump (location + kernel magnitudes
 up to order d) from a smooth remainder using only the coefficients
 c_k, |k| <= M:
 
-1. scaled moments  mtilde_k = 2pi (ik)^(d+1) c_k;
+1. scaled moments k^(d+1) c_k, formed exactly (:func:`moments`); the
+   paper's mtilde_k = 2pi (ik)^(d+1) c_k differs by a factor common to all k;
 2. a coarse jump estimate from consecutive top indices at half order
    (conditioning-friendly, accuracy only O(M^-2)-ish, used as a branch hint);
 3. full-order localization from decimated indices (j+1)N_1 via the root of
-   an annihilation polynomial, with the hint selecting among the N_1
-   possible arguments;
+   an annihilation polynomial, exact in the moments until the root finder
+   rounds it, with the hint selecting among the N_1 possible arguments;
 4. kernel magnitudes from a scaled Vandermonde system at the same nodes,
-   whose right-hand side mtilde_k kappa^-k is built on fixed-point ints
-   and solved by an exact integer inverse, one rounding per magnitude;
+   whose right-hand side mtilde_k kappa^-k is built on fixed-point ints from
+   the same moments and solved by the exact integer inverse of the Lagrange
+   basis, one rounding per magnitude;
 5. a residual coefficient vector representing the smooth remainder.
 
 The rows of a 2D grid have their only jump at the known period seam -pi:
@@ -30,7 +32,7 @@ from functools import lru_cache
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_mul, mpf_neg, mpf_pi, mpf_sub, to_fixed
 
-from .kernels import _I_POW, bernoulli_coeffs
+from .kernels import bernoulli_coeffs
 from .model1d import CoeffVector1D
 from .numerics import (
     ArithmeticContext,
@@ -80,8 +82,13 @@ def _check_order(d: int) -> None:
 def moments(
     c: CoeffVector1D, indices, order: int, ctx: ArithmeticContext
 ) -> tuple:
-    """Scaled moments mtilde_k = 2pi (ik)^(order+1) c_k at the given indices,
-    as a tuple of mpc values in the order of ``indices``.
+    """Scaled moments k^(order+1) c_k at the given indices, as raw (re, im)
+    mpf pairs in the order of ``indices``, formed exactly from the mantissa
+    of c_k (rounded to working precision only if it is wider).
+
+    The paper's moment 2pi (ik)^(order+1) c_k differs by a factor common to
+    every index: it moves no root of an annihilation polynomial, and
+    :func:`solve_magnitudes` applies it in its phases.
 
     Parameters
     ----------
@@ -89,24 +96,25 @@ def moments(
     indices : iterable of int
         Nonzero frequencies with |k| <= c.M.
     order : int
-        Scaling order; the factor is 2pi (ik)^(order+1).
+        Scaling order; the factor is k^(order+1).
 
     Raises
     ------
     ValueError
         If any index is 0 (the zero mode carries no jump information and the
-        scaling is singular there) or outside the stored band.
+        scaling is singular there) or outside the stored band, or if a
+        coefficient is NaN or infinite, naming it.
     """
     idx = tuple(int(k) for k in indices)
     if any(k == 0 for k in idx):
         raise ValueError("moment index 0 is outside the scaling domain")
     with ctx.workprec():
-        two_pi = 2 * mp.pi
-        vals = []
+        pairs = []
         for k in idx:
-            ik_pow = mp.mpc(_I_POW[(order + 1) % 4]) * mp.mpf(k) ** (order + 1)
-            vals.append(two_pi * ik_pow * mp.mpc(c.c(k)))
-        return tuple(vals)
+            (re, im), = _mpc_parts((c.c(k),), "coefficient c_", k)
+            w = from_int(k ** (order + 1))
+            pairs.append((mpf_mul(re, w), mpf_mul(im, w)))  # exact
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,8 @@ def _circle_root(mom: tuple, ctx: ArithmeticContext, polish: bool):
     """Root of the annihilation polynomial of ``mom`` closest to the unit circle.
 
     The polynomial is sum_j (-1)^j C(deg, j) mom[j] u^(deg-j) with
-    deg = len(mom) - 1.  The root is picked among the float64-level
+    deg = len(mom) - 1, its coefficients exact products of the raw pairs
+    of :func:`moments`.  The root is picked among the float64-level
     roots of :func:`poly_roots`.  With ``polish`` it is then refined by
     :func:`polish_root` at full precision under ``ctx.root_tol()``;
     without, it must pass a residual bound sized for float64.  Returns
@@ -141,10 +150,10 @@ def _circle_root(mom: tuple, ctx: ArithmeticContext, polish: bool):
         If the root fails its residual bound.
     """
     deg = len(mom) - 1
-    coeffs = [mp.mpc(0)] * (deg + 1)
-    for j in range(deg + 1):
-        sign = -1 if j % 2 else 1
-        coeffs[deg - j] = sign * math.comb(deg, j) * mom[j]
+    coeffs = []
+    for j, (re, im) in enumerate(reversed(mom)):  # u^j takes mom[deg - j]
+        w = from_int((-1) ** (deg - j) * math.comb(deg, j))
+        coeffs.append(mp.make_mpc((mpf_mul(re, w), mpf_mul(im, w))))
     roots, sweeps = poly_roots(coeffs, ctx)
     if not roots:
         raise LocalizationError("degenerate annihilation polynomial")
@@ -279,9 +288,9 @@ def solve_magnitudes(
     Solves the scaled Vandermonde system on nodes k = (j+1)N_1, j = 0..d,
     with right-hand side mtilde_k kappa_tilde^-k; unknowns alpha_l map back
     to magnitudes via A_l = (-i)^(d-l) alpha_{d-l}.  The right-hand side is
-    fixed point: k^(d+1) c_k formed exactly from the mantissa and truncated
-    once, times 2pi i^(d+1) kappa_tilde^-k from one step kappa_tilde^-N_1
-    and a recurrence (exact signs at kappa_tilde = -1).
+    fixed point: the exact :func:`moments` k^(d+1) c_k, truncated once,
+    times 2pi i^(d+1) kappa_tilde^-k from one step kappa_tilde^-N_1 and a
+    recurrence (exact signs at kappa_tilde = -1).
     :func:`vandermonde_solve` rounds each unknown once.  Returns a tuple of
     d+1 mpc values; raises ValueError for a step that does not fit the band
     or a non-finite coefficient at a node.
@@ -293,11 +302,7 @@ def solve_magnitudes(
         # truncation below working precision in every unknown, and the guard
         # bits cover the growth of the inverse
         wp = mp.prec + _guard_bits(c.M) + (d + 1) * ((d + 1) * n1).bit_length()
-        scaled = []
-        for k in range(n1, (d + 1) * n1 + 1, n1):
-            (re, im), = _mpc_parts((c.c(k),), "coefficient c_", k)
-            w = from_int(k ** (d + 1))
-            scaled.append((mpf_mul(re, w), mpf_mul(im, w)))  # exact
+        scaled = moments(c, range(n1, (d + 1) * n1 + 1, n1), d, ctx)
         shift = _fixed_shift(scaled, wp)
         with mp.workprec(wp):
             step = mp.mpc(kappa_tilde) ** -n1

@@ -132,3 +132,6 @@ def test_ground_truth_and_pipeline_stay_independent():
     for stage in ("recon1d", "recon2d"):
         names = {name for _, name in _imports(stage)}
         assert not names & closed_forms, stage
+        # of the kernels, only the exact Bernoulli tables
+        kernels = {name for home, name in _imports(stage) if home == "kernels"}
+        assert kernels <= {"bernoulli_coeffs"}, (stage, kernels)

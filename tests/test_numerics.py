@@ -360,6 +360,18 @@ def test_vandermonde_inverse_is_exact():
             assert abs(got - mp.mpf(want.numerator) / want.denominator) < 2e-11
 
 
+def test_unit_vandermonde_inverse_times_powers_is_diagonal():
+    # over the kernel table's orders, in integers: numerators times
+    # [(j+1)^m] give diag(den_l), and each row's denominator is the least
+    for d in range(16):
+        nums, dens = numerics._unit_vandermonde_inverse(d)
+        for l, (row, den) in enumerate(zip(nums, dens)):
+            assert den > 0 and math.gcd(den, *row) == 1
+            for m in range(d + 1):
+                got = sum(n * (j + 1) ** m for j, n in enumerate(row))
+                assert got == (den if m == l else 0), (d, l, m)
+
+
 def test_vandermonde_validation():
     ctx = ArithmeticContext()
     with pytest.raises(ValueError):

@@ -51,11 +51,16 @@ def _pure(xi, mags, M, ctx):
 # -- moments -----------------------------------------------------------------
 
 def test_moment_scaling_hand_value(ctx15):
-    c = CoeffVector1D(2, (1, 1, 1, 1, 1))
+    # k^(order+1) c_k as raw pairs: c_2 = 1 + 0.5i at order 1 gives 4 + 2i
+    c = CoeffVector1D(2, (1, 1, 1, 1, mp.mpc(1, 0.5)))
+    assert moments(c, [2], 1, ctx15) == (mp.mpc(4, 2)._mpc_,)
+    # exact beyond working precision: 3^3 times a full 53-bit mantissa
     with ctx15.workprec():
-        mom = moments(c, [2], 1, ctx15)
-        # 2pi (2i)^2 * 1 = -8pi
-        assert abs(mom[0] + 8 * mp.pi) < 1e-13
+        third = mp.mpf(1) / 3
+    (re, im), = moments(CoeffVector1D(3, (0,) * 6 + (third,)), [3], 2, ctx15)
+    assert re[3] > 53 and im == mp.zero._mpf_  # wider than 15 digits
+    with mp.workprec(200):
+        assert mp.mpf(re) == 27 * third
 
 
 def test_moments_reject_zero_index(ctx15):
@@ -450,6 +455,13 @@ def test_non_finite_series_inputs_raise(bad, ctx30):
         rec = reconstruct1d(c, 1, ctx30)
         with pytest.raises(ValueError, match="coefficient c_3"):
             evaluate_complex(dataclasses.replace(rec, residual=broken), 0.3, ctx30)
+        # off the nodes, at the full-order node 2N1 (N1 = 2), and in the
+        # half-order window 7..8: each is refused by name, not by the roots
+        for k in (3, 4, 7):
+            vals = list(c.values)
+            vals[8 + k] = bad
+            with pytest.raises(ValueError, match=f"coefficient c_{k}:"):
+                reconstruct1d(CoeffVector1D(8, vals), 1, ctx30)
 
 
 @pytest.mark.parametrize("bad", [mp.nan, -mp.inf])
