@@ -257,14 +257,14 @@ def compute_metrics(
                 return nan_row()
             xi_true = model.curve.xi(x, ctx)
             # compare on the circle: the curve value is a torus coordinate
-            d_xi.append(_circle_gap(s.recon.xi_tilde, xi_true))
+            d_xi.append(_circle_gap(s.xi_tilde, xi_true))
             for l in range(cfg.d + 1):
                 a_true = model.magnitude_value(l, x, ctx)
-                a_rec = mp.mpc(s.recon.magnitudes_tilde[l])
+                a_rec = mp.mpc(s.magnitudes_tilde[l])
                 d_A[l].append(abs(a_rec - a_true))
             raw = truncated_slice(grid, x, ctx)
             for y in ys:
-                if _circle_gap(y, s.recon.xi_tilde) < excl:
+                if _circle_gap(y, s.xi_tilde) < excl:
                     continue
                 truth = eval2d(model, x, y, ctx)
                 d_F.append(abs(s.value(y, ctx) - truth))
@@ -452,6 +452,8 @@ def cmd_report(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, entries: int = 16) -> int:
+    if entries < 1:
+        raise ValueError(f"entries must be >= 1, got {entries}")
     out = Path(cfg.out_dir)
     model = _load_model(out)
     grid = load_grid(_grid_path(out, min(cfg.sweep_N)))

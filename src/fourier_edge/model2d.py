@@ -194,6 +194,8 @@ class CoeffGrid2D:
         return self.values[wx + self.M][wy + self.N]
 
     def row(self, wy: int) -> CoeffVector1D:
+        if abs(wy) > self.N:
+            raise ValueError(f"row {wy} outside grid ({self.M}, {self.N})")
         vals = tuple(self.values[i][wy + self.N] for i in range(2 * self.M + 1))
         return CoeffVector1D(self.M, vals)
 

@@ -461,11 +461,12 @@ class _FixedForm:
     sum_l A_l kernel_scale(l) b_{l+1,j} come from the exact Bernoulli
     tables, are held as Python-int fixed-point values at working precision
     plus guard bits, at one scale set by the largest coefficient or
-    magnitude.  Without magnitudes it is the plain truncated series.
-    ``amps`` keeps the magnitudes as fixed-point pairs at that scale.
-    ``fixed``, (shift, pairs), gives the residual as fixed-point pairs
-    c_-M..c_M at 2^shift in place of ``residual``, which they round to; such
-    a form keeps (residual, xi, magnitudes) as ``fields``.
+    magnitude.  Without magnitudes it is the plain truncated series.  The
+    form keeps its magnitudes as ``magnitudes_tilde`` and, as ``amps``, as
+    fixed-point pairs at that scale.  ``fixed``, (shift, pairs), gives the
+    residual as fixed-point pairs c_-M..c_M at 2^shift in place of
+    ``residual``, which they round to; such a form keeps (residual, xi) as
+    ``fields``.
 
     Raises
     ------
@@ -475,14 +476,15 @@ class _FixedForm:
     """
 
     __slots__ = ("prec", "wp", "shift", "M", "re", "im", "xi", "inv_two_pi",
-                 "amps", "stack", "fields")
+                 "magnitudes_tilde", "amps", "stack", "fields")
 
     def __init__(self, residual: CoeffVector1D, xi=None, magnitudes=(),
                  fixed=None):
         self.prec = mp.prec
         self.M = M = residual.M
         self.wp = wp = mp.prec + _guard_bits(M)
-        self.fields = None if fixed is None else (residual, xi, magnitudes)
+        self.fields = None if fixed is None else (residual, xi)
+        self.magnitudes_tilde = magnitudes
         mags = _mpc_parts(magnitudes, "magnitude A_", 0)
         if fixed is None:
             parts = _mpc_parts(residual.values, "coefficient c_", -M)
@@ -517,21 +519,27 @@ class _FixedForm:
                 stack[j][1] += ai * t
         self.stack = [(re >> wp, im >> wp) for re, im in reversed(stack)]
 
-    def value(self, x, extra=(0, 0), phases=None):
+    def value(self, x, sums=(), phases=None):
         """Value at x, rounded once to working precision; caller holds
         the precision of the form.
 
         One wrap u = (x - xi) / 2pi mod 1 of the exact difference, so u = 0
         at the anchor gives the right-sided limit; integer Horner in u over
         the stack; Horner in z = e^{ix} over the series, then one multiply
-        by e^{-iMx}.  ``extra``, a fixed-point pair at the form's scale, is
-        added before the rounding.  ``phases`` are those of
-        :func:`_series_phases` at x, when the caller has taken them.
+        by e^{-iMx}.  ``sums``, the partial sums S_M[v_l] of
+        :func:`_partial_sums` at x and the form's xi, subtract
+        sum_l A_l S_M[v_l] before the rounding, as the row stage does.
+        ``phases`` are those of :func:`_series_phases` at x, when the caller
+        has taken them.
         """
         x = mp.mpf(x)._mpf_
         if not x[1] and x[2]:
             raise ValueError(f"non-finite evaluation point {mp.mpf(x)}")
         wp = self.wp
+        tr = ti = 0  # A_l at 2^shift times S_M[v_l] at 2^wp
+        for (re, im), s in zip(self.amps, sums):
+            tr -= re * s
+            ti -= im * s
         ar = ai = 0
         if self.stack:
             t = to_fixed(mpf_sub(x, self.xi), wp)
@@ -547,8 +555,8 @@ class _FixedForm:
                 ((sr * zi + si * zr) >> wp) + ci,
             )
         return _from_fixed(
-            ar + extra[0] + ((sr * er - si * ei) >> wp),
-            ai + extra[1] + ((sr * ei + si * er) >> wp),
+            ar + (tr >> wp) + ((sr * er - si * ei) >> wp),
+            ai + (ti >> wp) + ((sr * ei + si * er) >> wp),
             self.shift,
         )
 
@@ -562,7 +570,7 @@ class Reconstruction1D:
     JSON-friendly dict (floats/ints/strings only).  :func:`evaluate_complex`
     uses ``_form``, kept if it was made for these fields (as by
     :func:`reconstruct1d`), else built from them under the precision then in
-    force.
+    force.  ``value(x, ctx)`` is the real part of the reconstruction at x.
     """
 
     xi_tilde: object
@@ -574,10 +582,15 @@ class Reconstruction1D:
 
     def __post_init__(self) -> None:
         form = self._form
-        fields = (self.residual, self.xi_tilde, self.magnitudes_tilde)
-        if form is None or form.fields != fields:
-            form = _FixedForm(*fields)
+        if (form is None or form.fields != (self.residual, self.xi_tilde)
+                or form.magnitudes_tilde != self.magnitudes_tilde):
+            form = _FixedForm(self.residual, self.xi_tilde,
+                              self.magnitudes_tilde)
         object.__setattr__(self, "_form", form)
+
+    def value(self, x, ctx: ArithmeticContext):
+        """Real part of the reconstructed value (models are real)."""
+        return evaluate_complex(self, x, ctx).real
 
 
 def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):
@@ -594,8 +607,8 @@ def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):
 
 
 def evaluate(rec: Reconstruction1D, x, ctx: ArithmeticContext):
-    """Real part of the reconstructed value (models are real)."""
-    return evaluate_complex(rec, x, ctx).real
+    """Real part of the reconstructed value: ``rec.value(x, ctx)``."""
+    return rec.value(x, ctx)
 
 
 def reconstruct1d(

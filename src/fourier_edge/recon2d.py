@@ -5,9 +5,11 @@ vector of a 1D function of x whose only possible jump sits at the known
 period seam x = -pi, and solves for its seam magnitudes A_l.  The row value
 is then psi_wy(x) = C_wy(x) + sum_l A_l v_l(x) - sum_l A_l S_M[v_l](x),
 with C_wy the raw row series, v_l the seam kernels and S_M[v_l] their
-partial sums, which every row shares.  Stage two evaluates all rows at a
-fixed x, obtaining the Fourier coefficients (in y) of the slice F(x, .),
-and runs the full unknown-jump 1D pipeline on them to recover the curve
+partial sums, which every row shares; each row is held as the fixed-point
+form of :mod:`fourier_edge.recon1d`, which subtracts the partial sums
+itself.  Stage two evaluates all rows at a fixed x, obtaining the Fourier
+coefficients (in y) of the slice F(x, .), and runs the full unknown-jump 1D
+pipeline on them; its record, a :class:`Reconstruction1D`, holds the curve
 crossing xi(x), the kernel magnitudes A_l(x), and the slice itself.
 
 Failures are contained: a row that raises ``ReconstructionError`` (an
@@ -33,39 +35,18 @@ from .recon1d import (
     _check_order,
     _partial_sums,
     _series_phases,
-    evaluate,
     reconstruct1d,
     solve_magnitudes_known_jump,
 )
 
 
 @dataclass(frozen=True)
-class SeamRow:
-    """One reconstructed grid row: its seam magnitudes A_0..A_d and its
-    form, the raw series C with the seam stack sum_l A_l v_l, built under
-    the form's precision."""
-
-    magnitudes_tilde: tuple
-    form: _FixedForm = field(repr=False, compare=False)
-
-    def value(self, x, sums, phases):
-        """C(x) + sum_l A_l (v_l(x) - S_M[v_l](x)), rounded once; ``sums``
-        and ``phases`` are those of :func:`_partial_sums` and
-        :func:`_series_phases` at x, and the caller holds the form's
-        precision."""
-        ar = ai = 0
-        for (re, im), s in zip(self.form.amps, sums):
-            ar -= re * s
-            ai -= im * s
-        wp = self.form.wp
-        return self.form.value(x, (ar >> wp, ai >> wp), phases)
-
-
-@dataclass(frozen=True)
 class PsiReconstructionSet:
     """Stage-one output: one seam reconstruction per wy.
 
-    rows: dict wy -> SeamRow for rows that reconstructed.
+    rows: dict wy -> the row's _FixedForm, the raw series C with the seam
+    stack sum_l A_l v_l built under the form's precision, its seam
+    magnitudes A_0..A_d as ``magnitudes_tilde``, for rows that reconstructed.
     degraded: dict wy -> reason string; those rows fall back to raw
     truncated series evaluation straight from the grid.
     """
@@ -89,11 +70,11 @@ class PsiReconstructionSet:
         sums = _partial_sums(x, seam, M, n) if n else ()
         phases = _series_phases(mp.mpf(x)._mpf_, M)
         vals = []
-        for wy, row in zip(wys, rows):
-            if row is None or row.form.prec != mp.prec:
-                mags = () if row is None else row.magnitudes_tilde
-                row = SeamRow(mags, _FixedForm(self.grid.row(wy), seam, mags))
-            vals.append(row.value(x, sums, phases))
+        for wy, form in zip(wys, rows):
+            if form is None or form.prec != mp.prec:
+                mags = () if form is None else form.magnitudes_tilde
+                form = _FixedForm(self.grid.row(wy), seam, mags)
+            vals.append(form.value(x, sums, phases))
         return vals
 
     def row_value(self, wy: int, x, ctx: ArithmeticContext):
@@ -127,7 +108,7 @@ def reconstruct_psi_set(
             except ReconstructionError as exc:
                 degraded[wy] = f"{type(exc).__name__}: {exc}"
                 continue
-            rows[wy] = SeamRow(mags, _FixedForm(row, seam, mags))
+            rows[wy] = _FixedForm(row, seam, mags)
     return PsiReconstructionSet(grid, rows, degraded)
 
 
@@ -141,47 +122,28 @@ def slice_coeff_vector(
     return CoeffVector1D(N, tuple(vals))
 
 
-@dataclass(frozen=True)
-class SliceReconstruction:
-    """Stage-two output at one x: a full 1D reconstruction in y."""
-
-    recon: Reconstruction1D
-
-    @property
-    def xi_tilde(self):
-        return self.recon.xi_tilde
-
-    @property
-    def magnitudes_tilde(self):
-        return self.recon.magnitudes_tilde
-
-    def value(self, y, ctx: ArithmeticContext):
-        return evaluate(self.recon, y, ctx)
-
-
 def reconstruct_slice(
     psi: PsiReconstructionSet,
     x,
     d: int,
     ctx: ArithmeticContext,
-) -> SliceReconstruction:
-    """Unknown-jump reconstruction of the slice F(x, .).
+) -> Reconstruction1D:
+    """Unknown-jump reconstruction of the slice F(x, .): the 1D record in y
+    of :func:`reconstruct1d` on :func:`slice_coeff_vector`.
 
     Requires N >= d + 2 so the decimated localization has at least one
     usable step; raises LocalizationError otherwise (no silent order
     reduction).
     """
-    vec = slice_coeff_vector(psi, x, ctx)
-    rec = reconstruct1d(vec, d, ctx)
-    return SliceReconstruction(rec)
+    return reconstruct1d(slice_coeff_vector(psi, x, ctx), d, ctx)
 
 
 @dataclass(frozen=True)
 class FieldReconstruction:
     """Slice reconstructions over a set of x sample points.
 
-    ``slices`` maps float(x) -> SliceReconstruction; ``failures`` maps
-    float(x) -> reason for slices that could not be reconstructed.
+    ``slices`` maps float(x) -> the slice's Reconstruction1D; ``failures``
+    maps float(x) -> reason for slices that could not be reconstructed.
     """
 
     psi: PsiReconstructionSet

@@ -2,8 +2,9 @@
 
 ``fourier_edge.__all__`` is written out in ``__init__.py`` and nowhere
 else.  Stage internals stay importable from their modules, the oracles and
-the CLI stay out of the API, and every function the benchmark's span tracer
-rebinds must remain a module-level name of the module it lists.
+the CLI stay out of the API, every function the benchmark's span tracer
+rebinds must remain a module-level name of the module it lists, and a field
+run keeps the attributes the benchmark reads from it.
 """
 
 import ast
@@ -14,7 +15,18 @@ import sys
 import types
 from pathlib import Path
 
+from mpmath import mp
+
 import fourier_edge
+from fourier_edge import (
+    ArithmeticContext,
+    Reconstruction1D,
+    coeff_grid,
+    eval2d,
+    reconstruct_field,
+)
+from fourier_edge import recon1d, recon2d
+from test_model2d import _dense_model
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fourier_edge"
@@ -135,3 +147,29 @@ def test_ground_truth_and_pipeline_stay_independent():
         # of the kernels, only the exact Bernoulli tables
         kernels = {name for home, name in _imports(stage) if home == "kernels"}
         assert kernels <= {"bernoulli_coeffs"}, (stage, kernels)
+
+
+def test_the_field_benchmark_reads_a_field_run():
+    # the names and attributes the benchmark's dense-field op reads from a
+    # field run, on a small dense identity-curve grid
+    ctx = ArithmeticContext(30)
+    model = _dense_model(16, 4)
+    grid = coeff_grid(model, 16, 4, ctx)
+    xs = (-1.3, 0.4)
+    fld = reconstruct_field(grid, 3, 2, xs, ctx, jobs=1)
+    assert not fld.failures and len(fld.psi.degraded) == 0
+    assert set(fld.psi.rows) == set(range(-4, 5))
+    with ctx.workprec():
+        mags = [a for r in fld.psi.rows.values() for a in r.magnitudes_tilde]
+        assert len(mags) == 9 * 4 and all(a != 0 for a in mags)
+        for x in xs:
+            s = fld.slices[x]
+            assert isinstance(s, Reconstruction1D)
+            assert abs(s.xi_tilde - model.curve.xi(x, ctx)) < 1e-2
+            assert len(s.magnitudes_tilde) == 3
+            y = mp.mpf(x) + 2  # away from the jump at y = x
+            value = s.value(y, ctx)
+            assert value._mpf_ == recon1d.evaluate(s, y, ctx)._mpf_
+            truth = eval2d(model, x, y, ctx)
+            raw = recon2d.truncated_baseline(grid, x, y, ctx)
+            assert abs(value - truth) < abs(raw - truth) / 5

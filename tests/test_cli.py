@@ -357,6 +357,13 @@ def test_full_pipeline_round_trip(tiny_config, tmp_path):
     assert main(base + ["verify", "--entries", "2"]) == 0
 
 
+@pytest.mark.parametrize("entries", [0, -3])
+def test_verify_refuses_to_check_nothing(tmp_path, entries):
+    # refused before the empty output directory is read
+    with pytest.raises(ValueError, match=rf"^entries must be >= 1, got {entries}$"):
+        main(["--out", str(tmp_path), "verify", "--entries", str(entries)])
+
+
 def test_generate_is_deterministic(tiny_config, tmp_path):
     cfg_path, out = tiny_config
     other = tmp_path / "out2"

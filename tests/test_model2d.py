@@ -146,6 +146,10 @@ def test_grid_shape_and_indexing():
     row = g.row(1)
     assert row.M == 2
     assert row.c(-2) == complex(-2, 1) and row.c(2) == complex(2, 1)
+    # -2 would read row 1 by negative indexing, 2 lies past the end
+    for wy in (-2, 2):
+        with pytest.raises(ValueError, match=rf"row {wy} outside grid"):
+            g.row(wy)
     with pytest.raises(ValueError):
         CoeffGrid2D(2, 1, vals[:3])
 
@@ -508,7 +512,7 @@ def test_reconstruction_from_a_saved_grid_is_the_in_memory_one(tmp_path, ctx30):
     for x in xs:
         a, b = got.slices[x], want.slices[x]
         assert a.xi_tilde._mpf_ == b.xi_tilde._mpf_
-        assert [m._mpc_ for m in a.recon.magnitudes_tilde] == [
-            m._mpc_ for m in b.recon.magnitudes_tilde]
+        assert [m._mpc_ for m in a.magnitudes_tilde] == [
+            m._mpc_ for m in b.magnitudes_tilde]
         assert [a.value(y, ctx30)._mpf_ for y in ys] == [
             b.value(y, ctx30)._mpf_ for y in ys]
