@@ -50,6 +50,17 @@ METRICS_HEADER = "# fourier-edge metrics v1"
 BOUNDARY_COLLAR = math.pi / 64
 
 
+def _check_keys(data: dict, what: str, required=(), optional=()) -> None:
+    """ValueError naming the keys of ``data`` outside ``required`` and
+    ``optional``, or the required keys it lacks: a misspelt key would
+    otherwise be dropped for its default."""
+    extra = sorted(set(data) - set(required) - set(optional))
+    missing = [k for k in required if k not in data]
+    if extra or missing:
+        raise ValueError(f"unknown {what} keys: {extra}" if extra
+                         else f"{what} lacks keys: {missing}")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one experiment run needs, JSON-serializable.
@@ -101,9 +112,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        extra = set(data) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+        _check_keys(data, "config", optional=cls.__dataclass_fields__)
         return cls(**data)
 
     def to_json(self) -> dict:
@@ -113,68 +122,65 @@ class ExperimentConfig:
 # -- model (de)serialization -------------------------------------------------
 
 def _cpx_list(values) -> list:
-    return [
-        v if isinstance(v, str) else [complex(v).real, complex(v).imag]
-        for v in values
-    ]
+    """JSON coefficients: a decimal string as written, a real value as a
+    number (it loads as a float, faster to evaluate), others as [re, im]."""
+    cs = [v if isinstance(v, str) else complex(v) for v in values]
+    return [c if isinstance(c, str) else [c.real, c.imag] if c.imag else c.real
+            for c in cs]
 
 
 def _cpx_from_json(data) -> tuple:
-    return tuple(v if isinstance(v, str) else complex(*v) for v in data)
-
-
-def _trig_from_json(data) -> TrigBackground:
-    return TrigBackground(_cpx_from_json(data))
+    return tuple(complex(*v) if isinstance(v, list) else v for v in data)
 
 
 def model_to_json(m: Model2D) -> dict:
-    """JSON form of a model; a profile or coefficient given as a decimal
+    """JSON form of a model, one form per part: each profile is
+    {"coeffs": [...]}, and the background a list of [p, q] coefficient-list
+    pairs, empty when it is the empty sum.  A coefficient given as a decimal
     string is written unchanged, so the truth keeps every digit of it at any
     precision."""
-    mags = []
-    for prof in m.magnitudes:
-        if isinstance(prof, TrigBackground):
-            mags.append({"coeffs": _cpx_list(prof.coeffs)})
-        elif isinstance(prof, str):
-            mags.append(prof)
-        else:
-            mags.append(float(prof))
-    out = {
+    return {
         "d_model": m.d_model,
         "curve": {"kind": m.curve.kind, "coeffs": _cpx_list(m.curve.coeffs)},
-        "magnitudes": mags,
-        "background": None,
-    }
-    if m.background is not None:
-        out["background"] = [
+        "magnitudes": [{"coeffs": _cpx_list(p.coeffs)} for p in m.magnitudes],
+        "background": [
             [_cpx_list(p.coeffs), _cpx_list(q.coeffs)]
             for p, q in m.background.terms
-        ]
-    return out
+        ],
+    }
 
 
 def model_from_json(data: dict) -> Model2D:
+    """The model of a :func:`model_to_json` form, or of the older form with
+    bare-number or decimal-string profiles and "background" null, which the
+    constructors store as trig polynomials.  ValueError names an unknown or
+    missing key of the model, its curve or a profile."""
+    _check_keys(data, "model", ("d_model", "curve", "magnitudes"),
+                ("background",))
+    _check_keys(data["curve"], "curve", ("kind", "coeffs"))
     curve = Curve(data["curve"]["kind"], _cpx_from_json(data["curve"]["coeffs"]))
-    mags = [
-        _trig_from_json(prof["coeffs"]) if isinstance(prof, dict) else prof
-        for prof in data["magnitudes"]
-    ]
-    background = None
-    if data.get("background"):
-        background = Background2D(
-            tuple(
-                (_trig_from_json(p), _trig_from_json(q))
-                for p, q in data["background"]
-            )
-        )
+    mags = []
+    for entry in data["magnitudes"]:
+        if isinstance(entry, dict):  # else a bare number or string, the older form
+            _check_keys(entry, "profile", ("coeffs",))
+            entry = TrigBackground(_cpx_from_json(entry["coeffs"]))
+        mags.append(entry)
+    background = Background2D(tuple(
+        (TrigBackground(_cpx_from_json(p)), TrigBackground(_cpx_from_json(q)))
+        for p, q in data.get("background") or ()
+    ))
     return Model2D(data["d_model"], tuple(mags), curve, background)
 
 
 def model_from_config(cfg: ExperimentConfig) -> Model2D:
+    """The model a config names; ValueError on an unknown kind, and on an
+    unknown or missing key of the choice."""
     choice = cfg.model
     if choice.get("kind") == "canonical":
+        _check_keys(choice, "model choice", ("kind",), ("d_model",))
         return Model2D.canonical(choice.get("d_model", 11))
     if choice.get("kind") == "custom":
+        _check_keys(choice, "model choice", ("kind", "definition"))
         return model_from_json(choice["definition"])
     raise ValueError(f"unknown model kind {choice.get('kind')!r}")
 

@@ -1,7 +1,8 @@
 """Synthetic 1D piecewise-smooth models and their Fourier coefficients.
 
 A model is one interior jump point carrying a finite stack of jump-kernel
-magnitudes, plus an optional bandlimited smooth background.  Coefficients
+magnitudes, plus a bandlimited smooth background: a ``TrigBackground``,
+the zero polynomial when none is given.  Coefficients
 are synthesized in closed form on the fixed-point integers of
 :mod:`fourier_edge.numerics`; the independent checks are the mpc closed form
 ``kernels.v_fourier_coeff`` and the quadrature oracles of
@@ -10,9 +11,7 @@ are synthesized in closed form on the fixed-point integers of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mp
 
@@ -34,7 +33,7 @@ def _trig_eval(coeffs, x):
     """Real trig polynomial with coefficients g_0..g_K (g_{-k} = conj g_k)
     at x, under the caller's precision."""
     xm = mp.mpf(x)
-    acc = mp.mpc(coeffs[0]).real + mp.mpf(0)
+    acc = mp.re(coeffs[0]) + 0  # converted exactly, then rounded once
     for k in range(1, len(coeffs)):
         acc += 2 * (mp.mpc(coeffs[k]) * mp.expj(k * xm)).real
     return acc
@@ -56,8 +55,7 @@ class TrigBackground:
         if not self.coeffs:
             raise ValueError("TrigBackground needs at least g_0")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        g0 = complex(mp.mpc(self.coeffs[0]))
-        if g0.imag != 0:
+        if complex(mp.mpc(self.coeffs[0])).imag != 0:
             raise ValueError(f"g_0 must be real, got {self.coeffs[0]}")
 
     @property
@@ -80,21 +78,26 @@ class TrigBackground:
 
 @dataclass(frozen=True)
 class JumpModel1D:
-    """One jump at xi in [-pi, pi) with kernel magnitudes A_0..A_d.
+    """One jump at xi in [-pi, pi) with real kernel magnitudes A_0..A_d,
+    plus the TrigBackground ``smooth`` (``None`` is stored as ``(0,)``).
 
     ``magnitudes`` may be empty for a smooth-only model (useful for oracle
-    cross-checks); magnitudes are real.  ``smooth`` is an optional
-    TrigBackground.
+    cross-checks).  xi is compared with pi at the precision it carries (an
+    mpf's mantissa, 53 bits at least), so a value rounding to pi is refused.
     """
 
     xi: float
     magnitudes: tuple
-    smooth: Optional[TrigBackground] = None
+    smooth: TrigBackground = TrigBackground((0,))
 
     def __post_init__(self) -> None:
-        if not -math.pi <= float(self.xi) < math.pi:
-            raise ValueError(f"jump location {self.xi} outside [-pi, pi)")
+        raw = getattr(self.xi, "_mpf_", None)
+        with mp.workprec(max(53, raw[3]) if raw else 53):
+            if not -mp.pi <= mp.mpf(self.xi) < mp.pi:
+                raise ValueError(f"jump location {self.xi} outside [-pi, pi)")
         object.__setattr__(self, "magnitudes", tuple(self.magnitudes))
+        if self.smooth is None:
+            object.__setattr__(self, "smooth", TrigBackground((0,)))
 
     @property
     def d(self) -> int:
@@ -128,9 +131,7 @@ class CoeffVector1D:
 def eval_model(m: JumpModel1D, x, ctx: ArithmeticContext):
     """Pointwise model value (right-continuous at the jump).  Real mpf."""
     with ctx.workprec():
-        acc = mp.mpf(0)
-        if m.smooth is not None:
-            acc += m.smooth.eval(x, ctx)
+        acc = _trig_eval(m.smooth.coeffs, x)
         for l, a in enumerate(m.magnitudes):
             if a != 0:
                 acc += mp.mpf(a) * v_kernel(l, m.xi, x, ctx)
@@ -158,21 +159,20 @@ def synth_coeffs(m: JumpModel1D, M: int, ctx: ArithmeticContext) -> CoeffVector1
     """
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    g = m.smooth if m.smooth is not None else TrigBackground((0,))
     with ctx.workprec():
         wp = mp.prec + _guard_bits(M) + len(m.magnitudes) * M.bit_length()
         mags = _over_two_pi(_mpc_parts(m.magnitudes, "magnitude A_", 0), wp)
-        _mpc_parts(g.coeffs, "background coefficient g_", 0)
+        _mpc_parts(m.smooth.coeffs, "background coefficient g_", 0)
         shift = _fixed_shift(mags, wp)
         stack = _fixed_stack(mags, shift)
         sr, si = _fixed_expj(mp.mpf(m.xi)._mpf_, wp)
         si = -si  # exp(-i xi)
         pr, pi_ = 1 << wp, 0
-        pos = [mp.mpc(g.coeff(0).real)]
+        pos = [mp.mpc(m.smooth.coeff(0).real)]
         for k in range(1, M + 1):
             pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
             tr, ti = _fixed_horner(stack, k)
-            pos.append(g.coeff(k) + _from_fixed(
+            pos.append(m.smooth.coeff(k) + _from_fixed(
                 (pr * tr - pi_ * ti) >> wp, (pr * ti + pi_ * tr) >> wp, shift
             ))
         vals = [mp.conj(pos[-k]) for k in range(-M, 0)] + pos

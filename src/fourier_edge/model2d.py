@@ -2,9 +2,12 @@
 
 A model is F(x, y) = sum_l A_l(x) K_l(y - xi(x)) + G(x, y): a stack of
 periodized Bernoulli kernels of orders 0..d_model attached to a curve
-y = xi(x), with x-dependent magnitude profiles and an optional smooth
-separable background.  The canonical synthetic instance uses the identity
-curve and unit constant profiles.
+y = xi(x), with x-dependent magnitude profiles and a smooth separable
+background.  Every part is a trig polynomial from construction on: each
+profile a ``TrigBackground`` (a constant one of degree 0) and the
+background a ``Background2D`` (the empty sum when there is none).  The
+canonical synthetic instance uses the identity curve and unit constant
+profiles.
 
 Grid synthesis is exact (closed form, on fixed-point ints) for the identity
 curve; trig-poly curves go through a periodic trapezoid rule in x with a
@@ -19,7 +22,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero
@@ -37,8 +39,6 @@ from .numerics import (
     _over_two_pi,
     _raw_mpc,
 )
-
-Profile = Union[int, float, str, TrigBackground]
 
 _GRID_FORMAT = 2  # hex mantissas and a sha256 trailer; format 1 was decimal
 
@@ -62,6 +62,8 @@ class Curve:
             raise ValueError("identity curve takes no coefficients")
         if self.kind == "trig" and not self.coeffs:
             raise ValueError("trig curve needs coefficients (b_0 at least)")
+        if self.kind == "trig" and complex(mp.mpc(self.coeffs[0])).imag != 0:
+            raise ValueError(f"b_0 must be real, got {self.coeffs[0]}")
 
     def xi(self, x, ctx: ArithmeticContext):
         """Curve value at x (not wrapped)."""
@@ -88,9 +90,7 @@ class Background2D:
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
         for p, q in self.terms:
-            if not isinstance(p, TrigBackground) or not isinstance(
-                q, TrigBackground
-            ):
+            if not all(isinstance(t, TrigBackground) for t in (p, q)):
                 raise TypeError("Background2D terms must be TrigBackground pairs")
 
     def eval(self, x, y, ctx: ArithmeticContext):
@@ -117,48 +117,40 @@ class Background2D:
 
 @dataclass(frozen=True)
 class Model2D:
-    """Kernel stack on a curve plus optional separable background.
+    """Kernel stack on a curve plus a separable background.
 
-    ``magnitudes[l]`` is the profile A_l(x): a real constant or a
-    TrigBackground used as a real trig polynomial of x.
+    ``magnitudes[l]`` is the profile A_l(x), a TrigBackground in x: a number
+    or decimal string p is stored as ``TrigBackground((p,))``, so a complex
+    one raises ValueError.  ``background`` is a Background2D, ``None`` is
+    stored as the empty sum, and any other value raises TypeError.
     """
 
     d_model: int
     magnitudes: tuple
     curve: Curve
-    background: Optional[Background2D] = None
+    background: Background2D = Background2D(())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "magnitudes", tuple(self.magnitudes))
+        object.__setattr__(self, "magnitudes", tuple(
+            p if isinstance(p, TrigBackground) else TrigBackground((p,))
+            for p in self.magnitudes))
         if len(self.magnitudes) != self.d_model + 1:
             raise ValueError(
                 f"need {self.d_model + 1} profiles for d_model={self.d_model}, "
                 f"got {len(self.magnitudes)}"
             )
+        if self.background is None:
+            object.__setattr__(self, "background", Background2D(()))
+        if not isinstance(self.background, Background2D):
+            raise TypeError("Model2D background must be a Background2D")
 
     @classmethod
     def canonical(cls, d_model: int = 11) -> "Model2D":
         """Canonical synthetic instance: identity curve, all-ones profiles."""
-        return cls(
-            d_model=d_model,
-            magnitudes=(1,) * (d_model + 1),
-            curve=Curve("identity"),
-            background=None,
-        )
+        return cls(d_model, (1,) * (d_model + 1), Curve("identity"))
 
     def magnitude_value(self, l: int, x, ctx: ArithmeticContext):
-        prof = self.magnitudes[l]
-        if isinstance(prof, TrigBackground):
-            return prof.eval(x, ctx)
-        with ctx.workprec():
-            return mp.mpf(prof)
-
-    def magnitude_coeff(self, l: int, q: int):
-        """Fourier coefficient of profile A_l at frequency q (caller prec)."""
-        prof = self.magnitudes[l]
-        if isinstance(prof, TrigBackground):
-            return prof.coeff(q)
-        return mp.mpc(prof) if q == 0 else mp.mpc(0)
+        return self.magnitudes[l].eval(x, ctx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +198,14 @@ def eval2d(m: Model2D, x, y, ctx: ArithmeticContext):
         xm = mp.mpf(x)
         xi = m.curve.xi(xm, ctx)
         acc = mp.mpf(0)
-        for l in range(m.d_model + 1):
-            a = m.magnitude_value(l, xm, ctx)
+        for l, prof in enumerate(m.magnitudes):
+            a = _trig_eval(prof.coeffs, xm)
             if a != 0:
                 acc += a * v_kernel(l, xi, y, ctx)
-        if m.background is not None:
-            acc += m.background.eval(xm, mp.mpf(y), ctx)
-        return acc
+        bg = 0  # summed apart from acc, as Background2D.eval sums
+        for p, q in m.background.terms:
+            bg += _trig_eval(p.coeffs, xm) * _trig_eval(q.coeffs, y)
+        return acc + bg
 
 
 def slice_coeff_exact(m: Model2D, x, wy: int, ctx: ArithmeticContext):
@@ -227,15 +220,13 @@ def slice_coeff_exact(m: Model2D, x, wy: int, ctx: ArithmeticContext):
         acc = mp.mpc(0)
         if wy != 0:
             s = mp.mpc(0)
-            for l in range(m.d_model + 1):
-                a = m.magnitude_value(l, xm, ctx)
+            for l, prof in enumerate(m.magnitudes):
+                a = _trig_eval(prof.coeffs, xm)
                 if a != 0:
                     denom = mp.mpc(_I_POW[(l + 1) % 4]) * mp.mpf(wy) ** (l + 1)
                     s += a / denom
             acc += mp.expj(-wy * m.curve.xi(xm, ctx)) * s / (2 * mp.pi)
-        if m.background is not None:
-            acc += m.background.slice_row(xm, wy, ctx)
-        return acc
+        return acc + m.background.slice_row(xm, wy, ctx)
 
 
 def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
@@ -260,17 +251,16 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
         If a profile or background coefficient is NaN or infinite, naming it.
     """
     with ctx.workprec():
-        orders = range(m.d_model + 1)
-        wp = mp.prec + _guard_bits(N) + len(orders) * N.bit_length()
+        wp = mp.prec + _guard_bits(N) + len(m.magnitudes) * N.bit_length()
         forms = {}  # q -> (shift, stack), where some a_l(q) is nonzero
         for q in range(-M - N, M + N + 1):
-            coeffs = [m.magnitude_coeff(l, q) for l in orders]
+            coeffs = [prof.coeff(q) for prof in m.magnitudes]
             parts = _mpc_parts(coeffs, f"coefficient at q={q} of profile A_", 0)
             if any(re[1] or im[1] for re, im in parts):
                 parts = _over_two_pi(parts, wp)
                 shift = _fixed_shift(parts, wp)
                 forms[q] = shift, _fixed_stack(parts, shift)
-        terms = m.background.terms if m.background is not None else ()
+        terms = m.background.terms
         for s, (p, q) in enumerate(terms):
             _mpc_parts(p.coeffs, f"background term {s} coefficient p_", 0)
             _mpc_parts(q.coeffs, f"background term {s} coefficient q_", 0)

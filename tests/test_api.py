@@ -3,8 +3,8 @@
 ``fourier_edge.__all__`` is written out in ``__init__.py`` and nowhere
 else.  Stage internals stay importable from their modules, the oracles and
 the CLI stay out of the API, every function the benchmark's span tracer
-rebinds must remain a module-level name of the module it lists, and a field
-run keeps the attributes the benchmark reads from it.
+rebinds must remain a module-level name of the module it lists, and the
+models and a field run keep the names the benchmark's checks read.
 """
 
 import ast
@@ -25,7 +25,8 @@ from fourier_edge import (
     eval2d,
     reconstruct_field,
 )
-from fourier_edge import recon1d, recon2d
+from fourier_edge import model1d, model2d, recon1d, recon2d
+from fourier_edge.kernels import v_kernel
 from test_model2d import _dense_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -147,6 +148,30 @@ def test_ground_truth_and_pipeline_stay_independent():
         # of the kernels, only the exact Bernoulli tables
         kernels = {name for home, name in _imports(stage) if home == "kernels"}
         assert kernels <= {"bernoulli_coeffs"}, (stage, kernels)
+
+
+def test_the_benchmarks_read_the_models():
+    # the 1D check builds JumpModel1D(xi, mags) and reads .xi, .magnitudes
+    # and model1d.eval_model; the dense-field check builds a Model2D
+    # positionally and reads magnitude_value, curve.xi and model2d.eval2d
+    ctx = ArithmeticContext(30)
+    m1 = model1d.JumpModel1D(-2.5, (1.5, -0.5, 0.25))
+    assert m1.xi == -2.5 and m1.magnitudes == (1.5, -0.5, 0.25)
+    m2 = _dense_model(16, 4)
+    assert m2.curve.kind == "identity" and len(m2.background.terms) == 1
+    with ctx.workprec():
+        for x in (-1.3, 0.4):
+            y = mp.mpf(x) + 2
+            want = sum(a * v_kernel(l, -2.5, y, ctx)
+                       for l, a in enumerate(m1.magnitudes))
+            assert abs(model1d.eval_model(m1, y, ctx) - want) < 1e-28
+            assert m2.curve.xi(x, ctx) == mp.mpf(x)
+            p, q = m2.background.terms[0]
+            profiles = [m2.magnitude_value(l, x, ctx) for l in range(4)]
+            assert profiles[0] == m2.magnitudes[0].eval(x, ctx)
+            want = p.eval(x, ctx) * q.eval(y, ctx) + sum(
+                a * v_kernel(l, x, y, ctx) for l, a in enumerate(profiles))
+            assert abs(model2d.eval2d(m2, x, y, ctx) - want) < 1e-28
 
 
 def test_the_field_benchmark_reads_a_field_run():

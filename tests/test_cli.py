@@ -24,6 +24,7 @@ from fourier_edge.cli import (
     load_config,
     main,
     metrics_columns,
+    model_from_config,
     model_from_json,
     model_to_json,
     read_metrics,
@@ -142,6 +143,53 @@ def test_custom_model_round_trip():
     assert '"0.05"' in text and '"0.3"' in text and '"0.25"' in text
     again = model_from_json(json.loads(text))
     assert again == m
+
+
+def test_the_older_model_json_loads_normalised():
+    # bare-number and decimal-string profiles and "background": null, as
+    # model2d.json files were written before every part was a polynomial
+    old = {
+        "d_model": 2,
+        "curve": {"kind": "identity", "coeffs": []},
+        "magnitudes": [1.0, "0.25", {"coeffs": [[0.5, 0.0], [0.1, 0.2]]}],
+        "background": None,
+    }
+    want = Model2D(2, (1, "0.25", TrigBackground((0.5, 0.1 + 0.2j))),
+                   Curve("identity"))
+    assert model_from_json(old) == want
+    assert want.magnitudes[1] == TrigBackground(("0.25",))
+    assert want.background == Background2D(())
+    # written back in one form per part: a real coefficient as a number,
+    # any other as an [re, im] pair, the empty background as []
+    new = model_to_json(want)
+    assert new["magnitudes"] == [
+        {"coeffs": [1.0]}, {"coeffs": ["0.25"]}, {"coeffs": [0.5, [0.1, 0.2]]}]
+    assert new["background"] == []
+    assert model_from_json(new) == want
+
+
+def test_model_definitions_refuse_unknown_and_missing_keys():
+    good = model_to_json(Model2D.canonical(2))
+    # a misspelt background was dropped, and the run read plausible numbers
+    bad = dict(good, backgroud=[[[[0.3, 0.0]], [[0.2, 0.0]]]])
+    with pytest.raises(ValueError, match=r"unknown model keys: \['backgroud'\]"):
+        model_from_json(bad)
+    missing = {k: v for k, v in good.items() if k != "curve"}
+    with pytest.raises(ValueError, match=r"model lacks keys: \['curve'\]"):
+        model_from_json(missing)
+    with pytest.raises(ValueError, match="unknown curve keys"):
+        model_from_json(dict(good, curve={"kind": "identity", "coefs": []}))
+    with pytest.raises(ValueError, match="unknown profile keys"):
+        model_from_json(dict(good, magnitudes=[{"coeff": [[1.0, 0.0]]}] * 3))
+    # the choice in a config: a misspelt d_model read as the default 11
+    cfg = ExperimentConfig(model={"kind": "canonical", "d_modle": 5})
+    with pytest.raises(ValueError, match=r"unknown model choice keys: \['d_modle'\]"):
+        model_from_config(cfg)
+    cfg = ExperimentConfig(model={"kind": "custom"})
+    with pytest.raises(ValueError, match=r"model choice lacks keys: \['definition'\]"):
+        model_from_config(cfg)
+    cfg = ExperimentConfig(model={"kind": "custom", "definition": good})
+    assert model_from_config(cfg) == Model2D.canonical(2)
 
 
 # -- metrics files -----------------------------------------------------------

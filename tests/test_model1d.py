@@ -79,6 +79,32 @@ def test_jump_model_validation():
         JumpModel1D(math.pi, (1.0,))
     assert JumpModel1D(-math.pi, (1.0,)).d == 0
     assert JumpModel1D(0.0, ()).d == -1  # smooth-only
+    # the location is compared with pi at its own precision: within 1e-20
+    # of pi is inside at 50 digits, where a float rounding read it as pi
+    with mp.workdps(50):
+        tiny = mp.mpf(10) ** -20
+        inside = mp.pi - tiny
+        outside = (mp.pi + tiny, -mp.pi - tiny)
+    assert JumpModel1D(inside, (1.0,)).xi == inside
+    assert JumpModel1D(-inside, (1.0,)).xi == -inside
+    for xi in outside:  # also when the caller is back at 15 digits
+        with pytest.raises(ValueError, match="outside"):
+            JumpModel1D(xi, (1.0,))
+    with mp.workdps(50), pytest.raises(ValueError, match="outside"):
+        JumpModel1D(+mp.pi, (1.0,))  # pi itself, at 50 digits
+
+
+def test_smooth_part_is_a_trig_polynomial(ctx30):
+    # no smooth part is the zero polynomial, stored as one
+    zero = TrigBackground((0,))
+    assert JumpModel1D(0.3, (1.0,)).smooth == zero
+    assert JumpModel1D(0.3, (1.0,), None).smooth == zero
+    g = TrigBackground((0.25, 0.1))
+    assert JumpModel1D(0.3, (1.0,), g).smooth is g
+    with ctx30.workprec():
+        bare, none = (eval_model(JumpModel1D(0.3, (1.0,), s), 1.0, ctx30)
+                      for s in (zero, None))
+        assert bare._mpf_ == none._mpf_
 
 
 def test_coeff_vector_shape_and_indexing():

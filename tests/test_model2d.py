@@ -51,6 +51,11 @@ def test_curve_validation():
         Curve("identity", (0.1,))
     with pytest.raises(ValueError):
         Curve("trig", ())
+    # b_0 is the curve's mean, real like a TrigBackground's g_0; its
+    # imaginary part was dropped and the curve read 0.4 at x = 0
+    with pytest.raises(ValueError, match="b_0 must be real"):
+        Curve("trig", (0.2 + 0.5j, 0.1))
+    assert Curve("trig", (0.2 + 0j, 0.1)).coeffs[0] == 0.2
 
 
 def test_identity_curve(ctx15):
@@ -110,9 +115,28 @@ def test_background_type_checking():
 def test_canonical_model_shape():
     m = Model2D.canonical(11)
     assert m.d_model == 11
-    assert m.magnitudes == (1,) * 12
+    assert m.magnitudes == (TrigBackground((1,)),) * 12
     assert m.curve.kind == "identity"
-    assert m.background is None
+    assert m.background == Background2D(())
+
+
+def test_every_model_part_is_a_trig_polynomial():
+    # constant profiles are degree-0 polynomials and a missing background
+    # or smooth part is the empty sum or zero polynomial, from construction
+    prof = TrigBackground((0.5, 0.25j))
+    for m in (Model2D(2, (2.0, prof, "0.1"), _TRIG_CURVE),
+              Model2D(2, (1, prof, 0.5), Curve("identity"), None),
+              Model2D(2, (prof, prof, prof), Curve("identity"), _BG)):
+        assert all(isinstance(p, TrigBackground) for p in m.magnitudes)
+        assert isinstance(m.background, Background2D)
+    assert m.background is _BG and m.magnitudes[0] is prof
+    assert Model2D(1, (2.0, "0.1"), _TRIG_CURVE).magnitudes == (
+        TrigBackground((2.0,)), TrigBackground(("0.1",)))
+    assert Model2D(0, (1,), Curve("identity")).background.terms == ()
+    with pytest.raises(ValueError, match="g_0 must be real"):
+        Model2D(1, (1.0, 0.5 + 0.1j), Curve("identity"))
+    with pytest.raises(TypeError, match="Background2D"):
+        Model2D(0, (1.0,), Curve("identity"), TrigBackground((0.3,)))
 
 
 def test_model_magnitude_count_must_match():
@@ -127,9 +151,9 @@ def test_magnitude_profiles(ctx15):
         assert m.magnitude_value(0, 1.0, ctx15) == 2
         want = mp.mpf("0.5") + 2 * (mp.mpf("0.25") * mp.cos(mp.mpf(1)))
         assert abs(m.magnitude_value(1, 1.0, ctx15) - want) < 1e-14
-        assert m.magnitude_coeff(0, 0) == 2
-        assert m.magnitude_coeff(0, 3) == 0
-        assert m.magnitude_coeff(1, -1) == mp.mpc(0.25)
+        assert m.magnitudes[0].coeff(0) == 2
+        assert m.magnitudes[0].coeff(3) == 0
+        assert m.magnitudes[1].coeff(-1) == mp.mpc(0.25)
 
 
 # -- grids -------------------------------------------------------------------
@@ -282,7 +306,7 @@ def test_closed_form_grid_matches_mpc_closed_form_at_higher_precision():
                 ref = m.background.coeff2d(wx, wy)
                 if wy:
                     ref += sum(
-                        m.magnitude_coeff(l, wx + wy)
+                        m.magnitudes[l].coeff(wx + wy)
                         / (2 * mp.pi * mp.mpc(0, wy) ** (l + 1))
                         for l in range(m.d_model + 1)
                     )
