@@ -29,15 +29,15 @@ from pathlib import Path
 from typing import Optional
 
 from mpmath import mp
+from mpmath.libmp import from_float
 
-from .model1d import TrigBackground
+from .model1d import TrigBackground, eval_model
 from .model2d import (
     Background2D,
     CoeffGrid2D,
     Curve,
     Model2D,
     coeff_grid,
-    eval2d,
     load_grid,
     save_grid,
 )
@@ -121,16 +121,35 @@ class ExperimentConfig:
 
 # -- model (de)serialization -------------------------------------------------
 
+def _json_part(x):
+    """A real number as a float when one holds it (it loads as a float,
+    faster to evaluate), else, an mpf, as its exact decimal string
+    <digits>e<exp>, which loads with every bit at any precision."""
+    raw = getattr(x, "_mpf_", None)
+    if raw is None or from_float(float(x)) == raw:
+        return float(x)
+    sign, man, exp, _ = raw
+    return f"{'-' * sign}{man * 5 ** -exp if exp < 0 else man << exp}e{min(exp, 0)}"
+
+
 def _cpx_list(values) -> list:
-    """JSON coefficients: a decimal string as written, a real value as a
-    number (it loads as a float, faster to evaluate), others as [re, im]."""
-    cs = [v if isinstance(v, str) else complex(v) for v in values]
-    return [c if isinstance(c, str) else [c.real, c.imag] if c.imag else c.real
-            for c in cs]
+    """JSON coefficients: a decimal string as written, a real value as its
+    real part, others as [re, im]; :func:`_json_part` writes each part."""
+    parts = [v if isinstance(v, str) else (_json_part(v.real), _json_part(v.imag))
+             for v in values]
+    return [p if isinstance(p, str) else list(p) if p[1] else p[0] for p in parts]
 
 
 def _cpx_from_json(data) -> tuple:
-    return tuple(complex(*v) if isinstance(v, list) else v for v in data)
+    """Coefficients of :func:`_cpx_list`; an [re, im] pair is a complex, or
+    the exact mpc of its parts when one is a decimal string."""
+    out = []
+    for v in data:
+        if isinstance(v, list) and any(isinstance(p, str) for p in v):
+            with mp.workprec(max(53, 4 * len(str(v)))):
+                v = mp.mpc(*map(mp.mpf, v))
+        out.append(complex(*v) if isinstance(v, list) else v)
+    return tuple(out)
 
 
 def model_to_json(m: Model2D) -> dict:
@@ -229,20 +248,20 @@ def compute_metrics(
 ) -> MetricsRow:
     """Run the pipeline on one grid and compare against the model truth.
 
-    The row is all NaN when N < d + 2, when a slice failed, or when every
-    row of the row stage degraded (the slices would then come from raw
-    truncated series, not from the method).  A metric that measured no
-    point (every x in the boundary collar, or every y excluded) is NaN too.
+    The truth at each x is the 1D model ``model.slice(x)``: its jump, its
+    magnitudes and its values at the y of the slice.  The row is all NaN
+    when N < d + 2, when a slice failed, or when every row of the row stage
+    degraded (the slices would then come from raw truncated series, not
+    from the method).  A metric that measured no point (every x in the
+    boundary collar, or every y excluded) is NaN too.
     """
     ctx = cfg.ctx()
     t0 = time.monotonic()
 
     def nan_row():
         nan = float("nan")
-        return MetricsRow(
-            N, grid.M, nan, (nan,) * (cfg.d + 1), nan, nan,
-            time.monotonic() - t0,
-        )
+        return MetricsRow(N, grid.M, nan, (nan,) * (cfg.d + 1), nan, nan,
+                          time.monotonic() - t0)
 
     if N < cfg.d + 2:
         return nan_row()
@@ -261,33 +280,24 @@ def compute_metrics(
             s = fld.slices.get(float(x))
             if s is None:
                 return nan_row()
-            xi_true = model.curve.xi(x, ctx)
+            true = model.slice(x, ctx)
             # compare on the circle: the curve value is a torus coordinate
-            d_xi.append(_circle_gap(s.xi_tilde, xi_true))
-            for l in range(cfg.d + 1):
-                a_true = model.magnitude_value(l, x, ctx)
-                a_rec = mp.mpc(s.magnitudes_tilde[l])
-                d_A[l].append(abs(a_rec - a_true))
+            d_xi.append(_circle_gap(s.xi_tilde, true.xi))
+            for l, errs in enumerate(d_A):
+                errs.append(abs(mp.mpc(s.magnitudes_tilde[l]) - true.magnitudes[l]))
             raw = truncated_slice(grid, x, ctx)
             for y in ys:
                 if _circle_gap(y, s.xi_tilde) < excl:
                     continue
-                truth = eval2d(model, x, y, ctx)
+                truth = eval_model(true, y, ctx)
                 d_F.append(abs(s.value(y, ctx) - truth))
                 d_T.append(abs(raw.value(y).real - truth))
 
         def worst(errs):
             return float(max(errs)) if errs else float("nan")
 
-        return MetricsRow(
-            N,
-            grid.M,
-            worst(d_xi),
-            tuple(worst(a) for a in d_A),
-            worst(d_F),
-            worst(d_T),
-            time.monotonic() - t0,
-        )
+        return MetricsRow(N, grid.M, worst(d_xi), tuple(worst(a) for a in d_A),
+                          worst(d_F), worst(d_T), time.monotonic() - t0)
 
 
 # -- slope fitting -----------------------------------------------------------

@@ -76,14 +76,23 @@ class TrigBackground:
             return _trig_eval(self.coeffs, x)
 
 
+def _outside_period(xi) -> bool:
+    """Whether xi lies outside [-pi, pi), with pi at the precision xi carries
+    (an mpf's mantissa, 4 bits a character of a string, 53 bits at least)."""
+    raw = getattr(xi, "_mpf_", None)
+    prec = raw[3] if raw else 4 * len(xi) if isinstance(xi, str) else 0
+    with mp.workprec(max(53, prec)):
+        return not -mp.pi <= mp.mpf(xi) < mp.pi
+
+
 @dataclass(frozen=True)
 class JumpModel1D:
     """One jump at xi in [-pi, pi) with real kernel magnitudes A_0..A_d,
     plus the TrigBackground ``smooth`` (``None`` is stored as ``(0,)``).
 
     ``magnitudes`` may be empty for a smooth-only model (useful for oracle
-    cross-checks).  xi is compared with pi at the precision it carries (an
-    mpf's mantissa, 53 bits at least), so a value rounding to pi is refused.
+    cross-checks).  xi is compared with pi by :func:`_outside_period`, so a
+    value rounding to pi is refused.
     """
 
     xi: float
@@ -91,10 +100,8 @@ class JumpModel1D:
     smooth: TrigBackground = TrigBackground((0,))
 
     def __post_init__(self) -> None:
-        raw = getattr(self.xi, "_mpf_", None)
-        with mp.workprec(max(53, raw[3]) if raw else 53):
-            if not -mp.pi <= mp.mpf(self.xi) < mp.pi:
-                raise ValueError(f"jump location {self.xi} outside [-pi, pi)")
+        if _outside_period(self.xi):
+            raise ValueError(f"jump location {self.xi} outside [-pi, pi)")
         object.__setattr__(self, "magnitudes", tuple(self.magnitudes))
         if self.smooth is None:
             object.__setattr__(self, "smooth", TrigBackground((0,)))

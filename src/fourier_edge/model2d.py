@@ -9,6 +9,8 @@ background a ``Background2D`` (the empty sum when there is none).  The
 canonical synthetic instance uses the identity curve and unit constant
 profiles.
 
+The truth of a slice F(x, .) is the 1D truth of ``Model2D.slice(x)``.
+
 Grid synthesis is exact (closed form, on fixed-point ints) for the identity
 curve; trig-poly curves go through a periodic trapezoid rule in x with a
 doubling check.  The mpc closed form ``slice_coeff_exact`` and the slow 2D
@@ -26,8 +28,9 @@ from dataclasses import dataclass, field
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero
 
-from .kernels import _I_POW, v_kernel
-from .model1d import CoeffVector1D, TrigBackground, _trig_eval
+from .kernels import _I_POW
+from .model1d import (CoeffVector1D, JumpModel1D, TrigBackground,
+                      _outside_period, _trig_eval, eval_model)
 from .numerics import (
     ArithmeticContext,
     _fixed_horner,
@@ -107,13 +110,6 @@ class Background2D:
             acc += p.coeff(wx) * q.coeff(wy)
         return acc
 
-    def slice_row(self, x, wy: int, ctx: ArithmeticContext):
-        """wy-th Fourier coefficient in y of the slice G(x, .)."""
-        acc = mp.mpc(0)
-        for p, q in self.terms:
-            acc += p.eval(x, ctx) * q.coeff(wy)
-        return acc
-
 
 @dataclass(frozen=True)
 class Model2D:
@@ -151,6 +147,23 @@ class Model2D:
 
     def magnitude_value(self, l: int, x, ctx: ArithmeticContext):
         return self.magnitudes[l].eval(x, ctx)
+
+    def slice(self, x, ctx: ArithmeticContext) -> JumpModel1D:
+        """The slice F(x, .) as a 1D model: the jump xi(x) wrapped into
+        [-pi, pi) (a wrap that rounds onto an edge is stored as -pi), the
+        magnitudes A_l(x), and the smooth part with g_k = sum_s P_s(x) q_s,k.
+        """
+        with ctx.workprec():
+            xm = mp.mpf(x)
+            xi = self.curve.xi(xm, ctx)
+            if _outside_period(xi):  # a wrap rounded onto an edge gives -pi
+                xi -= 2 * mp.pi * mp.floor((xi + mp.pi) / (2 * mp.pi))
+                xi = -mp.pi if _outside_period(xi) else xi
+            mags = tuple(_trig_eval(p.coeffs, xm) for p in self.magnitudes)
+            terms = [(_trig_eval(p.coeffs, xm), q) for p, q in self.background.terms]
+            g = [sum((pv * q.coeff(k) for pv, q in terms), mp.mpc(0))
+                 for k in range(1 + max((q.bandwidth for _, q in terms), default=0))]
+            return JumpModel1D(xi, mags, TrigBackground(g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,40 +206,31 @@ class CoeffGrid2D:
 
 
 def eval2d(m: Model2D, x, y, ctx: ArithmeticContext):
-    """Pointwise model value (right-continuous across the curve in y)."""
-    with ctx.workprec():
-        xm = mp.mpf(x)
-        xi = m.curve.xi(xm, ctx)
-        acc = mp.mpf(0)
-        for l, prof in enumerate(m.magnitudes):
-            a = _trig_eval(prof.coeffs, xm)
-            if a != 0:
-                acc += a * v_kernel(l, xi, y, ctx)
-        bg = 0  # summed apart from acc, as Background2D.eval sums
-        for p, q in m.background.terms:
-            bg += _trig_eval(p.coeffs, xm) * _trig_eval(q.coeffs, y)
-        return acc + bg
+    """Pointwise model value (right-continuous across the curve in y): the
+    1D model value of the slice at x."""
+    return eval_model(m.slice(x, ctx), y, ctx)
+
+
+def _slice_coeffs(s: JumpModel1D, wys) -> list:
+    """Coefficients c_wy of a slice, mpc under caller precision: the smooth
+    part's g_wy plus, for wy != 0, the kernel stack's closed form
+    exp(-i wy xi) / 2pi * sum_l A_l / (i wy)^(l+1) (the kernels are zero-mean).
+    """
+    out = []
+    for wy in wys:
+        c = s.smooth.coeff(wy)
+        if wy != 0:
+            t = sum((a / (mp.mpc(_I_POW[(l + 1) % 4]) * mp.mpf(wy) ** (l + 1))
+                     for l, a in enumerate(s.magnitudes) if a != 0), mp.mpc(0))
+            c = mp.expj(-wy * s.xi) * t / (2 * mp.pi) + c
+        out.append(c)
+    return out
 
 
 def slice_coeff_exact(m: Model2D, x, wy: int, ctx: ArithmeticContext):
-    """wy-th Fourier coefficient (in y) of the slice F(x, .), closed form.
-
-    For wy != 0 the kernel stack contributes
-    exp(-i wy xi(x)) / 2pi * sum_l A_l(x) / (i wy)^(l+1); the zero mode
-    carries only the background (the kernels are zero-mean in y).
-    """
+    """wy-th Fourier coefficient (in y) of the slice F(x, .), closed form."""
     with ctx.workprec():
-        xm = mp.mpf(x)
-        acc = mp.mpc(0)
-        if wy != 0:
-            s = mp.mpc(0)
-            for l, prof in enumerate(m.magnitudes):
-                a = _trig_eval(prof.coeffs, xm)
-                if a != 0:
-                    denom = mp.mpc(_I_POW[(l + 1) % 4]) * mp.mpf(wy) ** (l + 1)
-                    s += a / denom
-            acc += mp.expj(-wy * m.curve.xi(xm, ctx)) * s / (2 * mp.pi)
-        return acc + m.background.slice_row(xm, wy, ctx)
+        return _slice_coeffs(m.slice(x, ctx), (wy,))[0]
 
 
 def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
@@ -302,16 +306,14 @@ def _trapezoid_grid(m: Model2D, wxs, wys, ctx: ArithmeticContext, T: int):
     with ctx.workprec():
         two_pi = 2 * mp.pi
         xs = [-mp.pi + two_pi * t / T for t in range(T)]
-        # slice values v[t][iy], then an explicit DFT over x
-        v = [[slice_coeff_exact(m, x, wy, ctx) for wy in wys] for x in xs]
+        # slice values v[t][iy], one slice per node, then an explicit DFT
+        v = [_slice_coeffs(m.slice(x, ctx), wys) for x in xs]
         cols = []
         for wx in wxs:
             col = [mp.mpc(0)] * len(wys)
-            for t, x in enumerate(xs):
+            for x, row in zip(xs, v):
                 ph = mp.expj(-wx * x)
-                row = v[t]
-                for iy in range(len(wys)):
-                    col[iy] += row[iy] * ph
+                col = [c + r * ph for c, r in zip(col, row)]
             cols.append(tuple(c / T for c in col))
         return cols
 
@@ -348,11 +350,8 @@ def coeff_grid(
     wys = sorted({wy for _, wy in probes})
     dense = _trapezoid_grid(m, wxs, wys, ctx, 2 * T)
     with ctx.workprec():
-        worst = mp.mpf(0)
-        for wx, wy in probes:
-            a = values[wx + M][wy + N]
-            b = dense[wxs.index(wx)][wys.index(wy)]
-            worst = max(worst, abs(a - b))
+        worst = max(abs(values[wx + M][wy + N] - dense[wxs.index(wx)][wys.index(wy)])
+                    for wx, wy in probes)
     diag = {"method": "trapezoid", "doubling_error": float(worst)}
     return CoeffGrid2D(M, N, tuple(values), diag)
 

@@ -1,7 +1,9 @@
 """Float64-node Gauss-Legendre quadrature oracles, split at the jump.
 
 They check the closed-form synthesis of model1d and model2d independently,
-for the tests and ``cli verify``; numpy is needed only here.
+for the tests and ``cli verify``; numpy is needed only here.  Both rest on
+one transform of a 1D model split at its jump: the 2D oracle applies it to
+the slice ``Model2D.slice(x)`` at each x node.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 from mpmath import mp
 
 from .model1d import JumpModel1D, eval_model
-from .model2d import Model2D, eval2d
+from .model2d import Model2D
 from .numerics import ArithmeticContext
 
 _GL32 = np.polynomial.legendre.leggauss(32)
@@ -34,70 +36,50 @@ def _composite_gl(f, a, b, nodes: int):
                mp.mpc(0))
 
 
+def _split_transform(m: JumpModel1D, ks, ctx: ArithmeticContext, nodes: int):
+    """(1/2pi) integral of f(y) exp(-iky) over one period for each k in
+    ``ks``, under caller precision: the period is split at the jump, and each
+    smooth segment gets composite 32-point Gauss-Legendre on its share of
+    about ``nodes`` points (32 at least).  f is evaluated once per node."""
+    xi, pi = mp.mpf(m.xi), mp.pi
+    values = []  # (node, weight * f(node))
+    for lo, hi in [(-pi, xi), (xi, pi)] if -pi < xi else [(-pi, pi)]:
+        share = max(32, round(nodes * float((hi - lo) / (2 * pi))))
+        for y, w in _gl_nodes(lo, hi, math.ceil(share / 32)):
+            values.append((y, w * eval_model(m, y, ctx)))
+    return [sum((wf * mp.expj(-k * y) for y, wf in values), mp.mpc(0)) / (2 * pi)
+            for k in ks]
+
+
 def quadrature_oracle(
     m: JumpModel1D, k: int, ctx: ArithmeticContext, nodes: int = 1024
 ):
-    """Independent (1/2pi) integral of f(x) exp(-ikx) over one period.
-
-    Splits the period at the jump so each segment is smooth, then applies
-    composite 32-point Gauss-Legendre with roughly `nodes` points total
-    (at least 1024).  Float64 node locations; accuracy ~1e-14, far beyond
-    the 1e-8/1e-10 oracle tolerances this backs.
+    """Independent (1/2pi) integral of f(x) exp(-ikx) over one period: the
+    split transform on about `nodes` points (at least 1024).  Float64 node
+    locations; accuracy ~1e-14, far beyond the 1e-8/1e-10 oracle tolerances
+    this backs.
     """
     if nodes < 1024:
         raise ValueError(f"nodes must be >= 1024, got {nodes}")
     with ctx.workprec():
-        xi = mp.mpf(m.xi)
-        pi = mp.pi
-
-        def g(x):
-            return eval_model(m, x, ctx) * mp.expj(-k * x)
-
-        segs = [(-pi, xi), (xi, pi)] if -pi < xi else [(-pi, pi)]
-        total = mp.mpc(0)
-        for lo, hi in segs:
-            if hi > lo:
-                frac = float((hi - lo) / (2 * pi))
-                total += _composite_gl(g, lo, hi, max(32, round(nodes * frac)))
-        return total / (2 * pi)
+        return _split_transform(m, (k,), ctx, nodes)[0]
 
 
 def quadrature2d_oracle(
     m: Model2D, entries, ctx: ArithmeticContext, nodes: int = 512
 ) -> list:
-    """Independent double integrals for a batch of grid entries.
-
-    ``entries`` is a list of (wx, wy); one value is returned per entry.
-    Gauss-Legendre panels on both axes with the y-range split at the curve,
-    ~`nodes` points per axis (>= 512).  The model is evaluated once per node;
-    each x node keeps only its inner y-sums, one per distinct wy, so a batch
-    costs one model sweep plus cheap sums and holds the model values of one
-    x node at a time.
+    """Independent double integrals for a batch of grid entries (wx, wy),
+    one value per entry: Gauss-Legendre panels in x with ~`nodes` points
+    (>= 512), and at each x node the split transform of the slice
+    ``m.slice(x)`` for every distinct wy, summed over x.  So the curve and
+    the profiles are evaluated once per x node.
     """
     if nodes < 512:
         raise ValueError(f"nodes must be >= 512, got {nodes}")
     with ctx.workprec():
-        pi = mp.pi
-        x_nodes = []
-        sums = {wy: [] for _, wy in entries}
-        for x, x_weight in _gl_nodes(-pi, pi, max(1, nodes // 32)):
-            xi = m.curve.xi(x, ctx)
-            # wrap the split point into the base period
-            xi = xi - 2 * pi * mp.floor((xi + pi) / (2 * pi))
-            inner = []
-            segs = [(-pi, xi), (xi, pi)] if -pi < xi < pi else [(-pi, pi)]
-            for lo, hi in segs:
-                y_panels = max(1, round(nodes * float((hi - lo) / (2 * pi)) / 32))
-                for y, y_weight in _gl_nodes(lo, hi, y_panels):
-                    inner.append((y, y_weight, eval2d(m, x, y, ctx)))
-            x_nodes.append((x, x_weight))
-            for wy, per_x in sums.items():
-                terms = (wyw * fv * mp.expj(-wy * y) for y, wyw, fv in inner)
-                per_x.append(sum(terms, mp.mpc(0)))
-        out = []
-        for wx, wy in entries:
-            total = mp.mpc(0)
-            for (x, wxw), s in zip(x_nodes, sums[wy]):
-                total += wxw * s * mp.expj(-wx * x)
-            out.append(total / (4 * mp.pi ** 2))
-        return out
+        wys = sorted({wy for _, wy in entries})
+        rows = [(x, w, dict(zip(wys, _split_transform(m.slice(x, ctx), wys,
+                                                      ctx, nodes))))
+                for x, w in _gl_nodes(-mp.pi, mp.pi, max(1, nodes // 32))]
+        return [sum((w * row[wy] * mp.expj(-wx * x) for x, w, row in rows),
+                    mp.mpc(0)) / (2 * mp.pi) for wx, wy in entries]

@@ -11,7 +11,14 @@ import re
 
 import pytest
 
-from fourier_edge import Background2D, Curve, Model2D, TrigBackground
+from fourier_edge import (
+    ArithmeticContext,
+    Background2D,
+    Curve,
+    Model2D,
+    TrigBackground,
+    eval2d,
+)
 from fourier_edge import cli
 from fourier_edge.cli import (
     ExperimentConfig,
@@ -31,6 +38,7 @@ from fourier_edge.cli import (
 )
 from fourier_edge.model2d import CoeffGrid2D, coeff_grid
 from fourier_edge.recon2d import reconstruct_field, reconstruct_psi_set
+from test_model2d import _dense_model
 
 
 # -- config ------------------------------------------------------------------
@@ -143,6 +151,22 @@ def test_custom_model_round_trip():
     assert '"0.05"' in text and '"0.3"' in text and '"0.25"' in text
     again = model_from_json(json.loads(text))
     assert again == m
+
+
+def test_a_high_precision_model_round_trips_bit_for_bit():
+    # mpf and mpc coefficients built at 30 digits were written as floats,
+    # and the loaded truth moved by about 1e-17 at 60 digits
+    m = _dense_model(16, 4)
+    again = model_from_json(json.loads(json.dumps(model_to_json(m))))
+    ctx = ArithmeticContext(60)
+    with ctx.workprec():
+        for x, y in ((-1.3, 2.0), (0.4, -0.7), (2.2, 2.1)):
+            assert eval2d(again, x, y, ctx)._mpf_ == eval2d(m, x, y, ctx)._mpf_
+    # a part a float holds stays a number, and the loaded model writes the
+    # same JSON
+    text = json.dumps(model_to_json(m))
+    assert '"coeffs": [1.0, ["' in text
+    assert model_to_json(again) == model_to_json(m)
 
 
 def test_the_older_model_json_loads_normalised():

@@ -94,6 +94,25 @@ def test_jump_model_validation():
         JumpModel1D(+mp.pi, (1.0,))  # pi itself, at 50 digits
 
 
+def test_decimal_string_location_is_compared_at_its_digits():
+    # pi = 3.14159265358979323846264338327950288419...; at 53 bits both
+    # strings read as pi, and the one below it was refused
+    below = "3.14159265358979323846264338327950288"
+    above = "3.14159265358979323846264338327950289"
+    for xi in (below, "-" + below):
+        m = JumpModel1D(xi, (1.0, 0.5))
+        assert m.xi == xi
+    for xi in (above, "-" + above):
+        with pytest.raises(ValueError, match="outside"):
+            JumpModel1D(xi, (1.0,))
+    ctx = ArithmeticContext(50)
+    c = synth_coeffs(JumpModel1D(below, (1.0, 0.5)), 4, ctx)
+    with ctx.workprec():
+        want = (v_fourier_coeff(0, below, 3, ctx)
+                + 0.5 * v_fourier_coeff(1, below, 3, ctx))
+        assert abs(c.c(3) - want) < mp.mpf(10) ** -48
+
+
 def test_smooth_part_is_a_trig_polynomial(ctx30):
     # no smooth part is the zero polynomial, stored as one
     zero = TrigBackground((0,))

@@ -24,6 +24,7 @@ from fourier_edge import (
     reconstruct_field,
     save_grid,
 )
+from fourier_edge.kernels import v_fourier_coeff, v_kernel
 from fourier_edge.model2d import _trapezoid_grid, slice_coeff_exact
 from fourier_edge.oracle import quadrature2d_oracle
 
@@ -97,11 +98,13 @@ def test_background_eval_matches_coefficient_synthesis(ctx15):
 
 
 def test_background_slice_row_consistency(ctx15):
+    # the smooth part of a slice is the background at that x
+    smooth = _trig_model().slice(0.9, ctx15).smooth
     with ctx15.workprec():
         x, y = 0.9, -0.4
         synth = mp.mpc(0)
         for wy in range(-1, 2):
-            synth += _BG.slice_row(x, wy, ctx15) * mp.expj(wy * y)
+            synth += smooth.coeff(wy) * mp.expj(wy * y)
         assert abs(synth.real - _BG.eval(x, y, ctx15)) < 1e-13
 
 
@@ -176,6 +179,60 @@ def test_grid_shape_and_indexing():
             g.row(wy)
     with pytest.raises(ValueError):
         CoeffGrid2D(2, 1, vals[:3])
+
+
+def test_slice_of_a_curve_inside_the_period_is_its_parts(ctx30):
+    # the curve value and the profile values, bit for bit
+    for m in (Model2D.canonical(5), _trig_model()):
+        with ctx30.workprec():
+            for x in (-2.5, 0.3, mp.mpf("1.7")):
+                s = m.slice(x, ctx30)
+                assert s.xi._mpf_ == m.curve.xi(x, ctx30)._mpf_
+                assert [a._mpf_ for a in s.magnitudes] == [
+                    m.magnitude_value(l, x, ctx30)._mpf_
+                    for l in range(m.d_model + 1)]
+
+
+def test_slice_of_a_curve_that_leaves_the_period(ctx30):
+    # xi(x) = 2.9 + cos x rises above pi for cos x > 0.24; the slice jump is
+    # wrapped, and the truth is the kernels anchored at the unwrapped xi(x)
+    tol = mp.mpf(10) ** -(ctx30.precision_digits - 3)
+    for bg in (None, _BG):
+        m = Model2D(1, (1.0, TrigBackground((0.5, 0.1j))),
+                    Curve("trig", (2.9, 0.5)), bg)
+        with ctx30.workprec():
+            for x in (2.5, -1.0, 0.3):
+                xi = m.curve.xi(x, ctx30)
+                s = m.slice(x, ctx30)
+                assert -mp.pi <= s.xi < mp.pi
+                mags = [m.magnitude_value(l, x, ctx30) for l in range(2)]
+                for y in (-3.0, -0.5, 1.0, 3.1):
+                    want = m.background.eval(x, y, ctx30) + sum(
+                        a * v_kernel(l, xi, y, ctx30) for l, a in enumerate(mags))
+                    assert abs(eval2d(m, x, y, ctx30) - want) < tol
+                for wy in (-2, 0, 1, 3):
+                    want = sum((p.eval(x, ctx30) * q.coeff(wy)
+                                for p, q in m.background.terms), mp.mpc(0))
+                    want += sum(a * v_fourier_coeff(l, xi, wy, ctx30)
+                                for l, a in enumerate(mags))
+                    assert abs(slice_coeff_exact(m, x, wy, ctx30) - want) < tol
+        assert xi > mp.pi  # x = 2.5 stays inside, the last x = 0.3 leaves
+
+
+def test_slice_jump_that_wraps_onto_pi_is_minus_pi(ctx15):
+    # constant curves at the floats next to 5pi: at 53 bits the wrap of one
+    # of them rounds onto the edge, which the 1D model refuses, so -pi is
+    # stored
+    b, wrapped = 5 * math.pi, []
+    for _ in range(8):
+        b = math.nextafter(b, 0)
+    for _ in range(17):
+        s = Model2D(0, (1.0,), Curve("trig", (b,))).slice(0.3, ctx15)
+        with ctx15.workprec():
+            assert -mp.pi <= s.xi < mp.pi
+            wrapped.append(s.xi == -mp.pi)
+        b = math.nextafter(b, math.inf)
+    assert any(wrapped)
 
 
 def test_eval2d_jump_across_curve(ctx30):
