@@ -67,7 +67,8 @@ class ExperimentConfig:
 
     M defaults to N^2 per sweep entry unless ``override_M`` is set.  Sweep
     entries with N < d + 2 cannot run the slice stage at order d; they are
-    recorded as degenerate rows rather than rejected up front.
+    recorded as degenerate rows rather than rejected up front.  A count
+    that is not an int (a float or a bool) raises ValueError naming its key.
     """
 
     model: dict = field(
@@ -84,23 +85,20 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        self.sweep_N = tuple(int(n) for n in self.sweep_N)
+        self.sweep_N = tuple(self.sweep_N)
         self.x_points = tuple(float(x) for x in self.x_points)
-        if self.y_count < 8:
-            raise ValueError("y_count must be >= 8")
-        if self.precision_digits < 15:
-            raise ValueError("precision_digits must be >= 15")
+        least = {"d_psi": 0, "d": 0, "y_count": 8, "precision_digits": 15,
+                 "override_M": 1, "sweep_N": 1}  # the counts, by their minimum
+        counts = [(k, getattr(self, k)) for k in least if k != "sweep_N"]
+        for name, v in counts + [("sweep_N", n) for n in self.sweep_N]:
+            if type(v) is not int and (name, v) != ("override_M", None):
+                raise ValueError(f"{name} must be an int, got {v!r}")
+            if v is not None and v < least[name]:
+                raise ValueError(f"{name} must be >= {least[name]}, got {v}")
         if not 0 <= self.exclusion_radius < math.pi:
             raise ValueError("exclusion_radius outside [0, pi)")
-        for name in ("d_psi", "d"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.override_M is not None and self.override_M < 1:
-            raise ValueError(f"override_M must be >= 1, got {self.override_M}")
         if not self.sweep_N:
             raise ValueError("sweep_N must name at least one N")
-        if any(n < 1 for n in self.sweep_N):
-            raise ValueError(f"sweep_N entries must be >= 1, got {self.sweep_N}")
         if not all(-math.pi <= x < math.pi for x in self.x_points):
             raise ValueError(f"x_points outside [-pi, pi): {self.x_points}")
 
@@ -142,9 +140,13 @@ def _cpx_list(values) -> list:
 
 def _cpx_from_json(data) -> tuple:
     """Coefficients of :func:`_cpx_list`; an [re, im] pair is a complex, or
-    the exact mpc of its parts when one is a decimal string."""
+    the exact mpc of its parts when one is a decimal string.  ValueError
+    names a list entry that is not a pair of numbers or strings."""
     out = []
     for v in data:
+        if isinstance(v, list) and (
+                len(v) != 2 or any(type(p) not in (int, float, str) for p in v)):
+            raise ValueError(f"coefficient {v!r} is not an [re, im] pair")
         if isinstance(v, list) and any(isinstance(p, str) for p in v):
             with mp.workprec(max(53, 4 * len(str(v)))):
                 v = mp.mpc(*map(mp.mpf, v))
@@ -250,10 +252,10 @@ def compute_metrics(
 
     The truth at each x is the 1D model ``model.slice(x)``: its jump, its
     magnitudes and its values at the y of the slice.  The row is all NaN
-    when N < d + 2, when a slice failed, or when every row of the row stage
-    degraded (the slices would then come from raw truncated series, not
-    from the method).  A metric that measured no point (every x in the
-    boundary collar, or every y excluded) is NaN too.
+    when N < d + 2 or when a slice failed, which includes every slice of a
+    run whose row stage degraded (:func:`reconstruct_field` runs none).  A
+    metric that measured no point (every x in the boundary collar, or every
+    y excluded) is NaN too.
     """
     ctx = cfg.ctx()
     t0 = time.monotonic()
@@ -266,8 +268,6 @@ def compute_metrics(
     if N < cfg.d + 2:
         return nan_row()
     fld = reconstruct_field(grid, cfg.d_psi, cfg.d, cfg.x_points, ctx)
-    if not fld.psi.rows:
-        return nan_row()
     with ctx.workprec():
         collar = mp.mpf(BOUNDARY_COLLAR)
         excl = mp.mpf(cfg.exclusion_radius)

@@ -12,10 +12,10 @@ profiles.
 The truth of a slice F(x, .) is the 1D truth of ``Model2D.slice(x)``.
 
 Grid synthesis is exact (closed form, on fixed-point ints) for the identity
-curve; trig-poly curves go through a periodic trapezoid rule in x with a
-doubling check.  The mpc closed form ``slice_coeff_exact`` and the slow 2D
-quadrature oracle of :mod:`fourier_edge.oracle` provide independent
-verification values.
+curve; trig-poly curves run a periodic trapezoid rule in x, with a doubling
+check, over the ``synth_coeffs`` vector of each node's slice.  Beyond
+``Model2D.slice``, ``slice_coeff_exact`` (on ``v_fourier_coeff``) and the
+quadrature oracles share no code with synthesis: independent verification.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from mpmath import mp
 from mpmath.libmp import from_man_exp, fzero
 
-from .kernels import _I_POW
+from .kernels import v_fourier_coeff
 from .model1d import (CoeffVector1D, JumpModel1D, TrigBackground,
-                      _outside_period, _trig_eval, eval_model)
+                      _outside_period, _trig_eval, eval_model, synth_coeffs)
 from .numerics import (
     ArithmeticContext,
     _fixed_horner,
@@ -211,26 +211,13 @@ def eval2d(m: Model2D, x, y, ctx: ArithmeticContext):
     return eval_model(m.slice(x, ctx), y, ctx)
 
 
-def _slice_coeffs(s: JumpModel1D, wys) -> list:
-    """Coefficients c_wy of a slice, mpc under caller precision: the smooth
-    part's g_wy plus, for wy != 0, the kernel stack's closed form
-    exp(-i wy xi) / 2pi * sum_l A_l / (i wy)^(l+1) (the kernels are zero-mean).
-    """
-    out = []
-    for wy in wys:
-        c = s.smooth.coeff(wy)
-        if wy != 0:
-            t = sum((a / (mp.mpc(_I_POW[(l + 1) % 4]) * mp.mpf(wy) ** (l + 1))
-                     for l, a in enumerate(s.magnitudes) if a != 0), mp.mpc(0))
-            c = mp.expj(-wy * s.xi) * t / (2 * mp.pi) + c
-        out.append(c)
-    return out
-
-
 def slice_coeff_exact(m: Model2D, x, wy: int, ctx: ArithmeticContext):
-    """wy-th Fourier coefficient (in y) of the slice F(x, .), closed form."""
+    """wy-th Fourier coefficient (in y) of the slice F(x, .): g_wy plus
+    sum_l A_l v_fourier_coeff(l, xi, wy), closed forms synthesis never reads."""
     with ctx.workprec():
-        return _slice_coeffs(m.slice(x, ctx), (wy,))[0]
+        s = m.slice(x, ctx)
+        return s.smooth.coeff(wy) + sum(a * v_fourier_coeff(l, s.xi, wy, ctx)
+                                        for l, a in enumerate(s.magnitudes))
 
 
 def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
@@ -295,19 +282,21 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
 
 
 def _trapezoid_grid(m: Model2D, wxs, wys, ctx: ArithmeticContext, T: int):
-    """Periodic trapezoid on T nodes in x of the exact slice coefficients.
+    """Periodic trapezoid on T nodes in x of the slice coefficients.
 
     Returns one column per wx in ``wxs``, holding the entries (wx, wy) for
-    wy in ``wys``.  Each entry's arithmetic does not depend on the others, so
-    a sub-grid equals the same entries of a larger grid bit for bit.  The
-    integrand is a trig polynomial in y already; in x it is analytic and
-    periodic, so the trapezoid rule converges geometrically.
+    wy in ``wys``.  Each node's slice is synthesised at N = max |wy|, and
+    ``synth_coeffs`` sizes its guard bits from N, so a sub-grid equals the
+    same entries of a larger grid bit for bit when both share that N.  The
+    integrand is a trig polynomial in y; in x it is analytic and periodic,
+    so the trapezoid rule converges geometrically.
     """
     with ctx.workprec():
-        two_pi = 2 * mp.pi
-        xs = [-mp.pi + two_pi * t / T for t in range(T)]
+        xs = [-mp.pi + 2 * mp.pi * t / T for t in range(T)]
+        N = max((abs(wy) for wy in wys), default=0)
         # slice values v[t][iy], one slice per node, then an explicit DFT
-        v = [_slice_coeffs(m.slice(x, ctx), wys) for x in xs]
+        vecs = (synth_coeffs(m.slice(x, ctx), N, ctx) for x in xs)
+        v = [[vec.c(wy) for wy in wys] for vec in vecs]
         cols = []
         for wx in wxs:
             col = [mp.mpc(0)] * len(wys)
@@ -328,8 +317,9 @@ def coeff_grid(
 
     Identity-curve models synthesize in closed form.  Trig-curve models use
     the periodic trapezoid rule on 8 * max(M, ceil(N * max(1, sup|xi'|)))
-    nodes; four probe entries are recomputed at doubled node count and the
-    worst deviation is recorded under diagnostics["doubling_error"].
+    nodes; four probe entries, (M, N) among them, are recomputed at doubled
+    node count, and the worst deviation, that of the whole doubled grid, is
+    recorded under diagnostics["doubling_error"].
     """
     if M < 0 or N < 0:
         raise ValueError("M and N must be >= 0")

@@ -15,7 +15,8 @@ crossing xi(x), the kernel magnitudes A_l(x), and the slice itself.
 Failures are contained: a row that raises ``ReconstructionError`` (an
 order beyond the kernel table, or a band too short for the decimation)
 degrades to raw truncated-series evaluation and is flagged, and a failed
-slice is recorded, so neither sinks a field run.
+slice is recorded, so neither sinks a field run.  The rows degrade all
+together, and then no slice runs: raw rows would give plausible numbers.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def reconstruct_field(
 
     Emits a warning when N^2 > M (the row stage then limits the overall
     accuracy and the slice-stage rates are not guaranteed).  Slice failures
-    (``ReconstructionError`` and ``RootFindingError``) are contained per x;
-    any other exception propagates.
+    (``ReconstructionError`` and ``RootFindingError``) are contained per x,
+    and so is a degraded row stage; any other exception propagates.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
@@ -181,6 +182,9 @@ def reconstruct_field(
     slices: dict = {}
     failures: dict = {}
     for x in x_points:
+        if psi.degraded:  # rows share M and d_psi: then every row degraded
+            failures[float(x)] = f"row stage: {next(iter(psi.degraded.values()))}"
+            continue
         try:
             slices[float(x)] = reconstruct_slice(psi, x, d, ctx)
         except (ReconstructionError, RootFindingError) as exc:

@@ -150,6 +150,39 @@ def test_ground_truth_and_pipeline_stay_independent():
         assert kernels <= {"bernoulli_coeffs"}, (stage, kernels)
 
 
+def _reach(root):
+    """Names of the package functions and methods that ``root`` calls, and
+    that they call in turn, matched by name; the calls of ``slice`` are not
+    followed, since it is the model both sides of C6 read."""
+    defs = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+    reached, todo = set(), [root]
+    while todo:
+        for fn in defs[todo.pop()]:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in defs and name not in reached:
+                        reached.add(name)
+                        if name != "slice":
+                            todo.append(name)
+    return reached
+
+
+def test_grid_synthesis_and_its_c6_reference_stay_apart():
+    # C6 checks the trapezoid grid against slice_coeff_exact; the two may
+    # share the slice, the g_k of its smooth part and the working precision,
+    # but no formula, or an error in it would cancel out of the comparison
+    synthesis, reference = _reach("_trapezoid_grid"), _reach("slice_coeff_exact")
+    shared = synthesis & reference
+    assert shared - {"coeff", "workprec"} == {"slice"}, shared
+    assert "synth_coeffs" in synthesis and "v_fourier_coeff" in reference
+
+
 def test_the_benchmarks_read_the_models():
     # the 1D check builds JumpModel1D(xi, mags) and reads .xi, .magnitudes
     # and model1d.eval_model; the dense-field check builds a Model2D

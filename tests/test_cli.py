@@ -62,10 +62,20 @@ def test_config_override_M():
         {"precision_digits": 10},
         {"exclusion_radius": 3.5},
         {"exclusion_radius": -0.1},
+        # a count must be an int: a float ran truncated or was compared as
+        # it stood, and a bool ran as 0 or 1
+        {"sweep_N": (12.7,)},
+        {"sweep_N": (True,)},
+        {"d": 9.5},
+        {"d_psi": True},
+        {"y_count": 8.5},
+        {"precision_digits": 60.5},
+        {"override_M": 30.5},
+        {"override_M": True},
     ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^{next(iter(kwargs))}\b"):
         ExperimentConfig(**kwargs)
 
 
@@ -167,6 +177,20 @@ def test_a_high_precision_model_round_trips_bit_for_bit():
     text = json.dumps(model_to_json(m))
     assert '"coeffs": [1.0, ["' in text
     assert model_to_json(again) == model_to_json(m)
+
+
+@pytest.mark.parametrize(
+    "entry", [[0.5], [], [0.5, 0.1, 9], [True, 0.0], [None, 0.5], [[0.5], 0.1]])
+def test_model_coefficients_refuse_what_is_not_an_re_im_pair(entry):
+    # [0.5] loaded as 0.5, [] as 0 and [True, 0.0] as 1, and [0.5, 0.1, 9]
+    # raised a bare TypeError
+    good = model_to_json(Model2D.canonical(2))
+    for bad in (dict(good, curve={"kind": "trig", "coeffs": [0.1, entry]}),
+                dict(good, magnitudes=[{"coeffs": [1.0, entry]}] * 3),
+                dict(good, background=[[[0.3], [0.2, entry]]])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficient {entry!r} is not an [re, im] pair")):
+            model_from_json(bad)
 
 
 def test_the_older_model_json_loads_normalised():

@@ -142,6 +142,20 @@ def test_failed_slices_are_contained(ctx40):
     assert set(fld.failures) == {0.5}
 
 
+@pytest.mark.parametrize("d_psi", [15, 16])
+def test_a_degraded_row_stage_runs_no_slice(d_psi):
+    # d_psi = 15 leaves M = 12 no decimation step (M_1 = 0), and 16 is beyond
+    # the kernel table: every row degrades, and the slices of the raw rows
+    # read as plausible numbers (xi 0.69999992 at x = 0.7)
+    ctx = ArithmeticContext(30)
+    grid = coeff_grid(Model2D.canonical(11), 12, 12, ctx)
+    with pytest.warns(UserWarning, match="under-resolved"):
+        fld = reconstruct_field(grid, d_psi, 9, (0.7, 1.1), ctx)
+    assert len(fld.psi.degraded) == 25 and not fld.slices
+    reason = next(iter(fld.psi.degraded.values()))
+    assert fld.failures == {0.7: f"row stage: {reason}", 1.1: f"row stage: {reason}"}
+
+
 def test_orders_beyond_the_kernel_table_are_contained(ctx40):
     # d = 16 needs Bernoulli order 17; the row stage degrades every row and
     # the slice stage records a failed slice instead of stopping
