@@ -175,16 +175,22 @@ def model_from_json(data: dict) -> Model2D:
     """The model of a :func:`model_to_json` form, or of the older form with
     bare-number or decimal-string profiles and "background" null, which the
     constructors store as trig polynomials.  ValueError names an unknown or
-    missing key of the model, its curve or a profile."""
+    missing key of the model, its curve or a profile, a ``d_model`` that is
+    not an int, and a bare profile that is not a number or a string."""
     _check_keys(data, "model", ("d_model", "curve", "magnitudes"),
                 ("background",))
+    if type(data["d_model"]) is not int:
+        raise ValueError(f"d_model must be an int, got {data['d_model']!r}")
     _check_keys(data["curve"], "curve", ("kind", "coeffs"))
     curve = Curve(data["curve"]["kind"], _cpx_from_json(data["curve"]["coeffs"]))
     mags = []
-    for entry in data["magnitudes"]:
+    for i, entry in enumerate(data["magnitudes"]):
         if isinstance(entry, dict):  # else a bare number or string, the older form
             _check_keys(entry, "profile", ("coeffs",))
             entry = TrigBackground(_cpx_from_json(entry["coeffs"]))
+        elif type(entry) not in (int, float, str):
+            raise ValueError(f"profile {i} is not a number or a decimal string: "
+                             f"{entry!r}")
         mags.append(entry)
     background = Background2D(tuple(
         (TrigBackground(_cpx_from_json(p)), TrigBackground(_cpx_from_json(q)))

@@ -445,11 +445,27 @@ def _partial_sums(x, xi, M: int, n: int) -> list:
             for l, s in enumerate(sums)]  # times 1/pi
 
 
-def _series_phases(x, M: int) -> tuple:
-    """e^{ix} and e^{-iMx} of the raw mpf x, with M x formed exactly, as
-    fixed-point pairs at the 2^wp of a band-M series."""
-    wp = mp.prec + _guard_bits(M)
-    return _fixed_expj(x, wp), _fixed_expj(mpf_mul(x, from_int(-M)), wp)
+def _phase(x, M: int) -> tuple:
+    """(zr, zi, zp): e^{ix} of the raw mpf x at 2^zp, zp = M.bit_length() bits
+    beyond the wp of a band-M series, which keep the (M^3/3) 2^-zp error that
+    2cos(x) brings to :func:`_clenshaw` near x = 0, pi below M^2 2^-wp."""
+    zp = mp.prec + _guard_bits(M) + M.bit_length()
+    return (*_fixed_expj(x, zp), zp)
+
+
+def _clenshaw(re: list, im: list, z: tuple) -> int:
+    """Re sum_{k=1..M} b_k z^k at the scale of the b_k, given as int lists
+    from k = M down to 1, for z of :func:`_phase`: Clenshaw's recurrence
+    y_k = b_k + 2cos(x) y_{k+1} - y_{k+2} on each part, then y_1 z - y_2."""
+    zr, zi, zp = z
+    c = 2 * zr
+    ar = br = 0  # y_{k+1}, y_{k+2}
+    for b in re:
+        ar, br = b + ((c * ar) >> zp) - br, ar
+    ai = bi = 0
+    for b in im:
+        ai, bi = b + ((c * ai) >> zp) - bi, ai
+    return ((ar * zr - ai * zi) >> zp) - br
 
 
 class _FixedForm:
@@ -462,7 +478,10 @@ class _FixedForm:
     tables, are held as Python-int fixed-point values at working precision
     plus guard bits, at one scale set by the largest coefficient or
     magnitude.  Without magnitudes it is the plain truncated series.  The
-    form keeps its magnitudes as ``magnitudes_tilde`` and, as ``amps``, as
+    series is held folded, exactly for any data: its Re and Im are Re c_0
+    and Im c_0 plus Re sum_k b_k e^{ikx} on ``w``, b_k = c_k + conj(c_-k),
+    and on ``v``, b_k = -i (c_k - conj(c_-k)), for k = M..1.  The form
+    keeps its magnitudes as ``magnitudes_tilde`` and, as ``amps``, as
     fixed-point pairs at that scale.  ``fixed``, (shift, pairs), gives the
     residual as fixed-point pairs c_-M..c_M at 2^shift in place of
     ``residual``, which they round to; such a form keeps (residual, xi) as
@@ -475,8 +494,8 @@ class _FixedForm:
         are more than 16 magnitudes (the Bernoulli table ends at order 16).
     """
 
-    __slots__ = ("prec", "wp", "shift", "M", "re", "im", "xi", "inv_two_pi",
-                 "magnitudes_tilde", "amps", "stack", "fields")
+    __slots__ = ("prec", "wp", "shift", "M", "c0", "w", "v", "xi",
+                 "inv_two_pi", "magnitudes_tilde", "amps", "stack", "fields")
 
     def __init__(self, residual: CoeffVector1D, xi=None, magnitudes=(),
                  fixed=None):
@@ -493,10 +512,13 @@ class _FixedForm:
                             for re, im in parts]
         shift, pairs = fixed
         self.shift = shift
-        # Horner in e^{ix} runs from c_M down to c_-M; two lists of ints, not
-        # a list of pairs, keep a W3 row stage about 0.4 MB smaller
-        self.re = [re for re, _ in reversed(pairs)]
-        self.im = [im for _, im in reversed(pairs)]
+        self.c0 = pairs[M]
+        # lists of ints, not of pairs, keep a W3 row stage 0.4 MB smaller
+        top, low = pairs[:M:-1], pairs[:M]  # c_M..c_1 and c_-M..c_-1
+        self.w = ([a + c for (a, _), (c, _) in zip(top, low)],
+                  [b - d for (_, b), (_, d) in zip(top, low)])
+        self.v = ([b + d for (_, b), (_, d) in zip(top, low)],
+                  [c - a for (a, _), (c, _) in zip(top, low)])
         self.xi = self.inv_two_pi = None
         self.amps = tuple((to_fixed(re, shift), to_fixed(im, shift))
                           for re, im in mags)
@@ -519,19 +541,9 @@ class _FixedForm:
                 stack[j][1] += ai * t
         self.stack = [(re >> wp, im >> wp) for re, im in reversed(stack)]
 
-    def value(self, x, sums=(), phases=None):
-        """Value at x, rounded once to working precision; caller holds
-        the precision of the form.
-
-        One wrap u = (x - xi) / 2pi mod 1 of the exact difference, so u = 0
-        at the anchor gives the right-sided limit; integer Horner in u over
-        the stack; Horner in z = e^{ix} over the series, then one multiply
-        by e^{-iMx}.  ``sums``, the partial sums S_M[v_l] of
-        :func:`_partial_sums` at x and the form's xi, subtract
-        sum_l A_l S_M[v_l] before the rounding, as the row stage does.
-        ``phases`` are those of :func:`_series_phases` at x, when the caller
-        has taken them.
-        """
+    def _point(self, x, sums, z):
+        """(re, im, z): the stack at x less sum_l A_l S_M[v_l] for ``sums``
+        at 2^shift, and z, :func:`_phase` at x unless given."""
         x = mp.mpf(x)._mpf_
         if not x[1] and x[2]:
             raise ValueError(f"non-finite evaluation point {mp.mpf(x)}")
@@ -547,18 +559,28 @@ class _FixedForm:
             for cr, ci in self.stack:
                 ar = ((ar * u) >> wp) + cr
                 ai = ((ai * u) >> wp) + ci
-        (zr, zi), (er, ei) = phases or _series_phases(x, self.M)
-        sr = si = 0
-        for cr, ci in zip(self.re, self.im):
-            sr, si = (
-                ((sr * zr - si * zi) >> wp) + cr,
-                ((sr * zi + si * zr) >> wp) + ci,
-            )
-        return _from_fixed(
-            ar + (tr >> wp) + ((sr * er - si * ei) >> wp),
-            ai + (ti >> wp) + ((sr * ei + si * er) >> wp),
-            self.shift,
-        )
+        return ar + (tr >> wp), ai + (ti >> wp), z or _phase(x, self.M)
+
+    def value(self, x, sums=(), z=None):
+        """Value at x, rounded once to working precision; caller holds
+        the precision of the form.
+
+        One wrap u = (x - xi) / 2pi mod 1 of the exact difference, so u = 0
+        at the anchor gives the right-sided limit; integer Horner in u over
+        the stack; :func:`_clenshaw` on w_k and on v_k.  ``sums``, the
+        partial sums S_M[v_l] of :func:`_partial_sums` at x and the form's
+        xi, subtract sum_l A_l S_M[v_l] before the rounding, as the row
+        stage does.  ``z`` is :func:`_phase` at x, if the caller took it.
+        """
+        re, im, z = self._point(x, sums, z)
+        return _from_fixed(re + self.c0[0] + _clenshaw(*self.w, z),
+                           im + self.c0[1] + _clenshaw(*self.v, z), self.shift)
+
+    def imag(self, x):
+        """``value(x).imag`` bit for bit, from the recurrence on v_k alone."""
+        _, im, z = self._point(x, (), None)
+        im += self.c0[1] + _clenshaw(*self.v, z)
+        return _from_fixed(0, im, self.shift).imag
 
 
 @dataclass(frozen=True)
@@ -655,7 +677,6 @@ def reconstruct1d(
             _form=form,
         )
         diagnostics["imag_residue"] = max(
-            float(abs(rec._form.value(-mp.pi + mp.pi * q / 4).imag))
-            for q in range(8)
+            float(abs(rec._form.imag(-mp.pi + mp.pi * q / 4))) for q in range(8)
         )
         return rec

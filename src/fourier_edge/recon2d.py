@@ -35,7 +35,7 @@ from .recon1d import (
     _FixedForm,
     _check_order,
     _partial_sums,
-    _series_phases,
+    _phase,
     reconstruct1d,
     solve_magnitudes_known_jump,
 )
@@ -59,7 +59,7 @@ class PsiReconstructionSet:
     def _values(self, wys, x) -> list:
         """Row values at x for the rows ``wys``; caller holds the precision.
 
-        The partial sums and the series phases are taken once for all rows,
+        The partial sums and the phase e^{ix} are taken once for all rows,
         which share M and the working bits.  A degraded row, and a row
         built at another precision, builds its form per call at this one.
         """
@@ -69,13 +69,13 @@ class PsiReconstructionSet:
         n = max((len(r.magnitudes_tilde) for r in rows if r is not None),
                 default=0)
         sums = _partial_sums(x, seam, M, n) if n else ()
-        phases = _series_phases(mp.mpf(x)._mpf_, M)
+        z = _phase(mp.mpf(x)._mpf_, M)
         vals = []
         for wy, form in zip(wys, rows):
             if form is None or form.prec != mp.prec:
                 mags = () if form is None else form.magnitudes_tilde
                 form = _FixedForm(self.grid.row(wy), seam, mags)
-            vals.append(form.value(x, sums, phases))
+            vals.append(form.value(x, sums, z))
         return vals
 
     def row_value(self, wy: int, x, ctx: ArithmeticContext):
@@ -197,8 +197,8 @@ def truncated_slice(grid: CoeffGrid2D, x, ctx: ArithmeticContext) -> _FixedForm:
 
     It is the raw series of the slice vector that :func:`slice_coeff_vector`
     builds when no row is reconstructed; ``form.value(y)``, under
-    ``ctx.workprec()``, is the complex sum at (x, y).  Raises ValueError,
-    naming the entry, on a non-finite grid entry.
+    ``ctx.workprec()``, is the complex sum at (x, y), from N folded terms
+    per part.  Raises ValueError, naming the entry, on a non-finite entry.
     """
     vec = slice_coeff_vector(PsiReconstructionSet(grid, {}, {}), x, ctx)
     with ctx.workprec():

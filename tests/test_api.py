@@ -231,3 +231,28 @@ def test_the_field_benchmark_reads_a_field_run():
             truth = eval2d(model, x, y, ctx)
             raw = recon2d.truncated_baseline(grid, x, y, ctx)
             assert abs(value - truth) < abs(raw - truth) / 5
+
+
+def test_every_evaluation_reaches_the_traced_evaluator(monkeypatch):
+    # the benchmark times evaluation in the span of recon1d.evaluate_complex;
+    # a path that skipped it would leave that time unattributed in a trace
+    calls = []
+    original = recon1d.evaluate_complex
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(recon1d, "evaluate_complex", counting)
+    ctx = ArithmeticContext(30)
+    with ctx.workprec():
+        c = model1d.synth_coeffs(model1d.JumpModel1D(0.5, (1.0, -0.3)), 24, ctx)
+    rec = fourier_edge.reconstruct1d(c, 1, ctx)
+    grid = coeff_grid(_dense_model(16, 4), 16, 4, ctx)
+    sl = reconstruct_field(grid, 3, 2, (0.4,), ctx, jobs=1).slices[0.4]
+    assert calls == []  # neither reconstruction evaluates through it
+    for n, evaluate in enumerate((lambda x: recon1d.evaluate(rec, x, ctx),
+                                  lambda x: rec.value(x, ctx),
+                                  lambda x: sl.value(x, ctx)), start=1):
+        evaluate(-1.2)
+        assert calls == [-1.2] * n

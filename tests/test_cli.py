@@ -216,6 +216,24 @@ def test_the_older_model_json_loads_normalised():
     assert model_from_json(new) == want
 
 
+@pytest.mark.parametrize("entry", [[0.5], None, True])
+def test_bare_profiles_refuse_what_is_not_a_number(entry):
+    # [0.5] and null raised a bare TypeError naming neither the profile
+    # nor its index, and true loaded as the profile 1
+    good = model_to_json(Model2D.canonical(2))
+    bad = dict(good, magnitudes=[1.0, "0.25", entry])
+    with pytest.raises(ValueError, match="profile 2 is not a number"):
+        model_from_json(bad)
+
+
+@pytest.mark.parametrize("d_model", [1.5, True, "2"])
+def test_model_d_model_must_be_an_int(d_model):
+    # 1.5 read "need 2.5 profiles for d_model=1.5"
+    good = model_to_json(Model2D.canonical(2))
+    with pytest.raises(ValueError, match="d_model must be an int"):
+        model_from_json(dict(good, d_model=d_model))
+
+
 def test_model_definitions_refuse_unknown_and_missing_keys():
     good = model_to_json(Model2D.canonical(2))
     # a misspelt background was dropped, and the run read plausible numbers

@@ -546,6 +546,29 @@ def test_evaluator_matches_kernel_and_series_reference(d, M, dps):
                     assert abs(got - _reference_value(rec, x, ref)) <= tol
 
 
+@pytest.mark.parametrize("kind", ["series", "record", "one-sided"])
+@pytest.mark.parametrize("M, dps", [(200, 50), (2048, 30)])
+def test_evaluator_holds_at_the_ends_of_the_period(kind, M, dps):
+    # the recurrence's roundings grow most near x = 0 and pi, where
+    # 2cos(x) is near +-2; the one-sided series (c_k = 0 for k < 0) pins
+    # that folding c_k with conj(c_-k) assumes no symmetry of the data
+    ctx = ArithmeticContext(dps)
+    ref = ArithmeticContext(dps + 40)
+    c, mags, xi = _random_series_inputs(M, ctx, seed=M + 1)
+    with ctx.workprec():
+        if kind == "one-sided":
+            c = CoeffVector1D(M, (mp.mpc(0),) * M + c.values[M:])
+        rec = Reconstruction1D(xi, mags if kind == "record" else (), c, 9)
+        pi, eps = +mp.pi, mp.mpf(10) ** -(dps - 5)
+        points = [mp.mpf(0), pi, -pi, eps, pi - eps]
+        points += [x + 2 * pi for x in points]
+        tol = mp.mpf(10) ** -dps * _value_scale(rec)
+    for x in points:
+        got = evaluate_complex(rec, x, ctx)
+        with ref.workprec():
+            assert abs(got - _reference_value(rec, x, ref)) <= tol, x
+
+
 def test_imag_residue_is_the_probe_of_the_record(ctx30):
     # the probe reads the returned record's own form; it must match what
     # the record evaluates to at the 8 probe points
@@ -559,6 +582,10 @@ def test_imag_residue_is_the_probe_of_the_record(ctx30):
         rec = reconstruct1d(c, 2, ctx30)
         want = max(float(abs(evaluate_complex(rec, x, ctx30).imag)) for x in probes)
         assert rec.diagnostics["imag_residue"] == want
+        # the probe sums the imaginary part alone, to the same bits
+        with ctx30.workprec():
+            assert [rec._form.imag(x)._mpf_ for x in probes] == [
+                evaluate_complex(rec, x, ctx30).imag._mpf_ for x in probes]
     assert want > 0.1
 
 
