@@ -138,16 +138,28 @@ def _cpx_list(values) -> list:
     return [p if isinstance(p, str) else list(p) if p[1] else p[0] for p in parts]
 
 
-def _cpx_from_json(data) -> tuple:
+def _is_number(v) -> bool:
+    """Whether a JSON value is a number or a string mpmath reads as one."""
+    if type(v) is str:
+        try:
+            mp.mpf(v)
+        except ValueError:
+            return False
+    return type(v) in (int, float, str)
+
+
+def _cpx_from_json(data, part: str) -> tuple:
     """Coefficients of :func:`_cpx_list`; an [re, im] pair is a complex, or
     the exact mpc of its parts when one is a decimal string.  ValueError
-    names a list entry that is not a pair of numbers or strings."""
+    names the part and index of an entry that is not a number, a decimal
+    string or an [re, im] pair of them."""
     out = []
-    for v in data:
-        if isinstance(v, list) and (
-                len(v) != 2 or any(type(p) not in (int, float, str) for p in v)):
-            raise ValueError(f"coefficient {v!r} is not an [re, im] pair")
-        if isinstance(v, list) and any(isinstance(p, str) for p in v):
+    for i, v in enumerate(data):
+        pair = isinstance(v, list)
+        if not (len(v) == 2 and all(map(_is_number, v)) if pair else _is_number(v)):
+            what = "an [re, im] pair" if pair else "a number or a decimal string"
+            raise ValueError(f"{part}, index {i}: coefficient {v!r} is not {what}")
+        if pair and any(isinstance(p, str) for p in v):
             with mp.workprec(max(53, 4 * len(str(v)))):
                 v = mp.mpc(*map(mp.mpf, v))
         out.append(complex(*v) if isinstance(v, list) else v)
@@ -176,25 +188,29 @@ def model_from_json(data: dict) -> Model2D:
     bare-number or decimal-string profiles and "background" null, which the
     constructors store as trig polynomials.  ValueError names an unknown or
     missing key of the model, its curve or a profile, a ``d_model`` that is
-    not an int, and a bare profile that is not a number or a string."""
+    not an int, a bare profile that is not a number or a decimal string,
+    and, by part and index, a coefficient that is not one or a pair of
+    them."""
     _check_keys(data, "model", ("d_model", "curve", "magnitudes"),
                 ("background",))
     if type(data["d_model"]) is not int:
         raise ValueError(f"d_model must be an int, got {data['d_model']!r}")
     _check_keys(data["curve"], "curve", ("kind", "coeffs"))
-    curve = Curve(data["curve"]["kind"], _cpx_from_json(data["curve"]["coeffs"]))
+    curve = Curve(data["curve"]["kind"],
+                  _cpx_from_json(data["curve"]["coeffs"], "curve"))
     mags = []
     for i, entry in enumerate(data["magnitudes"]):
         if isinstance(entry, dict):  # else a bare number or string, the older form
             _check_keys(entry, "profile", ("coeffs",))
-            entry = TrigBackground(_cpx_from_json(entry["coeffs"]))
-        elif type(entry) not in (int, float, str):
+            entry = TrigBackground(_cpx_from_json(entry["coeffs"], f"profile {i}"))
+        elif not _is_number(entry):
             raise ValueError(f"profile {i} is not a number or a decimal string: "
                              f"{entry!r}")
         mags.append(entry)
     background = Background2D(tuple(
-        (TrigBackground(_cpx_from_json(p)), TrigBackground(_cpx_from_json(q)))
-        for p, q in data.get("background") or ()
+        (TrigBackground(_cpx_from_json(p, f"background term {s} p")),
+         TrigBackground(_cpx_from_json(q, f"background term {s} q")))
+        for s, (p, q) in enumerate(data.get("background") or ())
     ))
     return Model2D(data["d_model"], tuple(mags), curve, background)
 

@@ -6,11 +6,13 @@ c_k, |k| <= M:
 
 1. scaled moments k^(d+1) c_k, formed exactly (:func:`moments`); the
    paper's mtilde_k = 2pi (ik)^(d+1) c_k differs by a factor common to all k;
-2. a coarse jump estimate from consecutive top indices at half order
-   (conditioning-friendly, accuracy only O(M^-2)-ish, used as a branch hint);
-3. full-order localization from decimated indices (j+1)N_1 via the root of
-   an annihilation polynomial, exact in the moments until the root finder
-   rounds it, with the hint selecting among the N_1 possible arguments;
+2. a branch hint from :func:`_localize`, the root nearest the unit circle
+   of the annihilation polynomial on an index window k0 + j s, which is
+   kappa^s for any k0: at half order d1 = floor(d/2) on the consecutive top
+   window (s = 1), kept at float64 accuracy;
+3. the same root at full order d on the decimated window (j+1)N_1
+   (k0 = s = N_1), polished to working precision, the hint selecting one
+   of its N_1 branches;
 4. kernel magnitudes from a scaled Vandermonde system at the same nodes,
    whose right-hand side mtilde_k kappa^-k is built on fixed-point ints from
    the same moments and solved by the exact integer inverse of the Lagrange
@@ -117,163 +119,103 @@ def moments(
         return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class HalfOrderEstimate:
-    """Coarse jump estimate used as the branch-selection hint."""
+def _localize(c: CoeffVector1D, order: int, k0: int, step: int, hint,
+              ctx: ArithmeticContext, polish: bool):
+    """Jump from the annihilation polynomial of the window k0 + j step.
 
-    kappa_h: object  # mpc on the unit circle
-    xi_h: object  # mpf in [-pi, pi)
-    d1: int
-    circle_distance: float
-    root_sweeps: int = 0
+    The polynomial is sum_j (-1)^j C(order+1, j) mtilde_{k0+j step}
+    u^(order+1-j), j = 0..order+1, on :func:`moments` at ``order``, its
+    coefficients exact products.  kappa^step is a root for any k0, exact for
+    a jump stack of order <= ``order`` with no smooth part on the window: the
+    sum is the (order+1)-th difference of a polynomial of degree ``order`` in
+    j.  Of the float64-level roots of :func:`poly_roots` the one nearest the
+    unit circle, z, is kept; with ``polish`` it is refined by
+    :func:`polish_root` under ``ctx.root_tol()``, else it must pass a
+    residual bound sized for float64.  ``hint``, a kappa (None only when
+    step = 1), picks the branch exp(i (arg z + 2pi r) / step) nearest it in
+    angle, r = round((step arg hint - arg z) / 2pi) mod step; that branch
+    lies within pi/step of the hint by construction (``branch_gap``), so a
+    hint off by more picks a wrong one without notice.
 
-
-def _circle_root(mom: tuple, ctx: ArithmeticContext, polish: bool):
-    """Root of the annihilation polynomial of ``mom`` closest to the unit circle.
-
-    The polynomial is sum_j (-1)^j C(deg, j) mom[j] u^(deg-j) with
-    deg = len(mom) - 1, its coefficients exact products of the raw pairs
-    of :func:`moments`.  The root is picked among the float64-level
-    roots of :func:`poly_roots`.  With ``polish`` it is then refined by
-    :func:`polish_root` at full precision under ``ctx.root_tol()``;
-    without, it must pass a residual bound sized for float64.  Returns
-    (z, dist, root_diag): the root, its distance | |z| - 1 |, and the
-    Aberth sweep count as ``root_sweeps`` plus, with ``polish``, the Newton
-    step count as ``root_newton_steps``.  Callers hold the working
-    precision of ``ctx``.
-
-    Raises
-    ------
-    LocalizationError
-        If the polynomial has no roots, or none lies within the circle band.
-    RootFindingError
-        If the root fails its residual bound.
+    Returns (kappa, xi, diagnostics): kappa on the unit circle, xi =
+    -arg(kappa) in [-pi, pi), and the step as ``N1``, | |z| - 1 | as
+    ``circle_distance``, r as ``branch_index``, ``branch_gap``, ``hint_xi``,
+    the Aberth sweeps as ``root_sweeps`` and, with ``polish``, the Newton
+    steps as ``root_newton_steps``.  Raises LocalizationError naming a
+    window not inside 1..M, or if no root lies within the circle band;
+    RootFindingError if the root fails its residual bound; ValueError for a
+    negative order, or for no hint while step > 1.
     """
-    deg = len(mom) - 1
-    coeffs = []
-    for j, (re, im) in enumerate(reversed(mom)):  # u^j takes mom[deg - j]
-        w = from_int((-1) ** (deg - j) * math.comb(deg, j))
-        coeffs.append(mp.make_mpc((mpf_mul(re, w), mpf_mul(im, w))))
-    roots, sweeps = poly_roots(coeffs, ctx)
-    if not roots:
-        raise LocalizationError("degenerate annihilation polynomial")
-    z = min(roots, key=lambda r: abs(abs(r) - 1))
-    root_diag = {"root_sweeps": sweeps}
-    if polish:
-        z, root_diag["root_newton_steps"] = polish_root(coeffs, z, ctx)
-    else:
-        _check_residual(coeffs, z, _HINT_TOL)
-    dist = abs(abs(z) - 1)
-    if dist > _CIRCLE_BAND:
-        raise LocalizationError(
-            f"closest root modulus {mp.nstr(abs(z), 6)} outside circle band"
-        )
-    return z, dist, root_diag
-
-
-def half_order_localize(
-    c: CoeffVector1D,
-    d1: int,
-    ctx: ArithmeticContext,
-) -> HalfOrderEstimate:
-    """Jump location from consecutive indices at reduced order d1.
-
-    Builds the annihilation polynomial
-    sum_j (-1)^j C(d1+1, j) mtilde_{k0+j} u^(d1+1-j)
-    on the d1+2 consecutive indices starting at k0 = M - d1 - 1, the top of
-    the band, with moments scaled at order d1.  For a model whose
-    jump stack has order exactly d1 and no smooth part the true
-    kappa = exp(-i xi) is an exact root; in general the estimate carries an
-    O(k0^-1) relative moment perturbation and is only a hint.  The root is
-    kept at float64 accuracy, which is ample for picking a branch.
-
-    Raises
-    ------
-    LocalizationError
-        If the band cannot host the index window, or no root lies within
-        0.5 of the unit circle in modulus.
-    """
-    if d1 < 0:
-        raise ValueError(f"d1 must be >= 0, got {d1}")
-    k0 = c.M - d1 - 1
-    if k0 < 1:
-        raise LocalizationError(
-            f"band M={c.M} cannot host consecutive window at k0={k0}, d1={d1}"
-        )
-    mom = moments(c, range(k0, k0 + d1 + 2), d1, ctx)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if k0 < 1 or k0 + (order + 1) * step > c.M:
+        raise LocalizationError(f"window {k0} + j*{step}, j = 0..{order + 1},"
+                                f" is not inside 1..M={c.M}")
+    if hint is None and step > 1:
+        raise ValueError(f"a hint must pick one of N1 = {step} branches")
+    mom = moments(c, range(k0, k0 + (order + 2) * step, step), order, ctx)
     with ctx.workprec():
-        z, dist, root_diag = _circle_root(mom, ctx, polish=False)
-        kappa = z / abs(z)
-        xi = -mp.arg(kappa)
-        if xi >= mp.pi:  # canonical half-open wrap
-            xi -= 2 * mp.pi
-        return HalfOrderEstimate(kappa, xi, d1, float(dist), **root_diag)
-
-
-def full_order_localize(
-    c: CoeffVector1D,
-    d: int,
-    hint: HalfOrderEstimate | None,
-    ctx: ArithmeticContext,
-):
-    """Full-order jump localization from decimated moments.
-
-    Uses indices (j+1)N_1, j = 0..d+1 with N_1 = floor(M / (d+2)).
-    The closest-to-circle root z of the annihilation polynomial, polished
-    at full precision, approximates kappa^(N_1); its N_1-th roots
-    exp(i (arg z + 2pi r) / N_1) are the candidate branches, and the hint
-    picks the one nearest in angle: r = round((N_1 arg kappa_h - arg z) /
-    2pi) mod N_1.  With N_1 = 1 there is one branch and ``hint`` may be
-    None.  The chosen branch lies within pi/N_1 of the hint by construction
-    (diagnostics["branch_gap"]), so a hint that is off by more than that
-    picks a wrong branch without notice.
-
-    Returns
-    -------
-    (kappa_tilde, xi_tilde, diagnostics) with kappa_tilde on the unit
-    circle, xi_tilde = -arg(kappa_tilde) in [-pi, pi).
-
-    Raises
-    ------
-    LocalizationError
-        If N_1 < 1 (band too short for the order) or no root is near the
-        unit circle.
-    ValueError
-        If ``hint`` is None while N_1 > 1.
-    """
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    N1 = c.M // (d + 2)
-    if N1 < 1:
-        raise LocalizationError(
-            f"decimation infeasible: M={c.M} < d+2={d + 2}"
-        )
-    if hint is None and N1 > 1:
-        raise ValueError(f"a hint must pick one of N1 = {N1} branches")
-    mom = moments(c, [(j + 1) * N1 for j in range(d + 2)], d, ctx)
-    with ctx.workprec():
-        z, dist, root_diag = _circle_root(mom, ctx, polish=True)
+        coeffs = []
+        for j, (re, im) in enumerate(reversed(mom)):  # u^j takes mom[-1 - j]
+            w = from_int((-1) ** (order + 1 - j) * math.comb(order + 1, j))
+            coeffs.append(mp.make_mpc((mpf_mul(re, w), mpf_mul(im, w))))
+        roots, sweeps = poly_roots(coeffs, ctx)
+        if not roots:
+            raise LocalizationError("degenerate annihilation polynomial")
+        z = min(roots, key=lambda r: abs(abs(r) - 1))
+        root_diag = {"root_sweeps": sweeps}
+        if polish:
+            z, root_diag["root_newton_steps"] = polish_root(coeffs, z, ctx)
+        else:
+            _check_residual(coeffs, z, _HINT_TOL)
+        dist = abs(abs(z) - 1)
+        if dist > _CIRCLE_BAND:
+            raise LocalizationError(
+                f"closest root modulus {mp.nstr(abs(z), 6)} outside circle band"
+            )
         theta = mp.arg(z)
         r, gap = 0, mp.mpf(0)
         if hint is not None:
-            # candidate r lies 2pi (r - t) / N1 from the hint in angle
-            t = (N1 * mp.arg(hint.kappa_h) - theta) / (2 * mp.pi)
+            # candidate r lies 2pi (r - t) / step from the hint in angle
+            t = (step * mp.arg(hint) - theta) / (2 * mp.pi)
             r = int(mp.nint(t))
-            gap = 2 * mp.pi * abs(t - r) / N1
-            r %= N1
-        best = mp.expj((theta + 2 * mp.pi * r) / N1)
-        xi = -mp.arg(best)
-        if xi >= mp.pi:
-            xi -= 2 * mp.pi
-        diagnostics = {
-            "N1": N1,
+            gap = 2 * mp.pi * abs(t - r) / step
+            r %= step
+        kappa = mp.expj((theta + 2 * mp.pi * r) / step)
+        return kappa, _xi_of(kappa), {
+            "N1": step,
             "circle_distance": float(dist),
             "branch_index": r,
             "branch_gap": float(gap),
-            "hint_xi": None if hint is None else float(hint.xi_h),
+            "hint_xi": None if hint is None else float(_xi_of(hint)),
             **root_diag,
         }
-        return best, xi, diagnostics
+
+
+def _xi_of(kappa):
+    """-arg(kappa), wrapped to the half-open [-pi, pi)."""
+    xi = -mp.arg(kappa)
+    return xi - 2 * mp.pi if xi >= mp.pi else xi
+
+
+def half_order_localize(c: CoeffVector1D, d1: int, ctx: ArithmeticContext):
+    """Branch hint: :func:`_localize` at order d1 on the d1+2 consecutive
+    indices at the top of the band, k0 = M - d1 - 1, step 1.  Kernel orders
+    above d1 perturb its moments by O(k0^-1) relatively, so the root is only
+    a hint, and it is not polished: it picks one of N_1 branches 2pi/N_1
+    apart, for which float64 is ample.  Returns (kappa_h, xi_h, diagnostics).
+    """
+    return _localize(c, d1, c.M - d1 - 1, 1, None, ctx, polish=False)
+
+
+def full_order_localize(c: CoeffVector1D, d: int, hint, ctx: ArithmeticContext):
+    """Jump location: :func:`_localize` at order d on the decimated indices
+    (j+1)N_1, N_1 = floor(M / (d+2)), polished at full precision, with
+    ``hint`` the kappa of :func:`half_order_localize` (None when N_1 = 1).
+    Returns (kappa_tilde, xi_tilde, diagnostics).
+    """
+    N1 = c.M // (d + 2)
+    return _localize(c, d, N1, N1, hint, ctx, polish=True)
 
 
 def solve_magnitudes(
@@ -661,9 +603,9 @@ def reconstruct1d(
         diagnostics = {"d": d}
         hint = None
         if c.M // (d + 2) > 1:  # N1 = 1 has one branch: no hint needed
-            hint = half_order_localize(c, d // 2, ctx)
-            diagnostics["d1"] = hint.d1
-            diagnostics["half_root_sweeps"] = hint.root_sweeps
+            d1 = d // 2
+            hint, _, half_diag = half_order_localize(c, d1, ctx)
+            diagnostics.update(d1=d1, half_root_sweeps=half_diag["root_sweeps"])
         kappa, xi, loc_diag = full_order_localize(c, d, hint, ctx)
         mags = solve_magnitudes(c, d, kappa, ctx, loc_diag["N1"])
         diagnostics.update(loc_diag)

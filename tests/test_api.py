@@ -8,6 +8,7 @@ models and a field run keep the names the benchmark's checks read.
 """
 
 import ast
+import collections
 import importlib
 import os
 import subprocess
@@ -256,3 +257,45 @@ def test_every_evaluation_reaches_the_traced_evaluator(monkeypatch):
                                   lambda x: sl.value(x, ctx)), start=1):
         evaluate(-1.2)
         assert calls == [-1.2] * n
+
+
+def _names_read(tree, imports=True):
+    """Counter of the names a syntax tree reads: identifiers, attribute
+    names, string constants (``__all__``, the tracer's list) and, with
+    ``imports``, imported names, which count as references."""
+    names = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias) and imports:
+            names[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+    return names
+
+
+def test_every_import_and_definition_is_used():
+    # an import the module never reads, or a module-level function or class
+    # nothing in the source, the tests or the benchmark names, is a leftover
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))}
+    others = collections.Counter()
+    for folder in ("tests", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            others += _names_read(ast.parse(path.read_text()))
+    everywhere = sum(map(_names_read, modules.values()), others)
+    for path, tree in modules.items():
+        read = _names_read(tree, imports=False)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    assert read[bound], f"{path.name}: unused import {bound}"
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses = everywhere[node.name] - _names_read(node)[node.name]
+                assert uses > 0, f"{path.name}: {node.name} is never referenced"

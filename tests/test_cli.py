@@ -226,6 +226,40 @@ def test_bare_profiles_refuse_what_is_not_a_number(entry):
         model_from_json(bad)
 
 
+@pytest.mark.parametrize("index", [0, 2])
+@pytest.mark.parametrize("part", ["curve", "profile 1", "bare profile 1",
+                                  "background term 0 p", "background term 0 q"])
+def test_model_strings_that_are_not_numbers_name_their_part(part, index):
+    # "abc" as a bare profile or as coefficient 0 raised mpmath's bare "could
+    # not convert string to float"; as a later coefficient it loaded, and
+    # failed only in generate; as one part of a pair it failed the same way
+    coeffs = [0.1, [0.2, 0.3], 0.05]
+    bad = coeffs[:index] + ["abc"] + coeffs[index + 1:]
+    model = {
+        "d_model": 1,
+        "curve": {"kind": "trig", "coeffs": bad if part == "curve" else coeffs},
+        "magnitudes": [{"coeffs": [1.0]}, {"coeffs": bad}],
+        "background": [[coeffs, coeffs]],
+    }
+    if part != "profile 1":
+        model["magnitudes"][1] = {"coeffs": [0.5]}
+    if part.startswith("background"):
+        model["background"][0]["pq".index(part[-1])] = bad
+    if part == "bare profile 1":
+        model["magnitudes"][1] = "abc"
+        want = "profile 1 is not a number or a decimal string: 'abc'"
+    else:
+        want = f"{part}, index {index}: coefficient 'abc' is not a number"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        model_from_json(model)
+    if part != "bare profile 1":  # and as the real part of a pair
+        text = json.dumps(model).replace('"abc"', '["abc", 0.0]')
+        with pytest.raises(ValueError, match=re.escape(
+                f"{part}, index {index}: coefficient ['abc', 0.0] is not an "
+                "[re, im] pair")):
+            model_from_json(json.loads(text))
+
+
 @pytest.mark.parametrize("d_model", [1.5, True, "2"])
 def test_model_d_model_must_be_an_int(d_model):
     # 1.5 read "need 2.5 profiles for d_model=1.5"

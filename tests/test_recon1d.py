@@ -10,6 +10,7 @@ import hashlib
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -82,11 +83,11 @@ def test_half_order_exact_when_stack_matches(ctx30):
     # its float64 root, and the full-order root is polished to precision
     with ctx30.workprec():
         c = _pure(0.7, (0.8, -0.3), 32, ctx30)
-        est = half_order_localize(c, 1, ctx30)
-        assert abs(est.xi_h - mp.mpf(0.7)) < 1e-13
-        assert est.circle_distance < 1e-13
-        assert abs(abs(est.kappa_h) - 1) < mp.mpf(10) ** -28
-        _, xi, diag = full_order_localize(c, 1, est, ctx30)
+        kappa_h, xi_h, diag = half_order_localize(c, 1, ctx30)
+        assert abs(xi_h - mp.mpf(0.7)) < 1e-13
+        assert diag["circle_distance"] < 1e-13
+        assert abs(abs(kappa_h) - 1) < mp.mpf(10) ** -28
+        _, xi, diag = full_order_localize(c, 1, kappa_h, ctx30)
         assert abs(xi - mp.mpf(0.7)) < mp.mpf(10) ** -25
         assert diag["circle_distance"] < 1e-20
 
@@ -95,14 +96,51 @@ def test_half_order_is_a_usable_hint_at_reduced_order(ctx30):
     # stack order 3, localized at d1 = 1: perturbed but close
     with ctx30.workprec():
         c = _pure(-1.9, (1.0, 0.5, -0.7, 0.2), 64, ctx30)
-        est = half_order_localize(c, 1, ctx30)
-        assert abs(est.xi_h - mp.mpf(-1.9)) < 0.05
+        _, xi_h, _ = half_order_localize(c, 1, ctx30)
+        assert abs(xi_h - mp.mpf(-1.9)) < 0.05
 
 
 def test_half_order_band_too_short(ctx15):
     c = CoeffVector1D(2, (0,) * 5)
     with pytest.raises(LocalizationError):
         half_order_localize(c, 3, ctx15)
+
+
+@pytest.mark.parametrize("d1", [0, 2])
+def test_half_order_window_boundary(d1, ctx30):
+    # the consecutive window M-d1-1..M fits from M = d1+2 on; at M = d1+1
+    # its base k0 = 0 leaves the band, and the error names the window
+    mags = (1.0, -0.4, 0.3)[:d1 + 1]
+    with ctx30.workprec():
+        c = _pure(0.7, mags, d1 + 2, ctx30)
+        _, xi_h, diag = half_order_localize(c, d1, ctx30)
+        assert abs(xi_h - mp.mpf(0.7)) < 1e-10 and diag["N1"] == 1
+        short = _pure(0.7, mags, d1 + 1, ctx30)
+    with pytest.raises(LocalizationError, match=re.escape(
+            f"window 0 + j*1, j = 0..{d1 + 1}, is not inside 1..M={d1 + 1}")):
+        half_order_localize(short, d1, ctx30)
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_full_order_window_boundary(d, ctx30):
+    # the decimated window (j+1)N1 fits from M = d+2 on, with N1 = 1 and
+    # no hint; at M = d+1, N1 = 0 and both the stage and the pipeline name
+    # the window
+    mags = (1.0, -0.5, 0.25, 0.8)[:d + 1]
+    with ctx30.workprec():
+        c = _pure(-1.3, mags, d + 2, ctx30)
+        _, xi, diag = full_order_localize(c, d, None, ctx30)
+        rec = reconstruct1d(c, d, ctx30)
+        assert diag["N1"] == rec.diagnostics["N1"] == 1
+        assert abs(xi - mp.mpf(-1.3)) < mp.mpf(10) ** -20
+        assert rec.xi_tilde == xi
+        short = _pure(-1.3, mags, d + 1, ctx30)
+    window = re.escape(
+        f"window 0 + j*0, j = 0..{d + 1}, is not inside 1..M={d + 1}")
+    with pytest.raises(LocalizationError, match=window):
+        full_order_localize(short, d, None, ctx30)
+    with pytest.raises(LocalizationError, match=window):
+        reconstruct1d(short, d, ctx30)
 
 
 def test_half_order_no_root_near_circle(ctx15):
@@ -124,7 +162,7 @@ def test_zero_data_raises(ctx15):
 def test_full_order_recovers_location(ctx30):
     with ctx30.workprec():
         c = _pure(2.1, (1.0, -0.5, 0.25, 0.8), 40, ctx30)
-        hint = half_order_localize(c, 1, ctx30)
+        hint, _, _ = half_order_localize(c, 1, ctx30)
         kappa, xi, diag = full_order_localize(c, 3, hint, ctx30)
         assert diag["N1"] == 8  # floor(40 / 5)
         assert abs(xi - mp.mpf(2.1)) < mp.mpf(10) ** -22
@@ -156,7 +194,7 @@ def test_full_order_root_polish_needs_few_sweeps(c1_style_coeffs, ctx50):
     # Newton from the float64 root converges quadratically: three steps
     # from about 1e-13 take it below 10^-55 at 60 working digits
     with ctx50.workprec():
-        hint = half_order_localize(c1_style_coeffs, 4, ctx50)
+        hint, _, _ = half_order_localize(c1_style_coeffs, 4, ctx50)
         _, xi, diag = full_order_localize(c1_style_coeffs, 9, hint, ctx50)
         assert abs(xi - mp.mpf(-2.4)) < mp.mpf(10) ** -25
     assert 1 <= diag["root_newton_steps"] <= 3
@@ -181,7 +219,7 @@ def test_one_branch_skips_the_hint_without_changing_results(ctx30):
         assert rec.diagnostics["N1"] == 1
         assert "half_root_sweeps" not in rec.diagnostics
         assert rec.diagnostics["hint_xi"] is None
-        hint = half_order_localize(c, d // 2, ctx30)
+        hint, _, _ = half_order_localize(c, d // 2, ctx30)
         kappa, xi, diag = full_order_localize(c, d, hint, ctx30)
         mags = solve_magnitudes(c, d, kappa, ctx30, diag["N1"])
     assert xi._mpf_ == rec.xi_tilde._mpf_
@@ -207,7 +245,7 @@ def test_closed_form_branch_matches_brute_force(ctx30):
     # midpoint between two branches, where the choice flips
     with ctx30.workprec():
         c = _pure(-0.9, (1.0, 0.4), 24, ctx30)
-        hint = half_order_localize(c, 1, ctx30)
+        hint, _, _ = half_order_localize(c, 1, ctx30)
         kappa, _, diag = full_order_localize(c, 1, hint, ctx30)
         n1 = diag["N1"]
         theta = mp.arg(kappa ** n1)
@@ -216,9 +254,9 @@ def test_closed_form_branch_matches_brute_force(ctx30):
             mid = (theta + 2 * mp.pi * (r + mp.mpf(1) / 2)) / n1
             phases += [mid - mp.mpf(10) ** -12, mid + mp.mpf(10) ** -12]
         for phase in phases:
-            probe = dataclasses.replace(hint, kappa_h=mp.expj(phase))
+            probe = mp.expj(phase)
             _, _, got = full_order_localize(c, 1, probe, ctx30)
-            r, gap = _brute_force_branch(theta, n1, probe.kappa_h)
+            r, gap = _brute_force_branch(theta, n1, probe)
             assert got["branch_index"] == r
             assert abs(got["branch_gap"] - float(gap)) < 1e-14
 
@@ -226,7 +264,7 @@ def test_closed_form_branch_matches_brute_force(ctx30):
 def test_full_order_needs_wide_enough_band(ctx15):
     with ctx15.workprec():
         c = _pure(0.3, (1.0,), 4, ctx15)
-        hint = half_order_localize(c, 0, ctx15)
+        hint, _, _ = half_order_localize(c, 0, ctx15)
     with pytest.raises(LocalizationError):
         full_order_localize(c, 3, hint, ctx15)  # M=4 < d+2
 
@@ -236,7 +274,7 @@ def test_branch_selection_follows_hint(ctx30):
     with ctx30.workprec():
         for xi in (-2.9, -0.6, 0.05, 3.0):
             c = _pure(xi, (1.0, 0.4), 24, ctx30)
-            hint = half_order_localize(c, 1, ctx30)
+            hint, _, _ = half_order_localize(c, 1, ctx30)
             kappa, got, diag = full_order_localize(c, 1, hint, ctx30)
             assert diag["N1"] == 8
             assert abs(got - mp.mpf(xi)) < mp.mpf(10) ** -20
@@ -321,7 +359,7 @@ def test_localized_solve_matches_a_higher_precision_solve(c1_style_coeffs, ctx50
     # where the top node carries k^(d+1) = 180^10 and the lowest order does
     # not
     with ctx50.workprec():
-        hint = half_order_localize(c1_style_coeffs, 4, ctx50)
+        hint, _, _ = half_order_localize(c1_style_coeffs, 4, ctx50)
         kappa, _, diag = full_order_localize(c1_style_coeffs, 9, hint, ctx50)
         got = solve_magnitudes(c1_style_coeffs, 9, kappa, ctx50, diag["N1"])
     assert diag["N1"] == 18
@@ -418,6 +456,32 @@ def test_series_kernels_are_pinned_bit_for_bit():
         digest.update(repr(v._mpc_).encode())
     assert digest.hexdigest() == (
         "f72019989357677fa7da88bfe510288a16028c16274623d046e471acdfe9f9ab")
+
+
+def test_reconstruct1d_is_pinned_bit_for_bit():
+    # xi, magnitudes and every diagnostic of reconstruct1d on fixed seeded
+    # models with a smooth part of degree 3, hashed.  M = 12 at d = 5 has
+    # N1 = 1 and no hint; the smooth part sits on its nodes 1..7, so the
+    # root kept lies 0.22 off the circle.  M = 200 at d = 9 has N1 = 18, a
+    # half-order hint, and no node in reach of the smooth part.
+    ctx = ArithmeticContext(50)
+    rng = random.Random(25)
+    digest = hashlib.sha256()
+    for M, d in ((12, 5), (200, 9)):
+        mags = tuple(rng.uniform(-2, 2) for _ in range(d + 1))
+        smooth = TrigBackground(
+            (rng.uniform(-1, 1),) + tuple(complex(rng.uniform(-1, 1),
+                                                  rng.uniform(-1, 1)) / 4
+                                          for _ in range(3)))
+        model = JumpModel1D(rng.uniform(-3, 3), mags, smooth)
+        rec = reconstruct1d(synth_coeffs(model, M, ctx), d, ctx)
+        assert rec.diagnostics["N1"] == M // (d + 2)
+        digest.update(repr(rec.xi_tilde._mpf_).encode())
+        for a in rec.magnitudes_tilde:
+            digest.update(repr(a._mpc_).encode())
+        digest.update(repr(sorted(rec.diagnostics.items())).encode())
+    assert digest.hexdigest() == (
+        "261d46acbbefa585b3d1f76da8b7a65f76d4bac3185b7b9ed7e3e64a88204fb8")
 
 
 def test_series_kernels_accept_mixed_input_types(ctx30):
