@@ -326,16 +326,16 @@ def compute_metrics(
 
 def fit_loglog(points) -> tuple:
     """(slope, intercept, n_points) of log(err) vs log(N), fitted on the
-    n_points >= 3 positive finite errors."""
+    n_points >= 3 positive finite errors, which must span at least two N."""
     clean = [
         (math.log(n), math.log(e))
         for n, e in points
         if e > 0 and math.isfinite(e)
     ]
-    if len(clean) < 3:
-        raise ValueError(
-            f"refusing slope fit: {len(clean)} usable points (need >= 3)"
-        )
+    distinct = len({x for x, _ in clean})
+    if len(clean) < 3 or distinct < 2:
+        raise ValueError(f"refusing slope fit: {len(clean)} usable points "
+                         f"(need >= 3) at {distinct} distinct N (need >= 2)")
     xs = [p[0] for p in clean]
     ys = [p[1] for p in clean]
     n = len(clean)

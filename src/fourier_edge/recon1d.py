@@ -483,9 +483,17 @@ class _FixedForm:
                 stack[j][1] += ai * t
         self.stack = [(re >> wp, im >> wp) for re, im in reversed(stack)]
 
-    def _point(self, x, sums, z):
-        """(re, im, z): the stack at x less sum_l A_l S_M[v_l] for ``sums``
-        at 2^shift, and z, :func:`_phase` at x unless given."""
+    def value(self, x, sums=(), z=None):
+        """Value at x, rounded once to working precision; caller holds
+        the precision of the form.
+
+        One wrap u = (x - xi) / 2pi mod 1 of the exact difference, so u = 0
+        at the anchor gives the right-sided limit; integer Horner in u over
+        the stack; :func:`_clenshaw` on w_k and on v_k.  ``sums``, the
+        partial sums S_M[v_l] of :func:`_partial_sums` at x and the form's
+        xi, subtract sum_l A_l S_M[v_l] before the rounding, as the row
+        stage does.  ``z`` is :func:`_phase` at x, if the caller took it.
+        """
         x = mp.mpf(x)._mpf_
         if not x[1] and x[2]:
             raise ValueError(f"non-finite evaluation point {mp.mpf(x)}")
@@ -501,28 +509,10 @@ class _FixedForm:
             for cr, ci in self.stack:
                 ar = ((ar * u) >> wp) + cr
                 ai = ((ai * u) >> wp) + ci
-        return ar + (tr >> wp), ai + (ti >> wp), z or _phase(x, self.M)
-
-    def value(self, x, sums=(), z=None):
-        """Value at x, rounded once to working precision; caller holds
-        the precision of the form.
-
-        One wrap u = (x - xi) / 2pi mod 1 of the exact difference, so u = 0
-        at the anchor gives the right-sided limit; integer Horner in u over
-        the stack; :func:`_clenshaw` on w_k and on v_k.  ``sums``, the
-        partial sums S_M[v_l] of :func:`_partial_sums` at x and the form's
-        xi, subtract sum_l A_l S_M[v_l] before the rounding, as the row
-        stage does.  ``z`` is :func:`_phase` at x, if the caller took it.
-        """
-        re, im, z = self._point(x, sums, z)
-        return _from_fixed(re + self.c0[0] + _clenshaw(*self.w, z),
-                           im + self.c0[1] + _clenshaw(*self.v, z), self.shift)
-
-    def imag(self, x):
-        """``value(x).imag`` bit for bit, from the recurrence on v_k alone."""
-        _, im, z = self._point(x, (), None)
-        im += self.c0[1] + _clenshaw(*self.v, z)
-        return _from_fixed(0, im, self.shift).imag
+        z = z or _phase(x, self.M)
+        return _from_fixed(ar + (tr >> wp) + self.c0[0] + _clenshaw(*self.w, z),
+                           ai + (ti >> wp) + self.c0[1] + _clenshaw(*self.v, z),
+                           self.shift)
 
 
 @dataclass(frozen=True)
@@ -575,15 +565,20 @@ def evaluate(rec: Reconstruction1D, x, ctx: ArithmeticContext):
     return rec.value(x, ctx)
 
 
+def imag_residue(rec: Reconstruction1D, ctx: ArithmeticContext) -> float:
+    """Imaginary-residue probe, on demand: the largest |Im| of the record at
+    -pi + pi q/4, q = 0..7, formed under ``ctx``; near 0 for real data."""
+    with ctx.workprec():
+        return max(float(abs(evaluate_complex(rec, -mp.pi + mp.pi * q / 4,
+                                              ctx).imag)) for q in range(8))
+
+
 def reconstruct1d(
     c: CoeffVector1D,
     d: int,
     ctx: ArithmeticContext,
 ) -> Reconstruction1D:
     """One-call pipeline: localize the jump, solve magnitudes, residual.
-
-    ``diagnostics["imag_residue"]`` records an imaginary-residue probe: the
-    largest |Im| of the reconstruction at eight points of the period.
 
     Parameters
     ----------
@@ -617,8 +612,5 @@ def reconstruct1d(
             d=d,
             diagnostics=diagnostics,
             _form=form,
-        )
-        diagnostics["imag_residue"] = max(
-            float(abs(rec._form.imag(-mp.pi + mp.pi * q / 4))) for q in range(8)
         )
         return rec

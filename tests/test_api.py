@@ -236,19 +236,27 @@ def test_the_field_benchmark_reads_a_field_run():
 
 def test_every_evaluation_reaches_the_traced_evaluator(monkeypatch):
     # the benchmark times evaluation in the span of recon1d.evaluate_complex;
-    # a path that skipped it would leave that time unattributed in a trace
-    calls = []
-    original = recon1d.evaluate_complex
+    # a path that skipped it would leave that time unattributed in a trace.
+    # A form evaluation not handed a phase calls recon1d._phase once, so that
+    # spy counts evaluations however they are reached
+    calls, phases = [], []
+    original, phase = recon1d.evaluate_complex, recon1d._phase
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
+    def counting_phase(*args):
+        phases.append(args[0])
+        return phase(*args)
+
     monkeypatch.setattr(recon1d, "evaluate_complex", counting)
+    monkeypatch.setattr(recon1d, "_phase", counting_phase)
     ctx = ArithmeticContext(30)
     with ctx.workprec():
         c = model1d.synth_coeffs(model1d.JumpModel1D(0.5, (1.0, -0.3)), 24, ctx)
     rec = fourier_edge.reconstruct1d(c, 1, ctx)
+    assert phases == []  # a 1D reconstruction evaluates nothing
     grid = coeff_grid(_dense_model(16, 4), 16, 4, ctx)
     sl = reconstruct_field(grid, 3, 2, (0.4,), ctx, jobs=1).slices[0.4]
     assert calls == []  # neither reconstruction evaluates through it
@@ -257,6 +265,10 @@ def test_every_evaluation_reaches_the_traced_evaluator(monkeypatch):
                                   lambda x: sl.value(x, ctx)), start=1):
         evaluate(-1.2)
         assert calls == [-1.2] * n
+        assert len(phases) == n
+    # the imaginary-residue probe evaluates on demand, through the spy
+    recon1d.imag_residue(rec, ctx)
+    assert len(calls) == 3 + 8 and len(phases) == 3 + 8
 
 
 def _names_read(tree, imports=True):

@@ -417,6 +417,9 @@ def test_fit_loglog_recovers_pure_power_law():
 def test_fit_loglog_refuses_sparse_data():
     with pytest.raises(ValueError, match="refusing slope fit"):
         fit_loglog([(8, 1e-3), (16, float("nan")), (32, 0.0)])
+    # three usable points at one N leave the slope undefined (sxx = 0)
+    with pytest.raises(ValueError, match="refusing slope fit: .* 1 distinct N"):
+        fit_loglog([(8, 1e-3), (8, 1e-4), (8, 1e-5)])
 
 
 # -- flag handling -----------------------------------------------------------
