@@ -26,14 +26,14 @@ import math
 from dataclasses import dataclass, field
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero
+from mpmath.libmp import from_man_exp, fzero, mpf_neg
 
 from .kernels import v_fourier_coeff
 from .model1d import (CoeffVector1D, JumpModel1D, TrigBackground,
                       _outside_period, _trig_eval, eval_model, synth_coeffs)
 from .numerics import (
     ArithmeticContext,
-    _fixed_horner,
+    _fixed_horner_pair,
     _fixed_shift,
     _fixed_stack,
     _from_fixed,
@@ -224,60 +224,71 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     """Exact grid for the identity curve: profile spectra shifted to the
     anti-diagonal band.
 
-    Entry (wx, wy != 0) is sum_l a_l(q) / (2pi (i wy)^(l+1)), q = wx + wy:
-    one Horner pass in u = -i/wy on Python-int fixed point, rounded once.
-    Each spectrum a_0(q)..a_d(q), 1/2pi folded in, is converted once at its
-    own scale, so spectra that decay over many orders of magnitude keep
-    their relative precision; guard bits cover the factor wy^-(d+1) by
-    which an entry may fall below its largest coefficient.  An entry whose
-    q lies outside every profile's band gets the background only.  The
-    background adds sum_s p_s(wx) q_s(wy) after the rounding, in the order
-    of ``Background2D.coeff2d``, from the term coefficients converted once
-    per wx and per wy; products with an exact-zero factor, and a zero sum,
-    are skipped.
+    Entry (wx, wy != 0) is sum_l a_l(q) / (2pi (i wy)^(l+1)), q = wx + wy,
+    on Python-int fixed point, rounded once.  Each a_l(k), k = 0..M+N, is
+    scaled by 1/2pi once, and q = -k takes the conjugate of that product,
+    which is exact, since each part rounds on its own.  Each spectrum
+    a_0(q)..a_d(q) is converted once at its own scale, so spectra that
+    decay over many orders of magnitude keep their relative precision;
+    guard bits cover the factor wy^-(d+1) by which an entry may fall below
+    its largest coefficient.  One paired Horner pass per (q, n) gives the
+    entries (q - n, n) and (q + n, -n).  The background adds
+    sum_s p_s(wx) q_s(wy) after the rounding, in the order of
+    ``Background2D.coeff2d``, on its terms' supports, each found once.
 
     Raises
     ------
     ValueError
-        If a profile or background coefficient is NaN or infinite, naming it.
+        If a profile or background coefficient is NaN or infinite, naming
+        it; a bad profile coefficient is the first in (q, l) order.
     """
     with ctx.workprec():
         wp = mp.prec + _guard_bits(N) + len(m.magnitudes) * N.bit_length()
-        forms = {}  # q -> (shift, stack), where some a_l(q) is nonzero
-        for q in range(-M - N, M + N + 1):
-            coeffs = [prof.coeff(q) for prof in m.magnitudes]
-            parts = _mpc_parts(coeffs, f"coefficient at q={q} of profile A_", 0)
-            if any(re[1] or im[1] for re, im in parts):
-                parts = _over_two_pi(parts, wp)
-                shift = _fixed_shift(parts, wp)
-                forms[q] = shift, _fixed_stack(parts, shift)
+        try:
+            spectra = [_over_two_pi(_mpc_parts(
+                [prof.coeff(k) for k in range(min(prof.bandwidth, M + N) + 1)],
+                "", 0), wp) for prof in m.magnitudes]
+        except ValueError:  # name the first bad coefficient in (q, l) order
+            for q in range(-M - N, M + N + 1):
+                _mpc_parts([prof.coeff(q) for prof in m.magnitudes],
+                           f"coefficient at q={q} of profile A_", 0)
+            raise
         terms = m.background.terms
         for s, (p, q) in enumerate(terms):
             _mpc_parts(p.coeffs, f"background term {s} coefficient p_", 0)
             _mpc_parts(q.coeffs, f"background term {s} coefficient q_", 0)
-        # per term, the coefficients by wx + M and by wy + N
-        p_hat = [[p.coeff(wx) for wx in range(-M, M + 1)] for p, _ in terms]
-        q_hat = [[q.coeff(wy) for wy in range(-N, N + 1)] for _, q in terms]
         zero = mp.mpc(0)
-        cols = []
-        for wx in range(-M, M + 1):
-            col = []
-            for wy in range(-N, N + 1):
-                c = zero
-                form = forms.get(wx + wy) if wy != 0 else None
-                if form is not None:
-                    shift, stack = form
-                    c = _from_fixed(*_fixed_horner(stack, wy), shift)
+        cols = [[zero] * (2 * N + 1) for _ in range(2 * M + 1)]
+        for q in range(-M - N, M + N + 1):
+            k = abs(q)
+            parts = [a[k] if k < len(a) else (fzero, fzero) for a in spectra]
+            if not any(re[1] or im[1] for re, im in parts):
+                continue
+            if q < 0:
+                parts = [(re, mpf_neg(im)) for re, im in parts]
+            shift = _fixed_shift(parts, wp)
+            stack = _fixed_stack(parts, shift)
+            for n in range(max(1, k - M), min(N, k + M) + 1):  # some entry in range
+                plus, minus = _fixed_horner_pair(stack, n)
+                if abs(q - n) <= M:
+                    cols[q - n + M][n + N] = _from_fixed(*plus, shift)
+                if abs(q + n) <= M:
+                    cols[q + n + M][N - n] = _from_fixed(*minus, shift)
+        # per term, its nonzero coefficients by wx + M and by wy + N
+        p_hat = [{i: c for i in range(2 * M + 1) if (c := p.coeff(i - M))}
+                 for p, _ in terms]
+        q_hat = [{i: c for i in range(2 * N + 1) if (c := q.coeff(i - N))}
+                 for _, q in terms]
+        rows = set().union(*q_hat)
+        for ix, col in enumerate(cols):
+            for iy in rows:
                 # an exact zero added is exact, so skipping it keeps every bit
                 bg = zero
                 for ps, qs in zip(p_hat, q_hat):
-                    a, b = ps[wx + M], qs[wy + N]
-                    if a and b:
-                        bg += a * b
+                    if ix in ps and iy in qs:
+                        bg += ps[ix] * qs[iy]
                 if bg:
-                    c += bg
-                col.append(c)
-            cols.append(tuple(col))
+                    col[iy] += bg
         return cols
 
 

@@ -471,3 +471,26 @@ def _fixed_horner(stack, n: int):
     for br, bi in stack:
         tr, ti = br + ti // n, bi - tr // n
     return ti // n, -tr // n
+
+
+def _fixed_horner_pair(stack, n: int):
+    """:func:`_fixed_horner` at n and at -n in one pass: S(u) and S(-u).
+
+    With v = u^2 = -1/n^2, S(u) = E + u O, where E = sum over odd l of
+    B_l v^((l+1)/2) and O = sum over even l of B_l v^(l/2); S(-u) = E - u O.
+    Each chain is Horner in v, t = B_l - t/n^2, one floor division per part
+    and step, followed by one floor for v t (E) and one for u O.  An empty
+    stack gives (0, 0) twice.
+    """
+    nn = n * n
+    p = len(stack) % 2  # stack[0] is B_d, and d is odd when p is 0
+    odd, even = stack[p::2], stack[1 - p::2]
+    er = ei = 0
+    for br, bi in odd:
+        er, ei = br - er // nn, bi - ei // nn
+    er, ei = -er // nn, -ei // nn
+    tr = ti = 0
+    for br, bi in even:
+        tr, ti = br - tr // nn, bi - ti // nn
+    ur, ui = ti // n, -tr // n
+    return (er + ur, ei + ui), (er - ur, ei - ui)

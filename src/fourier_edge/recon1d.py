@@ -28,7 +28,7 @@ localization, on d+1 decimated nodes jM_1, and the 2D row stage
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from mpmath import mp
@@ -547,6 +547,12 @@ class Reconstruction1D:
         return evaluate_complex(self, x, ctx).real
 
 
+def _at_working_prec(rec: Reconstruction1D) -> Reconstruction1D:
+    """``rec``, or a copy whose form is built at the working precision when
+    the record's was built at another."""
+    return rec if rec._form.prec == mp.prec else replace(rec, _form=None)
+
+
 def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):
     """Reconstructed value at x: residual series plus recovered kernel stack.
 
@@ -554,10 +560,7 @@ def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):
     built at another precision than that of ``ctx``.
     """
     with ctx.workprec():
-        form = rec._form
-        if form.prec != mp.prec:
-            form = _FixedForm(rec.residual, rec.xi_tilde, rec.magnitudes_tilde)
-        return form.value(x)
+        return _at_working_prec(rec)._form.value(x)
 
 
 def evaluate(rec: Reconstruction1D, x, ctx: ArithmeticContext):
@@ -567,8 +570,10 @@ def evaluate(rec: Reconstruction1D, x, ctx: ArithmeticContext):
 
 def imag_residue(rec: Reconstruction1D, ctx: ArithmeticContext) -> float:
     """Imaginary-residue probe, on demand: the largest |Im| of the record at
-    -pi + pi q/4, q = 0..7, formed under ``ctx``; near 0 for real data."""
+    -pi + pi q/4, q = 0..7, formed under ``ctx``; near 0 for real data.  A
+    record built at another precision gets one form for all eight points."""
     with ctx.workprec():
+        rec = _at_working_prec(rec)
         return max(float(abs(evaluate_complex(rec, -mp.pi + mp.pi * q / 4,
                                               ctx).imag)) for q in range(8))
 

@@ -182,6 +182,9 @@ def test_grid_synthesis_and_its_c6_reference_stay_apart():
     shared = synthesis & reference
     assert shared - {"coeff", "workprec"} == {"slice"}, shared
     assert "synth_coeffs" in synthesis and "v_fourier_coeff" in reference
+    # the closed-form grid, which test_model2d holds to the same reference,
+    # shares even less: no fixed-point primitive reaches the reference
+    assert _reach("_closed_form_grid") & reference <= {"coeff", "workprec"}
 
 
 def test_the_benchmarks_read_the_models():

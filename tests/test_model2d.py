@@ -326,18 +326,23 @@ def test_closed_form_grid_with_band_limited_profiles(ctx30):
         assert grid.c(-5, -3) == 0  # q = -8 is outside every profile's band
 
 
+_THREE_TERMS = Background2D((
+    (TrigBackground((0.1, 0.2j, 1 / 9, -0.05)),
+     TrigBackground((0.3, -0.1, 0.2 + 1j / 11))),
+    (TrigBackground((0.4, 1 / 3, 0, 0.3 - 0.2j)),
+     TrigBackground((0, 1 / 7 + 0.25j, -0.15))),
+    (TrigBackground((-0.2, 0.125j, 0.6j, 1 / 13)),
+     TrigBackground((0.7, 1 / 3, 0.45j, 0.1))),
+))
+_BAND_PROFILES = (TrigBackground((0.5, 0.25j, -0.1)), 0.75)
+
+
 def test_closed_form_background_is_coeff2d_bit_for_bit(ctx30):
-    # the grid converts each background term's coefficients once per wx and
-    # per wy and adds their products after rounding the kernel part; every
-    # entry must still be the kernel part plus Background2D.coeff2d, bit for
-    # bit, in and out of the bands
-    tb = TrigBackground
-    bg = Background2D((
-        (tb((0.1, 0.2j, 1 / 9, -0.05)), tb((0.3, -0.1, 0.2 + 1j / 11))),
-        (tb((0.4, 1 / 3, 0, 0.3 - 0.2j)), tb((0, 1 / 7 + 0.25j, -0.15))),
-        (tb((-0.2, 0.125j, 0.6j, 1 / 13)), tb((0.7, 1 / 3, 0.45j, 0.1))),
-    ))
-    profiles = (TrigBackground((0.5, 0.25j, -0.1)), 0.75)
+    # the grid finds each background term's support once and adds the
+    # products there after rounding the kernel part; every entry must still
+    # be the kernel part plus Background2D.coeff2d, bit for bit, in and out
+    # of the bands
+    bg, profiles = _THREE_TERMS, _BAND_PROFILES
     with_bg = coeff_grid(Model2D(1, profiles, Curve("identity"), bg), 6, 3, ctx30)
     bare = coeff_grid(Model2D(1, profiles, Curve("identity")), 6, 3, ctx30)
     only_bg = coeff_grid(Model2D(1, (0, 0), Curve("identity"), bg), 6, 3, ctx30)
@@ -377,12 +382,32 @@ def test_closed_form_grid_matches_mpc_closed_form_at_higher_precision():
     ((1.0, 0.5), Background2D(((TrigBackground((0.1,)),
                                 TrigBackground((0.3, math.nan))),)),
      "background term 0 coefficient q_1"),
+    # two bad ones: the first in (q, l) order, A_1's at q = -2, not A_0's at -1
+    ((TrigBackground((1.0, math.nan)), TrigBackground((0.5, 0.25, math.inf))),
+     None, "coefficient at q=-2 of profile A_1"),
 ])
 def test_closed_form_grid_refuses_non_finite_inputs(profiles, background, name,
                                                     ctx15):
     m = Model2D(1, profiles, Curve("identity"), background)
     with pytest.raises(ValueError, match=f"non-finite {name}"):
         coeff_grid(m, 3, 2, ctx15)
+
+
+def test_closed_form_grid_is_pinned_bit_for_bit():
+    # every entry of three identity-curve grids, hashed: a dense model with
+    # no zero entry, the band-limited profiles under the three-term
+    # background, and the canonical stack of twelve orders
+    ctx = ArithmeticContext(50)
+    digest = hashlib.sha256()
+    for m, M, N in ((_dense_model(48, 6), 48, 6),
+                    (Model2D(1, _BAND_PROFILES, Curve("identity"), _THREE_TERMS),
+                     6, 3),
+                    (Model2D.canonical(11), 64, 8)):
+        for col in coeff_grid(m, M, N, ctx).values:
+            for v in col:
+                digest.update(repr(v._mpc_).encode())
+    assert digest.hexdigest() == (
+        "f710beb10018e6887b306f770eaa13498cfda683496e80572f7a146fd7ed9ed5")
 
 
 def test_doubling_error_is_the_full_doubled_grid_value(ctx30):

@@ -1,12 +1,14 @@
 """Unit tests for the arithmetic substrate.
 
 Oracles: repeated forward differencing for the annihilation sum, naive
-power sums for polynomial evaluation, and exact integer Vandermonde matrices
-rebuilt from scratch for the solver.
+power sums for polynomial evaluation, exact integer Vandermonde matrices
+rebuilt from scratch for the solver, and exact ``Fraction`` sums for the
+fixed-point Horner kernels.
 """
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -380,3 +382,36 @@ def test_vandermonde_validation():
         vandermonde_solve(2, 0, [(1, 0), (2, 0), (3, 0)], 0, ctx)
     with pytest.raises(ValueError):
         vandermonde_solve(2, 1, [(1, 0), (2, 0)], 0, ctx)  # wrong length
+
+
+# -- fixed-point Horner kernels ----------------------------------------------
+
+def _exact_series(stack, u_sign, n):
+    """sum_l B_l (u_sign * -i/n)^(l+1) of a fixed-point stack, B_d first, as
+    an exact (re, im) pair of Fractions."""
+    re = im = Fraction(0)
+    for l, (br, bi) in enumerate(reversed(stack)):
+        # (-i)^(l+1) as (real, imag), times u_sign^(l+1)
+        pr, pi = ((1, 0), (0, -1), (-1, 0), (0, 1))[(l + 1) % 4]
+        scale = Fraction(u_sign ** (l + 1), n ** (l + 1))
+        re += (br * pr - bi * pi) * scale
+        im += (br * pi + bi * pr) * scale
+    return re, im
+
+
+def test_fixed_horner_kernels_against_exact_sums():
+    # the one-sided pass at n and -n and both outputs of the paired pass lie
+    # within 3 units of the exact sum, at the stack's scale
+    rng = random.Random(27)
+    for d in range(16):
+        stack = [(rng.randint(-2 ** 200, 2 ** 200), rng.randint(-2 ** 200, 2 ** 200))
+                 for _ in range(d + 1)]
+        for n in range(1, 41):
+            plus, minus = numerics._fixed_horner_pair(stack, n)
+            for u_sign, got in ((1, numerics._fixed_horner(stack, n)),
+                                (-1, numerics._fixed_horner(stack, -n)),
+                                (1, plus), (-1, minus)):
+                want = _exact_series(stack, u_sign, n)
+                assert all(abs(g - w) <= 3 for g, w in zip(got, want)), (d, n)
+    assert numerics._fixed_horner([], 5) == (0, 0)
+    assert numerics._fixed_horner_pair([], 5) == ((0, 0), (0, 0))

@@ -711,6 +711,29 @@ def test_record_evaluates_at_a_higher_precision_than_built():
     assert rec._form is built  # the record's own form is left alone
 
 
+def test_imag_residue_builds_at_most_one_form(monkeypatch):
+    # at the record's precision the probe uses the record's form; at another
+    # it builds one form for its eight points, and reads the same bits as
+    # evaluate_complex does there
+    ctx30, ctx60 = ArithmeticContext(30), ArithmeticContext(60)
+    rec, _ = _record_and_points(ctx30)
+    built, init = [], recon1d._FixedForm.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(mp.prec)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(recon1d._FixedForm, "__init__", counting)
+    for ctx, forms in ((ctx30, 0), (ctx60, 1)):
+        built.clear()
+        got = imag_residue(rec, ctx)
+        assert len(built) == forms, ctx
+        with ctx.workprec():
+            probes = [-mp.pi + mp.pi * q / 4 for q in range(8)]
+        assert got == max(float(abs(evaluate_complex(rec, x, ctx).imag))
+                          for x in probes)
+
+
 def test_reconstruct_pure_model(ctx30):
     truth = (1.2, -0.4, 0.9, 0.15)
     with ctx30.workprec():
