@@ -313,7 +313,7 @@ def compute_metrics(
                     continue
                 truth = eval_model(true, y, ctx)
                 d_F.append(abs(s.value(y, ctx) - truth))
-                d_T.append(abs(raw.value(y).real - truth))
+                d_T.append(abs(raw.value(y, part="real") - truth))
 
         def worst(errs):
             return float(max(errs)) if errs else float("nan")

@@ -17,7 +17,12 @@ c_k, |k| <= M:
    whose right-hand side mtilde_k kappa^-k is built on fixed-point ints from
    the same moments and solved by the exact integer inverse of the Lagrange
    basis, one rounding per magnitude;
-5. a residual coefficient vector representing the smooth remainder.
+5. a residual coefficient vector representing the smooth remainder, kept
+   as the fixed-point ints of the record's evaluation form and rounded at
+   the record's precision when it is first read.
+
+A real evaluation (:func:`evaluate`) computes the real part alone: one
+Clenshaw chain over the folded series, not the two of a complex value.
 
 The rows of a 2D grid have their only jump at the known period seam -pi:
 :func:`solve_magnitudes_known_jump` solves their magnitudes without
@@ -32,7 +37,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_mul, mpf_neg, mpf_pi, mpf_sub, to_fixed
+from mpmath.libmp import (from_int, from_man_exp, mpf_mul, mpf_neg, mpf_pi,
+                          mpf_sub, round_nearest, to_fixed)
 
 from .kernels import bernoulli_coeffs
 from .model1d import CoeffVector1D
@@ -303,11 +309,13 @@ def residual_coeffs(
     values at working precision plus guard bits, scaled to the largest input:
     the phases by the recurrence with step exp(-i xi) (conjugated for k < 0),
     the kernel sum by Horner in u = 1/(ik) = -i/k with 1/2pi folded into the
-    magnitudes.  c_0 is returned as given.
+    magnitudes.
 
-    Returns (vector, form): the CoeffVector1D, each value rounded once to
-    working precision, and the record's :class:`_FixedForm`, built from the
-    unrounded ints, so that large magnitudes cost its evaluation no digits.
+    Returns the record's :class:`_FixedForm`, built from the unrounded
+    ints, so that large magnitudes cost its evaluation no digits.  Nothing
+    is rounded here: the form's :meth:`~_FixedForm.residual` gives the
+    CoeffVector1D on first read, c_0 as given and each other value rounded
+    once to working precision.
 
     Raises
     ------
@@ -334,11 +342,7 @@ def residual_coeffs(
                 cr, ci = fixed[n + M]
                 fixed[n + M] = (cr - ((pr * tr - qi * ti) >> wp),
                                 ci - ((pr * ti + qi * tr) >> wp))
-        vals = [_from_fixed(re, im, shift) for re, im in fixed]
-        vals[M] = mp.mpc(c.values[M])
-        residual = CoeffVector1D(M, tuple(vals))
-        return residual, _FixedForm(residual, xi_tilde, magnitudes_tilde,
-                                    (shift, fixed))
+        return _FixedForm(c, xi_tilde, magnitudes_tilde, (shift, fixed))
 
 
 @lru_cache(maxsize=8)
@@ -410,6 +414,10 @@ def _clenshaw(re: list, im: list, z: tuple) -> int:
     return ((ar * zr - ai * zi) >> zp) - br
 
 
+# the parts a form evaluation computes and rounds: 0 is Re, 1 is Im
+_PARTS = {"complex": (0, 1), "real": (0,), "imag": (1,)}
+
+
 class _FixedForm:
     """Residual series plus kernel stack, prepared for evaluation at the
     working precision of its construction (``prec``).
@@ -422,12 +430,14 @@ class _FixedForm:
     magnitude.  Without magnitudes it is the plain truncated series.  The
     series is held folded, exactly for any data: its Re and Im are Re c_0
     and Im c_0 plus Re sum_k b_k e^{ikx} on ``w``, b_k = c_k + conj(c_-k),
-    and on ``v``, b_k = -i (c_k - conj(c_-k)), for k = M..1.  The form
-    keeps its magnitudes as ``magnitudes_tilde`` and, as ``amps``, as
-    fixed-point pairs at that scale.  ``fixed``, (shift, pairs), gives the
-    residual as fixed-point pairs c_-M..c_M at 2^shift in place of
-    ``residual``, which they round to; such a form keeps (residual, xi) as
-    ``fields``.
+    and on ``v``, b_k = -i (c_k - conj(c_-k)), for k = M..1; the stack is
+    held as its Re and its Im coefficients.  The form keeps its location
+    and magnitudes as given, as ``xi_tilde`` and ``magnitudes_tilde``, and
+    the magnitudes, as ``amps``, as fixed-point pairs at that scale.
+    ``fixed``, (shift, pairs), gives the residual as fixed-point pairs
+    c_-M..c_M at 2^shift in place of the values of ``residual``, whose c_0
+    such a form keeps as ``c0_given``: :meth:`residual` rounds the pairs on
+    first read.
 
     Raises
     ------
@@ -437,15 +447,17 @@ class _FixedForm:
     """
 
     __slots__ = ("prec", "wp", "shift", "M", "c0", "w", "v", "xi",
-                 "inv_two_pi", "magnitudes_tilde", "amps", "stack", "fields")
+                 "inv_two_pi", "xi_tilde", "magnitudes_tilde", "amps",
+                 "stack", "c0_given", "rounded")
 
     def __init__(self, residual: CoeffVector1D, xi=None, magnitudes=(),
                  fixed=None):
         self.prec = mp.prec
         self.M = M = residual.M
         self.wp = wp = mp.prec + _guard_bits(M)
-        self.fields = None if fixed is None else (residual, xi)
-        self.magnitudes_tilde = magnitudes
+        self.xi_tilde, self.magnitudes_tilde = xi, magnitudes
+        self.c0_given = None if fixed is None else mp.mpc(residual.values[M])
+        self.rounded = None
         mags = _mpc_parts(magnitudes, "magnitude A_", 0)
         if fixed is None:
             parts = _mpc_parts(residual.values, "coefficient c_", -M)
@@ -464,7 +476,7 @@ class _FixedForm:
         self.xi = self.inv_two_pi = None
         self.amps = tuple((to_fixed(re, shift), to_fixed(im, shift))
                           for re, im in mags)
-        self.stack = ()
+        self.stack = ((), ())
         if not mags:
             return
         if len(mags) > _MAX_MAGNITUDES:
@@ -481,38 +493,76 @@ class _FixedForm:
             for j, t in enumerate(row):
                 stack[j][0] += ar * t
                 stack[j][1] += ai * t
-        self.stack = [(re >> wp, im >> wp) for re, im in reversed(stack)]
+        self.stack = tuple(tuple(p[i] >> wp for p in reversed(stack))
+                           for i in (0, 1))
 
-    def value(self, x, sums=(), z=None):
+    def value(self, x, sums=(), z=None, part="complex"):
         """Value at x, rounded once to working precision; caller holds
-        the precision of the form.
+        the precision of the form.  An mpc; ``part`` "real" or "imag"
+        computes that part alone and returns it as an mpf.
 
         One wrap u = (x - xi) / 2pi mod 1 of the exact difference, so u = 0
-        at the anchor gives the right-sided limit; integer Horner in u over
-        the stack; :func:`_clenshaw` on w_k and on v_k.  ``sums``, the
-        partial sums S_M[v_l] of :func:`_partial_sums` at x and the form's
-        xi, subtract sum_l A_l S_M[v_l] before the rounding, as the row
-        stage does.  ``z`` is :func:`_phase` at x, if the caller took it.
+        at the anchor gives the right-sided limit; per part, integer Horner
+        in u over its stack coefficients and :func:`_clenshaw` on its folded
+        series, w_k for Re and v_k for Im, so a real value runs one chain.
+        ``sums``, the partial sums S_M[v_l] of :func:`_partial_sums` at x
+        and the form's xi, subtract sum_l A_l S_M[v_l] before the rounding,
+        as the row stage does.  ``z`` is :func:`_phase` at x, if the caller
+        took it.
         """
         x = mp.mpf(x)._mpf_
         if not x[1] and x[2]:
             raise ValueError(f"non-finite evaluation point {mp.mpf(x)}")
         wp = self.wp
-        tr = ti = 0  # A_l at 2^shift times S_M[v_l] at 2^wp
-        for (re, im), s in zip(self.amps, sums):
-            tr -= re * s
-            ti -= im * s
-        ar = ai = 0
-        if self.stack:
+        u = 0
+        if self.xi is not None:
             t = to_fixed(mpf_sub(x, self.xi), wp)
             u = (t * self.inv_two_pi >> wp) & ((1 << wp) - 1)
-            for cr, ci in self.stack:
-                ar = ((ar * u) >> wp) + cr
-                ai = ((ai * u) >> wp) + ci
         z = z or _phase(x, self.M)
-        return _from_fixed(ar + (tr >> wp) + self.c0[0] + _clenshaw(*self.w, z),
-                           ai + (ti >> wp) + self.c0[1] + _clenshaw(*self.v, z),
-                           self.shift)
+        out = []
+        for i in _PARTS[part]:
+            a = 0
+            for c in self.stack[i]:
+                a = ((a * u) >> wp) + c
+            t = 0  # A_l at 2^shift times S_M[v_l] at 2^wp
+            for amp, s in zip(self.amps, sums):
+                t -= amp[i] * s
+            a += (t >> wp) + self.c0[i] + _clenshaw(*(self.w, self.v)[i], z)
+            out.append(from_man_exp(a, -self.shift, mp.prec, round_nearest))
+        return mp.make_mpf(out[0]) if len(out) == 1 else mp.make_mpc(tuple(out))
+
+    def residual(self) -> CoeffVector1D:
+        """The residual of a form of fixed pairs: c_0 as given, every other
+        value rounded once at the form's precision on the first call, and
+        kept for the next."""
+        if self.rounded is None:
+            M, shift = self.M, self.shift
+            vals = [self.c0_given] * (2 * M + 1)
+            with mp.workprec(self.prec):
+                # w and v hold c_k and conj(c_-k) by their sum and
+                # difference, k = M..1: each part comes back exactly
+                for k, wr, wi, vr, vi in zip(range(M, 0, -1), *self.w,
+                                             *self.v):
+                    vals[M + k] = _from_fixed((wr - vi) >> 1, (wi + vr) >> 1,
+                                              shift)
+                    vals[M - k] = _from_fixed((wr + vi) >> 1, (vr - wi) >> 1,
+                                              shift)
+            self.rounded = CoeffVector1D(M, tuple(vals))
+        return self.rounded
+
+
+class _ResidualField:
+    """Data descriptor of :attr:`Reconstruction1D.residual`: the vector the
+    record was built with, or, built with None, the residual of its form."""
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            raise AttributeError("residual")  # a field without a default
+        res = rec.__dict__["residual"]
+        return rec._form.residual() if res is None else res
+
+    def __set__(self, rec, value):
+        rec.__dict__["residual"] = value
 
 
 @dataclass(frozen=True)
@@ -522,21 +572,26 @@ class Reconstruction1D:
     ``magnitudes_tilde`` are mpc (near-real for real input data);
     ``residual`` is the smooth-part coefficient vector; ``diagnostics`` is a
     JSON-friendly dict (floats/ints/strings only).  :func:`evaluate_complex`
-    uses ``_form``, kept if it was made for these fields (as by
-    :func:`reconstruct1d`), else built from them under the precision then in
-    force.  ``value(x, ctx)`` is the real part of the reconstruction at x.
+    uses ``_form``, kept if it was made by :func:`residual_coeffs` for these
+    fields, else built from them under the precision then in force.
+    :func:`reconstruct1d` builds a record with ``residual`` None, which
+    reads its form's residual: rounded at the precision of the form on
+    first read, then kept.  ``value(x, ctx)`` is the real part of the
+    reconstruction at x, computed alone.
     """
 
     xi_tilde: object
     magnitudes_tilde: tuple
-    residual: CoeffVector1D
+    residual: CoeffVector1D = _ResidualField()
     d: int
     diagnostics: dict = field(compare=False, default_factory=dict)
     _form: _FixedForm = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        form = self._form
-        if (form is None or form.fields != (self.residual, self.xi_tilde)
+        form, res = self._form, self.__dict__["residual"]
+        if (form is None or form.c0_given is None
+                or (res is not None and res != form.residual())
+                or form.xi_tilde != self.xi_tilde
                 or form.magnitudes_tilde != self.magnitudes_tilde):
             form = _FixedForm(self.residual, self.xi_tilde,
                               self.magnitudes_tilde)
@@ -544,7 +599,7 @@ class Reconstruction1D:
 
     def value(self, x, ctx: ArithmeticContext):
         """Real part of the reconstructed value (models are real)."""
-        return evaluate_complex(self, x, ctx).real
+        return evaluate_complex(self, x, ctx, part="real")
 
 
 def _at_working_prec(rec: Reconstruction1D) -> Reconstruction1D:
@@ -553,18 +608,22 @@ def _at_working_prec(rec: Reconstruction1D) -> Reconstruction1D:
     return rec if rec._form.prec == mp.prec else replace(rec, _form=None)
 
 
-def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext):
+def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext,
+                     part: str = "complex"):
     """Reconstructed value at x: residual series plus recovered kernel stack.
 
-    Uses the record's fixed-point form, or a new one when the record was
-    built at another precision than that of ``ctx``.
+    An mpc; ``part`` "real" or "imag" computes that part alone, an mpf, on
+    one Clenshaw chain where the complex value runs two.  Uses the record's
+    fixed-point form, or a new one when the record was built at another
+    precision than that of ``ctx``.
     """
     with ctx.workprec():
-        return _at_working_prec(rec)._form.value(x)
+        return _at_working_prec(rec)._form.value(x, part=part)
 
 
 def evaluate(rec: Reconstruction1D, x, ctx: ArithmeticContext):
-    """Real part of the reconstructed value: ``rec.value(x, ctx)``."""
+    """Real part of the reconstructed value: ``rec.value(x, ctx)``, which
+    computes it alone, on one Clenshaw chain."""
     return rec.value(x, ctx)
 
 
@@ -575,7 +634,8 @@ def imag_residue(rec: Reconstruction1D, ctx: ArithmeticContext) -> float:
     with ctx.workprec():
         rec = _at_working_prec(rec)
         return max(float(abs(evaluate_complex(rec, -mp.pi + mp.pi * q / 4,
-                                              ctx).imag)) for q in range(8))
+                                              ctx, part="imag")))
+                   for q in range(8))
 
 
 def reconstruct1d(
@@ -609,13 +669,11 @@ def reconstruct1d(
         kappa, xi, loc_diag = full_order_localize(c, d, hint, ctx)
         mags = solve_magnitudes(c, d, kappa, ctx, loc_diag["N1"])
         diagnostics.update(loc_diag)
-        residual, form = residual_coeffs(c, xi, mags, ctx)
-        rec = Reconstruction1D(
+        return Reconstruction1D(
             xi_tilde=xi,
             magnitudes_tilde=mags,
-            residual=residual,
+            residual=None,  # the form's, rounded on first read
             d=d,
             diagnostics=diagnostics,
-            _form=form,
+            _form=residual_coeffs(c, xi, mags, ctx),
         )
-        return rec

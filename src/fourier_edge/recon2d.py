@@ -198,7 +198,8 @@ def truncated_slice(grid: CoeffGrid2D, x, ctx: ArithmeticContext) -> _FixedForm:
     It is the raw series of the slice vector that :func:`slice_coeff_vector`
     builds when no row is reconstructed; ``form.value(y)``, under
     ``ctx.workprec()``, is the complex sum at (x, y), from N folded terms
-    per part.  Raises ValueError, naming the entry, on a non-finite entry.
+    per part, and ``form.value(y, part="real")`` its real part alone.
+    Raises ValueError, naming the entry, on a non-finite entry.
     """
     vec = slice_coeff_vector(PsiReconstructionSet(grid, {}, {}), x, ctx)
     with ctx.workprec():
@@ -206,6 +207,6 @@ def truncated_slice(grid: CoeffGrid2D, x, ctx: ArithmeticContext) -> _FixedForm:
 
 
 def truncated_baseline(grid: CoeffGrid2D, x, y, ctx: ArithmeticContext):
-    """Raw partial 2D Fourier sum at (x, y), real part."""
+    """Raw partial 2D Fourier sum at (x, y), real part, computed alone."""
     with ctx.workprec():
-        return truncated_slice(grid, x, ctx).value(y).real
+        return truncated_slice(grid, x, ctx).value(y, part="real")

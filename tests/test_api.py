@@ -241,9 +241,11 @@ def test_every_evaluation_reaches_the_traced_evaluator(monkeypatch):
     # the benchmark times evaluation in the span of recon1d.evaluate_complex;
     # a path that skipped it would leave that time unattributed in a trace.
     # A form evaluation not handed a phase calls recon1d._phase once, so that
-    # spy counts evaluations however they are reached
-    calls, phases = [], []
-    original, phase = recon1d.evaluate_complex, recon1d._phase
+    # spy counts evaluations however they are reached.  A real or imaginary
+    # value runs one Clenshaw chain, a complex value two
+    calls, phases, chains = [], [], []
+    original, phase, clenshaw = (recon1d.evaluate_complex, recon1d._phase,
+                                 recon1d._clenshaw)
 
     def counting(*args, **kwargs):
         calls.append(args[1])
@@ -253,8 +255,13 @@ def test_every_evaluation_reaches_the_traced_evaluator(monkeypatch):
         phases.append(args[0])
         return phase(*args)
 
+    def counting_chain(*args):
+        chains.append(args[0])
+        return clenshaw(*args)
+
     monkeypatch.setattr(recon1d, "evaluate_complex", counting)
     monkeypatch.setattr(recon1d, "_phase", counting_phase)
+    monkeypatch.setattr(recon1d, "_clenshaw", counting_chain)
     ctx = ArithmeticContext(30)
     with ctx.workprec():
         c = model1d.synth_coeffs(model1d.JumpModel1D(0.5, (1.0, -0.3)), 24, ctx)
@@ -263,15 +270,20 @@ def test_every_evaluation_reaches_the_traced_evaluator(monkeypatch):
     grid = coeff_grid(_dense_model(16, 4), 16, 4, ctx)
     sl = reconstruct_field(grid, 3, 2, (0.4,), ctx, jobs=1).slices[0.4]
     assert calls == []  # neither reconstruction evaluates through it
+    chains.clear()  # the row stage's, two per row and x
     for n, evaluate in enumerate((lambda x: recon1d.evaluate(rec, x, ctx),
                                   lambda x: rec.value(x, ctx),
                                   lambda x: sl.value(x, ctx)), start=1):
         evaluate(-1.2)
         assert calls == [-1.2] * n
         assert len(phases) == n
+        assert len(chains) == n
     # the imaginary-residue probe evaluates on demand, through the spy
     recon1d.imag_residue(rec, ctx)
     assert len(calls) == 3 + 8 and len(phases) == 3 + 8
+    assert len(chains) == 3 + 8
+    recon1d.evaluate_complex(rec, -1.2, ctx)
+    assert len(calls) == 3 + 8 + 1 and len(chains) == 3 + 8 + 2
 
 
 def _names_read(tree, imports=True):

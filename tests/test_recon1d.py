@@ -377,7 +377,7 @@ def test_localized_solve_matches_a_higher_precision_solve(c1_style_coeffs, ctx50
 def test_residual_vanishes_for_exact_jump_part(ctx30):
     with ctx30.workprec():
         c = _pure(0.4, (1.0, -0.6), 16, ctx30)
-        res, _ = residual_coeffs(c, mp.mpf(0.4), (1.0, -0.6), ctx30)
+        res = residual_coeffs(c, mp.mpf(0.4), (1.0, -0.6), ctx30).residual()
         worst = max(abs(res.c(k)) for k in range(-16, 17))
         assert worst < mp.mpf(10) ** -28
 
@@ -429,7 +429,7 @@ def test_series_kernels_match_mpmath_reference(M, dps):
         seam = -mp.pi
         x = mp.mpf("0.7")
     for anchor in (xi, seam):
-        res, _ = residual_coeffs(c, anchor, mags, ctx)
+        res = residual_coeffs(c, anchor, mags, ctx).residual()
         with ref.workprec():
             want = _reference_residual(c, anchor, mags)
             scale = max(1, max(abs(v) for v in c.values))
@@ -449,7 +449,7 @@ def test_series_kernels_are_pinned_bit_for_bit():
     c, mags, xi = _random_series_inputs(200, ctx, seed=7)
     digest = hashlib.sha256()
     with ctx.workprec():
-        res, _ = residual_coeffs(c, xi, mags, ctx)
+        res = residual_coeffs(c, xi, mags, ctx).residual()
         forms = (recon1d._FixedForm(res, xi, mags), recon1d._FixedForm(c))
         values = [f.value(-mp.pi + 2 * mp.pi * (j + mp.mpf(1) / 3) / 16)
                   for j in range(16) for f in forms]
@@ -498,8 +498,9 @@ def test_series_kernels_accept_mixed_input_types(ctx30):
         mixed = CoeffVector1D(3, raw)
         plain = CoeffVector1D(3, rounded)
         x = mp.mpf("-1.9")
-        a, _ = residual_coeffs(mixed, 0.4, (1, "0.5", mp.mpf(2)), ctx30)
-        b, _ = residual_coeffs(plain, 0.4, (mp.mpc(1), mp.mpc("0.5"), 2), ctx30)
+        a = residual_coeffs(mixed, 0.4, (1, "0.5", mp.mpf(2)), ctx30)
+        b = residual_coeffs(plain, 0.4, (mp.mpc(1), mp.mpc("0.5"), 2), ctx30)
+        a, b = a.residual(), b.residual()
         assert [v._mpc_ for v in a.values] == [v._mpc_ for v in b.values]
         assert a.c(0) == mp.mpc(raw[3])  # c_0 passes through
         got = recon1d._FixedForm(mixed).value(x)
@@ -680,9 +681,19 @@ def test_record_form_survives_pickle_and_replace(ctx30):
     for name in recon1d._FixedForm.__slots__:
         assert getattr(clone._form, name) == getattr(rec._form, name), name
     assert bits(clone) == want
+    # the residual is rounded on first read, before pickling or after
+    assert clone._form.rounded is None and clone == rec
+    read = pickle.loads(pickle.dumps(rec))
+    assert read._form.rounded == rec.residual  # carried, not rounded again
+    assert read == rec and bits(read) == want
     with ctx30.workprec():
         copy = CoeffVector1D(40, tuple(rec.residual.values))
     assert bits(dataclasses.replace(rec, residual=copy)) == want
+    # other fields replaced keep the form; a record built from its fields
+    # alone builds its own
+    assert dataclasses.replace(rec, diagnostics={})._form is rec._form
+    rebuilt = dataclasses.replace(rec, _form=None)
+    assert rebuilt == rec and rebuilt._form.c0_given is None
     # a replaced residual is evaluated, not the form of the old one
     with ctx30.workprec():
         zero = CoeffVector1D(40, (mp.mpc(0),) * 81)
@@ -732,6 +743,115 @@ def test_imag_residue_builds_at_most_one_form(monkeypatch):
             probes = [-mp.pi + mp.pi * q / 4 for q in range(8)]
         assert got == max(float(abs(evaluate_complex(rec, x, ctx).imag))
                           for x in probes)
+
+
+def _assert_parts_match(rec, points, ctx):
+    """Each part-selected evaluation of ``rec`` has the bits of that part of
+    its complex value, at ``ctx``."""
+    for x in points:
+        whole = evaluate_complex(rec, x, ctx)
+        for real in (evaluate(rec, x, ctx), rec.value(x, ctx),
+                     evaluate_complex(rec, x, ctx, part="real")):
+            assert real._mpf_ == whole.real._mpf_, x
+        imag = evaluate_complex(rec, x, ctx, part="imag")
+        assert imag._mpf_ == whole.imag._mpf_, x
+
+
+@pytest.mark.parametrize("dps", [30, 45])
+def test_part_evaluations_are_the_parts_of_the_complex_value(dps):
+    # a real or an imaginary evaluation runs one chain of the two a complex
+    # value runs: at the record's precision (30 digits) and through a form
+    # built at another, on a record of reconstruct1d with magnitudes near
+    # 1e10, on that record rebuilt from its fields, and on a form without
+    # magnitudes, at the probe points of imag_residue and two more
+    built, ctx = ArithmeticContext(30), ArithmeticContext(dps)
+    rng = random.Random(28)
+    mags = tuple(rng.choice((-1, 1)) * rng.uniform(0.5, 1) * 1e10
+                 for _ in range(4))
+    g = TrigBackground((0.3, 0.2 - 0.1j, -0.05j))
+    with built.workprec():
+        c = synth_coeffs(JumpModel1D(1.1, mags, g), 48, built)
+    rec = reconstruct1d(c, 3, built)
+    with ctx.workprec():
+        assert max(abs(a) for a in rec.magnitudes_tilde) > 5e9
+        points = [-mp.pi + mp.pi * q / 4 for q in range(8)]
+        points += [mp.mpf("1.1"), mp.mpf("-0.37")]
+        raw = recon1d._FixedForm(c)
+        for x in points:
+            whole = raw.value(x)
+            assert raw.value(x, part="real")._mpf_ == whole.real._mpf_
+            assert raw.value(x, part="imag")._mpf_ == whole.imag._mpf_
+    for r in (rec, dataclasses.replace(rec, _form=None)):
+        _assert_parts_match(r, points, ctx)
+
+
+def test_record_residual_is_pinned_bit_for_bit():
+    # the residual of the pinned records and of the first W1 input of seed
+    # 1 (d = 9, M = 200, 50 digits), rounded on read, hashed: the same bits
+    # as when residual_coeffs rounded every value
+    ctx = ArithmeticContext(50)
+    records = list(_pinned_records(ctx))
+    rng = random.Random(1)
+    xi = -math.pi + 2 * math.pi * rng.random()
+    while True:
+        mags = tuple(rng.uniform(-2.0, 2.0) for _ in range(10))
+        if max(abs(a) for a in mags) >= 0.25:
+            break
+    records.append(reconstruct1d(synth_coeffs(JumpModel1D(xi, mags), 200, ctx),
+                                 9, ctx))
+    digest = hashlib.sha256()
+    for rec in records:
+        for v in rec.residual.values:
+            digest.update(repr(v._mpc_).encode())
+    assert digest.hexdigest() == (
+        "8001d7a7b91511876997f160bec4a2ccfc457f55ac04949047efe67a03d3e24e")
+    # their values at 16 points, at the records' precision and, through a
+    # form built from the rounded residual, at 70 and at 30 digits
+    digest = hashlib.sha256()
+    for c in (ctx, ArithmeticContext(70), ArithmeticContext(30)):
+        with c.workprec():
+            pts = [-mp.pi + 2 * mp.pi * (j + mp.mpf(0.5)) / 16 for j in range(16)]
+        for rec in records:
+            for x in pts:
+                digest.update(repr(evaluate_complex(rec, x, c)._mpc_).encode())
+    assert digest.hexdigest() == (
+        "82e77b35374d1b9c6f8f3d8e79c6f093288cb1aa7297e69024fbaf9dd78ac99c")
+
+
+def test_residual_is_rounded_once_on_first_read(ctx30, monkeypatch):
+    # reconstruct1d rounds no residual value; the first read rounds the 2M
+    # values besides c_0, which is taken as given, and the second reads the
+    # kept vector
+    rounded, from_fixed = [], recon1d._from_fixed
+
+    def counting(*args):
+        rounded.append(mp.prec)
+        return from_fixed(*args)
+
+    monkeypatch.setattr(recon1d, "_from_fixed", counting)
+    rec, _ = _record_and_points(ctx30)
+    assert rounded == []
+    with ctx30.workprec():
+        prec = mp.prec
+    first = rec.residual  # read at the default precision
+    assert rounded == [prec] * 80  # at the record's precision
+    assert rec.residual is first
+    assert len(rounded) == 80
+
+
+def test_tiny_c0_reads_back_exactly(ctx30):
+    # c_0 = 1e-80 beside values and magnitudes of order 1 truncates to 0 at
+    # the scale of the fixed pairs; the residual keeps it as given
+    with ctx30.workprec():
+        c = _pure(0.4, (1.0, -0.6), 16, ctx30)
+        tiny = mp.mpc("1e-80")
+        vals = list(c.values)
+        vals[16] = tiny
+        c = CoeffVector1D(16, vals)
+        form = residual_coeffs(c, mp.mpf(0.4), (1.0, -0.6), ctx30)
+        assert form.c0 == (0, 0)
+    assert form.residual().c(0)._mpc_ == tiny._mpc_
+    assert reconstruct1d(c, 1, ctx30).residual.c(0)._mpc_ == tiny._mpc_
 
 
 def test_reconstruct_pure_model(ctx30):

@@ -31,7 +31,8 @@ from fourier_edge.recon2d import (
     truncated_slice,
 )
 from test_model2d import _dense_model
-from test_recon1d import _reference_magnitudes, _reference_value
+from test_recon1d import (_assert_parts_match, _reference_magnitudes,
+                          _reference_value)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,19 @@ def test_slice_reconstruction_accuracy(canonical_grid, ctx40):
         assert abs(sl.magnitudes_tilde[0] - 1) < 1e-4
         assert abs(sl.magnitudes_tilde[2] - 1) < 1e-2
         assert abs(sl.magnitudes_tilde[9] - 1) < 50
+
+
+def test_slice_part_evaluations_are_the_parts_of_the_complex_value(
+        canonical_grid, ctx40):
+    # a slice record's real and imaginary values, each computed alone, keep
+    # the bits of the complex value's parts, at the record's precision and
+    # through a form built at another
+    psi = reconstruct_psi_set(canonical_grid, 9, ctx40)
+    sl = reconstruct_slice(psi, 1.1, 9, ctx40)
+    with ctx40.workprec():
+        points = [-mp.pi + mp.pi * q / 4 for q in range(8)] + [mp.mpf("2.3")]
+    for ctx in (ctx40, ArithmeticContext(55)):
+        _assert_parts_match(sl, points, ctx)
 
 
 def test_slice_stage_requires_wide_band(ctx40):
