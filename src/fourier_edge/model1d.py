@@ -19,9 +19,10 @@ from .kernels import v_kernel
 from .numerics import (
     ArithmeticContext,
     _fixed_expj,
-    _fixed_horner,
+    _fixed_horner_pair,
+    _fixed_pairs,
+    _fixed_powers,
     _fixed_shift,
-    _fixed_stack,
     _from_fixed,
     _guard_bits,
     _mpc_parts,
@@ -150,9 +151,10 @@ def synth_coeffs(m: JumpModel1D, M: int, ctx: ArithmeticContext) -> CoeffVector1
 
     For k > 0 the jump part exp(-ik xi) / 2pi * sum_l A_l / (ik)^(l+1) runs
     on Python-int fixed point: the magnitudes, 1/2pi folded in, converted
-    once; the phases from the recurrence with step exp(-i xi); the sum as
-    one Horner pass in u = -i/k.  Guard bits cover the recurrence and the
-    factor k^-(d+1) by which the sum may fall below the largest magnitude.
+    once; the phases from the power recurrence with step exp(-i xi); the
+    sum as the +k half of the paired Horner pass in u = -i/k.  Guard bits
+    cover the recurrence and the factor k^-(d+1) by which the sum may fall
+    below the largest magnitude.
     Each c_k is rounded once, then the background's g_k is added.  c_0 is
     the background mean (the kernels are zero-mean), and negative
     frequencies are mirrored by conjugation, so the vector is exactly
@@ -171,14 +173,12 @@ def synth_coeffs(m: JumpModel1D, M: int, ctx: ArithmeticContext) -> CoeffVector1
         mags = _over_two_pi(_mpc_parts(m.magnitudes, "magnitude A_", 0), wp)
         _mpc_parts(m.smooth.coeffs, "background coefficient g_", 0)
         shift = _fixed_shift(mags, wp)
-        stack = _fixed_stack(mags, shift)
+        stack = _fixed_pairs(mags, shift)
         sr, si = _fixed_expj(mp.mpf(m.xi)._mpf_, wp)
-        si = -si  # exp(-i xi)
-        pr, pi_ = 1 << wp, 0
+        phases = _fixed_powers((1 << wp, 0), (sr, -si), M, wp)  # exp(-ik xi)
         pos = [mp.mpc(m.smooth.coeff(0).real)]
-        for k in range(1, M + 1):
-            pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
-            tr, ti = _fixed_horner(stack, k)
+        for k, (pr, pi_) in enumerate(phases, 1):
+            tr, ti = _fixed_horner_pair(stack, k)[0]
             pos.append(m.smooth.coeff(k) + _from_fixed(
                 (pr * tr - pi_ * ti) >> wp, (pr * ti + pi_ * tr) >> wp, shift
             ))

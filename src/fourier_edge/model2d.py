@@ -34,8 +34,8 @@ from .model1d import (CoeffVector1D, JumpModel1D, TrigBackground,
 from .numerics import (
     ArithmeticContext,
     _fixed_horner_pair,
+    _fixed_pairs,
     _fixed_shift,
-    _fixed_stack,
     _from_fixed,
     _guard_bits,
     _mpc_parts,
@@ -267,7 +267,7 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
             if q < 0:
                 parts = [(re, mpf_neg(im)) for re, im in parts]
             shift = _fixed_shift(parts, wp)
-            stack = _fixed_stack(parts, shift)
+            stack = _fixed_pairs(parts, shift)
             for n in range(max(1, k - M), min(N, k + M) + 1):  # some entry in range
                 plus, minus = _fixed_horner_pair(stack, n)
                 if abs(q - n) <= M:

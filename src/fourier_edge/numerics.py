@@ -6,8 +6,8 @@ simultaneous-iteration root finder with a full-precision Newton polish for
 the one root a caller keeps, an exact integer solver for the scaled
 Vandermonde systems produced by moment decimation, whose inverse comes in
 closed form from the Lagrange basis on the nodes 1..d+1, and the Python-int
-fixed-point primitives that the O(M) series loops of synthesis and
-reconstruction share.
+fixed-point primitives, each written once, that the O(M) series loops of
+synthesis and reconstruction share.
 
 Everything here is deterministic: no randomness is used anywhere, and root
 lists come back in a fixed sort order, so repeated runs at the same
@@ -453,38 +453,36 @@ def _over_two_pi(parts, wp: int) -> list:
         return [(mp.make_mpc(p) * inv_two_pi)._mpc_ for p in parts]
 
 
-def _fixed_stack(parts, shift: int) -> list:
-    """Fixed-point pairs at scale 2^shift of the raw pairs B_0..B_d, in the
-    order :func:`_fixed_horner` takes them (B_d first)."""
-    return [(to_fixed(re, shift), to_fixed(im, shift)) for re, im in reversed(parts)]
+def _fixed_pairs(parts, shift: int) -> list:
+    """Fixed-point pairs at scale 2^shift of the raw (re, im) mpf pairs
+    ``parts``, in their order."""
+    return [(to_fixed(re, shift), to_fixed(im, shift)) for re, im in parts]
 
 
-def _fixed_horner(stack, n: int):
-    """sum_l B_l u^(l+1) with u = 1/(in) = -i/n, on fixed-point ints.
-
-    ``stack`` is from :func:`_fixed_stack`; the sum comes back at its scale.
-    Horner runs from the top order down, t = B_l + u t, then S = u t; each
-    step multiplies by u exactly but for one floor division per part.  An
-    empty stack gives (0, 0).
-    """
-    tr = ti = 0
-    for br, bi in stack:
-        tr, ti = br + ti // n, bi - tr // n
-    return ti // n, -tr // n
+def _fixed_powers(start, step, count: int, wp: int) -> list:
+    """start step^k, k = 1..count, as fixed-point pairs at the scale of
+    ``start``; ``step`` is at 2^wp, and each product floors once per part."""
+    (pr, pi_), (sr, si) = start, step
+    out = []
+    for _ in range(count):
+        pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
+        out.append((pr, pi_))
+    return out
 
 
 def _fixed_horner_pair(stack, n: int):
-    """:func:`_fixed_horner` at n and at -n in one pass: S(u) and S(-u).
+    """S(u) and S(-u) in one pass, S(u) = sum_l B_l u^(l+1), u = -i/n.
 
-    With v = u^2 = -1/n^2, S(u) = E + u O, where E = sum over odd l of
-    B_l v^((l+1)/2) and O = sum over even l of B_l v^(l/2); S(-u) = E - u O.
-    Each chain is Horner in v, t = B_l - t/n^2, one floor division per part
-    and step, followed by one floor for v t (E) and one for u O.  An empty
-    stack gives (0, 0) twice.
+    ``stack`` holds the fixed-point pairs B_0..B_d; both sums come back at
+    its scale.  With v = u^2 = -1/n^2, S(u) = E + u O, where E = sum over
+    odd l of B_l v^((l+1)/2) and O = sum over even l of B_l v^(l/2);
+    S(-u) = E - u O.  Each chain is Horner in v from its top order down,
+    t = B_l - t/n^2, one floor division per part and step, followed by one
+    floor for v t (E) and one for u O.  An empty stack gives (0, 0) twice.
     """
     nn = n * n
-    p = len(stack) % 2  # stack[0] is B_d, and d is odd when p is 0
-    odd, even = stack[p::2], stack[1 - p::2]
+    p = len(stack) % 2  # the top order d is even when p is 1
+    odd, even = stack[-1 - p::-2], stack[p - 2::-2]
     er = ei = 0
     for br, bi in odd:
         er, ei = br - er // nn, bi - ei // nn

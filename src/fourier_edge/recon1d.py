@@ -46,9 +46,10 @@ from .numerics import (
     ArithmeticContext,
     _check_residual,
     _fixed_expj,
-    _fixed_horner,
+    _fixed_horner_pair,
+    _fixed_pairs,
+    _fixed_powers,
     _fixed_shift,
-    _fixed_stack,
     _from_fixed,
     _guard_bits,
     _mpc_parts,
@@ -237,8 +238,8 @@ def solve_magnitudes(
     with right-hand side mtilde_k kappa_tilde^-k; unknowns alpha_l map back
     to magnitudes via A_l = (-i)^(d-l) alpha_{d-l}.  The right-hand side is
     fixed point: the exact :func:`moments` k^(d+1) c_k, truncated once,
-    times 2pi i^(d+1) kappa_tilde^-k from one step kappa_tilde^-N_1 and a
-    recurrence (exact signs at kappa_tilde = -1).
+    times 2pi i^(d+1) kappa_tilde^-k from one step kappa_tilde^-N_1 and the
+    power recurrence (exact signs at kappa_tilde = -1).
     :func:`vandermonde_solve` rounds each unknown once.  Returns a tuple of
     d+1 mpc values; raises ValueError for a step that does not fit the band
     or a non-finite coefficient at a node.
@@ -253,15 +254,12 @@ def solve_magnitudes(
         scaled = moments(c, range(n1, (d + 1) * n1 + 1, n1), d, ctx)
         shift = _fixed_shift(scaled, wp)
         with mp.workprec(wp):
-            step = mp.mpc(kappa_tilde) ** -n1
-        sr, si = (to_fixed(p, wp) for p in step._mpc_)
+            step, = _fixed_pairs([(mp.mpc(kappa_tilde) ** -n1)._mpc_], wp)
         two_pi = to_fixed(mpf_pi(wp + 4), wp + 1)  # phase 2pi i^(d+1) at k = 0
-        pr, pi_ = ((two_pi, 0), (0, two_pi), (-two_pi, 0), (0, -two_pi))[(d + 1) % 4]
-        rhs = []
-        for re, im in scaled:
-            pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
-            br, bi = to_fixed(re, shift), to_fixed(im, shift)
-            rhs.append(((br * pr - bi * pi_) >> wp, (br * pi_ + bi * pr) >> wp))
+        start = ((two_pi, 0), (0, two_pi), (-two_pi, 0), (0, -two_pi))[(d + 1) % 4]
+        phases = _fixed_powers(start, step, d + 1, wp)
+        rhs = [((br * pr - bi * pi_) >> wp, (br * pi_ + bi * pr) >> wp)
+               for (br, bi), (pr, pi_) in zip(_fixed_pairs(scaled, shift), phases)]
         mags = []
         for m, a in enumerate(vandermonde_solve(d, n1, rhs, shift, ctx)):
             re, im = a._mpc_
@@ -307,9 +305,9 @@ def residual_coeffs(
     The jump part of c_k is exp(-ik xi) / 2pi * sum_l A_l / (ik)^(l+1) (the
     closed form of v_fourier_coeff).  It is computed on Python-int fixed-point
     values at working precision plus guard bits, scaled to the largest input:
-    the phases by the recurrence with step exp(-i xi) (conjugated for k < 0),
-    the kernel sum by Horner in u = 1/(ik) = -i/k with 1/2pi folded into the
-    magnitudes.
+    the phases by the power recurrence with step exp(-i xi) (conjugated for
+    k < 0), the kernel sums at k and -k by one paired Horner pass per k in
+    u = 1/(ik) = -i/k, with 1/2pi folded into the magnitudes.
 
     Returns the record's :class:`_FixedForm`, built from the unrounded
     ints, so that large magnitudes cost its evaluation no digits.  Nothing
@@ -330,15 +328,13 @@ def residual_coeffs(
         mags = _mpc_parts(magnitudes_tilde, "magnitude A_", 0)
         scaled = _over_two_pi(mags, wp)
         shift = _fixed_shift(parts + scaled, wp)
-        fixed = [(to_fixed(re, shift), to_fixed(im, shift)) for re, im in parts]
-        stack = _fixed_stack(scaled, shift)
+        fixed = _fixed_pairs(parts, shift)
+        stack = _fixed_pairs(scaled, shift)
         sr, si = _fixed_expj(xi, wp)
-        si = -si  # exp(-i xi)
-        pr, pi_ = 1 << wp, 0
-        for k in range(1, M + 1):
-            pr, pi_ = (pr * sr - pi_ * si) >> wp, (pr * si + pi_ * sr) >> wp
-            for n, qi in ((k, pi_), (-k, -pi_)):
-                tr, ti = _fixed_horner(stack, n)
+        phases = _fixed_powers((1 << wp, 0), (sr, -si), M, wp)  # exp(-ik xi)
+        for k, (pr, pi_) in enumerate(phases, 1):
+            plus, minus = _fixed_horner_pair(stack, k)
+            for n, qi, (tr, ti) in ((k, pi_, plus), (-k, -pi_, minus)):
                 cr, ci = fixed[n + M]
                 fixed[n + M] = (cr - ((pr * tr - qi * ti) >> wp),
                                 ci - ((pr * ti + qi * tr) >> wp))
@@ -379,10 +375,8 @@ def _partial_sums(x, xi, M: int, n: int) -> list:
     wp = mp.prec + _guard_bits(M)
     inv_two_pi = _kernel_table(wp)[0]
     sums = [0] * n
-    er, ei = _fixed_expj(t, wp)
-    pr, pi_ = 1 << wp, 0
-    for k in range(1, M + 1):
-        pr, pi_ = (pr * er - pi_ * ei) >> wp, (pr * ei + pi_ * er) >> wp
+    phases = _fixed_powers((1 << wp, 0), _fixed_expj(t, wp), M, wp)
+    for k, (pr, pi_) in enumerate(phases, 1):
         q = k
         for l in range(n):
             sums[l] += (pr if l % 2 else pi_) // q
@@ -462,10 +456,8 @@ class _FixedForm:
         if fixed is None:
             parts = _mpc_parts(residual.values, "coefficient c_", -M)
             shift = _fixed_shift(parts + mags, wp)
-            fixed = shift, [(to_fixed(re, shift), to_fixed(im, shift))
-                            for re, im in parts]
-        shift, pairs = fixed
-        self.shift = shift
+            fixed = shift, _fixed_pairs(parts, shift)
+        self.shift, pairs = fixed
         self.c0 = pairs[M]
         # lists of ints, not of pairs, keep a W3 row stage 0.4 MB smaller
         top, low = pairs[:M:-1], pairs[:M]  # c_M..c_1 and c_-M..c_-1
@@ -474,8 +466,7 @@ class _FixedForm:
         self.v = ([b + d for (_, b), (_, d) in zip(top, low)],
                   [c - a for (a, _), (c, _) in zip(top, low)])
         self.xi = self.inv_two_pi = None
-        self.amps = tuple((to_fixed(re, shift), to_fixed(im, shift))
-                          for re, im in mags)
+        self.amps = tuple(_fixed_pairs(mags, self.shift))
         self.stack = ((), ())
         if not mags:
             return
@@ -510,6 +501,11 @@ class _FixedForm:
         as the row stage does.  ``z`` is :func:`_phase` at x, if the caller
         took it.
         """
+        try:
+            parts = _PARTS[part]
+        except KeyError:
+            raise ValueError(f"part must be 'complex', 'real' or 'imag', "
+                             f"got {part!r}") from None
         x = mp.mpf(x)._mpf_
         if not x[1] and x[2]:
             raise ValueError(f"non-finite evaluation point {mp.mpf(x)}")
@@ -520,7 +516,7 @@ class _FixedForm:
             u = (t * self.inv_two_pi >> wp) & ((1 << wp) - 1)
         z = z or _phase(x, self.M)
         out = []
-        for i in _PARTS[part]:
+        for i in parts:
             a = 0
             for c in self.stack[i]:
                 a = ((a * u) >> wp) + c
@@ -576,8 +572,9 @@ class Reconstruction1D:
     fields, else built from them under the precision then in force.
     :func:`reconstruct1d` builds a record with ``residual`` None, which
     reads its form's residual: rounded at the precision of the form on
-    first read, then kept.  ``value(x, ctx)`` is the real part of the
-    reconstruction at x, computed alone.
+    first read, then kept; None without such a form, or a residual that is
+    not a CoeffVector1D, raises TypeError.  ``value(x, ctx)`` is the real
+    part of the reconstruction at x, computed alone.
     """
 
     xi_tilde: object
@@ -589,7 +586,11 @@ class Reconstruction1D:
 
     def __post_init__(self) -> None:
         form, res = self._form, self.__dict__["residual"]
-        if (form is None or form.c0_given is None
+        own = form is not None and form.c0_given is not None
+        if not (isinstance(res, CoeffVector1D) or (res is None and own)):
+            raise TypeError("residual must be a CoeffVector1D, or None with a "
+                            f"form of residual_coeffs: got {type(res).__name__}")
+        if (not own
                 or (res is not None and res != form.residual())
                 or form.xi_tilde != self.xi_tilde
                 or form.magnitudes_tilde != self.magnitudes_tilde):
@@ -613,9 +614,9 @@ def evaluate_complex(rec: Reconstruction1D, x, ctx: ArithmeticContext,
     """Reconstructed value at x: residual series plus recovered kernel stack.
 
     An mpc; ``part`` "real" or "imag" computes that part alone, an mpf, on
-    one Clenshaw chain where the complex value runs two.  Uses the record's
-    fixed-point form, or a new one when the record was built at another
-    precision than that of ``ctx``.
+    one Clenshaw chain where the complex value runs two (any other part
+    raises ValueError).  Uses the record's fixed-point form, or a new one
+    when the record was built at another precision than that of ``ctx``.
     """
     with ctx.workprec():
         return _at_working_prec(rec)._form.value(x, part=part)

@@ -785,11 +785,9 @@ def test_part_evaluations_are_the_parts_of_the_complex_value(dps):
         _assert_parts_match(r, points, ctx)
 
 
-def test_record_residual_is_pinned_bit_for_bit():
-    # the residual of the pinned records and of the first W1 input of seed
-    # 1 (d = 9, M = 200, 50 digits), rounded on read, hashed: the same bits
-    # as when residual_coeffs rounded every value
-    ctx = ArithmeticContext(50)
+def _residual_pin_records(ctx):
+    # the pinned records and the first W1 input of seed 1 (d = 9, M = 200,
+    # 50 digits)
     records = list(_pinned_records(ctx))
     rng = random.Random(1)
     xi = -math.pi + 2 * math.pi * rng.random()
@@ -799,23 +797,51 @@ def test_record_residual_is_pinned_bit_for_bit():
             break
     records.append(reconstruct1d(synth_coeffs(JumpModel1D(xi, mags), 200, ctx),
                                  9, ctx))
+    return records
+
+
+def _pin_points(ctx):
+    with ctx.workprec():
+        return [-mp.pi + 2 * mp.pi * (j + mp.mpf(0.5)) / 16 for j in range(16)]
+
+
+def test_record_residual_is_pinned_bit_for_bit():
+    # the residual of the records of _residual_pin_records, rounded on
+    # read, hashed
+    ctx = ArithmeticContext(50)
+    records = _residual_pin_records(ctx)
     digest = hashlib.sha256()
     for rec in records:
         for v in rec.residual.values:
             digest.update(repr(v._mpc_).encode())
     assert digest.hexdigest() == (
-        "8001d7a7b91511876997f160bec4a2ccfc457f55ac04949047efe67a03d3e24e")
+        "1ba1a383a86f8c7c78a210b3a0ba35cfe8a47b40a804cbc0b6f9b24bff58b0a8")
     # their values at 16 points, at the records' precision and, through a
     # form built from the rounded residual, at 70 and at 30 digits
     digest = hashlib.sha256()
     for c in (ctx, ArithmeticContext(70), ArithmeticContext(30)):
-        with c.workprec():
-            pts = [-mp.pi + 2 * mp.pi * (j + mp.mpf(0.5)) / 16 for j in range(16)]
         for rec in records:
-            for x in pts:
+            for x in _pin_points(c):
                 digest.update(repr(evaluate_complex(rec, x, c)._mpc_).encode())
     assert digest.hexdigest() == (
-        "82e77b35374d1b9c6f8f3d8e79c6f093288cb1aa7297e69024fbaf9dd78ac99c")
+        "3e6dd8a3b8fcbda343118432c4987b4ba80d6641eb823abb17afa07ef2676156")
+
+
+def test_record_real_values_are_pinned_bit_for_bit():
+    # the real parts of the same records at their own 50 digits, and every
+    # part at 30 digits through a form built from the rounded residual: the
+    # residual's rounding noise sits far below both
+    ctx, low = ArithmeticContext(50), ArithmeticContext(30)
+    records = _residual_pin_records(ctx)
+    digest = hashlib.sha256()
+    for rec in records:
+        for x in _pin_points(ctx):
+            digest.update(repr(evaluate_complex(rec, x, ctx, part="real")._mpf_)
+                          .encode())
+        for x in _pin_points(low):
+            digest.update(repr(evaluate_complex(rec, x, low)._mpc_).encode())
+    assert digest.hexdigest() == (
+        "fe53c07e2c5586770e062f574cbc5bf35e566cbc72eff869c8358538e11452ce")
 
 
 def test_residual_is_rounded_once_on_first_read(ctx30, monkeypatch):
@@ -899,6 +925,20 @@ def test_reconstruct_validates_order(ctx15):
     # a record built by hand with 17 magnitudes is refused by its form
     with pytest.raises(ValueError, match="Bernoulli table ends at order 16"):
         Reconstruction1D(0.5, (1,) * 17, c, 16)
+
+
+@pytest.mark.parametrize("residual", [None, tuple(range(17))])
+def test_record_without_a_residual_is_refused(residual):
+    # a record built by hand needs a CoeffVector1D; None is the residual of
+    # a form of residual_coeffs only
+    with pytest.raises(TypeError, match="residual must be a CoeffVector1D"):
+        Reconstruction1D(0.5, (1.0,), residual, 0)
+
+
+def test_unknown_part_is_refused(ctx30):
+    rec, _ = _record_and_points(ctx30)
+    with pytest.raises(ValueError, match="'complex', 'real' or 'imag'.*'Real'"):
+        evaluate_complex(rec, 0.3, ctx30, part="Real")
 
 
 def test_shift_equivariance_single_case(ctx30):
