@@ -41,7 +41,7 @@ from .model2d import (
     load_grid,
     save_grid,
 )
-from .numerics import ArithmeticContext
+from .numerics import _MIN_DIGITS, ArithmeticContext
 from .oracle import quadrature2d_oracle
 from .recon2d import reconstruct_field, truncated_slice
 
@@ -87,8 +87,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         self.sweep_N = tuple(self.sweep_N)
         self.x_points = tuple(float(x) for x in self.x_points)
-        least = {"d_psi": 0, "d": 0, "y_count": 8, "precision_digits": 15,
-                 "override_M": 1, "sweep_N": 1}  # the counts, by their minimum
+        least = {"d_psi": 0, "d": 0, "y_count": 8,
+                 "precision_digits": _MIN_DIGITS, "override_M": 1,
+                 "sweep_N": 1}  # the counts, by their minimum
         counts = [(k, getattr(self, k)) for k in least if k != "sweep_N"]
         for name, v in counts + [("sweep_N", n) for n in self.sweep_N]:
             if type(v) is not int and (name, v) != ("override_M", None):
@@ -274,10 +275,11 @@ def compute_metrics(
 
     The truth at each x is the 1D model ``model.slice(x)``: its jump, its
     magnitudes and its values at the y of the slice.  The row is all NaN
-    when N < d + 2 or when a slice failed, which includes every slice of a
-    run whose row stage degraded (:func:`reconstruct_field` runs none).  A
-    metric that measured no point (every x in the boundary collar, or every
-    y excluded) is NaN too.
+    when N < d + 2 or when a slice failed, which is every slice of a run
+    whose row stage degraded: a degraded row set refuses each slice, and
+    :func:`reconstruct_field` records the refusal.  A metric that measured
+    no point (every x in the boundary collar, or every y excluded) is NaN
+    too.
     """
     ctx = cfg.ctx()
     t0 = time.monotonic()
@@ -382,7 +384,8 @@ def _append_metrics(path: Path, cfg: ExperimentConfig, rows, notes=()) -> None:
 def read_metrics(path: Path) -> tuple:
     """(column names, list of float-row dicts); comment lines skipped.
 
-    Raises ValueError, naming the file, on a bad header or a ragged row.
+    Raises ValueError, naming the file, on a bad header, and naming the
+    file and the line, on a ragged row or a cell that is not a number.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -397,10 +400,11 @@ def read_metrics(path: Path) -> tuple:
         if len(cells) != len(columns):
             raise ValueError(f"{path}: line {lineno} has {len(cells)} cells "
                              f"for {len(columns)} columns")
-        rows.append(
-            {c: (int(v) if c in ("N", "M") else float(v))
-             for c, v in zip(columns, cells)}
-        )
+        try:
+            rows.append({c: (int(v) if c in ("N", "M") else float(v))
+                         for c, v in zip(columns, cells)})
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return columns, rows
 
 

@@ -32,6 +32,7 @@ from .kernels import v_fourier_coeff
 from .model1d import (CoeffVector1D, JumpModel1D, TrigBackground,
                       _outside_period, _trig_eval, eval_model, synth_coeffs)
 from .numerics import (
+    _MIN_DIGITS,
     ArithmeticContext,
     _fixed_horner_pair,
     _fixed_pairs,
@@ -51,7 +52,8 @@ class Curve:
     """Jump curve y = xi(x): the identity map or a real trig polynomial.
 
     For kind "trig", ``coeffs[k]`` holds b_k for k = 0..K with conjugate
-    symmetry implied (b_0 real), matching TrigBackground storage.
+    symmetry implied (b_0 real), matching TrigBackground storage.  A NaN or
+    infinite b_k is refused with a ValueError naming it.
     """
 
     kind: str
@@ -65,6 +67,7 @@ class Curve:
             raise ValueError("identity curve takes no coefficients")
         if self.kind == "trig" and not self.coeffs:
             raise ValueError("trig curve needs coefficients (b_0 at least)")
+        _mpc_parts(self.coeffs, "curve coefficient b_", 0)
         if self.kind == "trig" and complex(mp.mpc(self.coeffs[0])).imag != 0:
             raise ValueError(f"b_0 must be real, got {self.coeffs[0]}")
 
@@ -368,13 +371,17 @@ def _hex_part(part, wx: int, wy: int) -> str:
 def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
     """Write a grid file, exact at ``precision_digits``.
 
-    Line 1 is a JSON header with "format": 2, "M", "N" and "precision".
+    Line 1 is a JSON header with "format": 2, "M", "N" and "precision",
+    which must be an int >= 15, the floor of ``ArithmeticContext``.
     Then one line "omega_x, omega_y, re, im" per entry: each part is rounded
     once to the header precision (round-nearest) and written as mpmath's raw
     value, <sign><hex mantissa>p<binary exponent>.  The last line is
     "sha256 <hex>", the SHA-256 of every line before it.  Raises ValueError
     naming the entry when a part is NaN or infinite.
     """
+    if type(precision_digits) is not int or precision_digits < _MIN_DIGITS:
+        raise ValueError(f"precision_digits must be an int >= {_MIN_DIGITS}, "
+                         f"got {precision_digits!r}")
     digest = hashlib.sha256()
     header = {
         "format": _GRID_FORMAT,
@@ -418,11 +425,11 @@ def load_grid(path) -> CoeffGrid2D:
     """Read a grid file written by :func:`save_grid`, bit for bit.
 
     Raises ValueError naming the file unless line 1 is a JSON object with
-    integer "M", "N" and "precision" and M, N >= 0, when the header is not
-    format 2 (a decimal format-1 file must be written again by
-    ``generate``), when the sha256 trailer is missing or does not match the
-    lines before it, and, with counts, unless every (omega_x, omega_y) of
-    the header's ranges appears exactly once.
+    integer "M", "N" and "precision", M, N >= 0 and precision >= 15, when
+    the header is not format 2 (a decimal format-1 file must be written
+    again by ``generate``), when the sha256 trailer is missing or does not
+    match the lines before it, and, with counts, unless every
+    (omega_x, omega_y) of the header's ranges appears exactly once.
     """
     digest = hashlib.sha256()
     trailer = None
@@ -439,6 +446,9 @@ def load_grid(path) -> CoeffGrid2D:
                              "integer M, N and precision")
         if M < 0 or N < 0:
             raise ValueError(f"{path}: header M={M}, N={N} must be >= 0")
+        if prec < _MIN_DIGITS:
+            raise ValueError(f"{path}: header precision={prec} must be >= "
+                             f"{_MIN_DIGITS}")
         fmt = header.get("format", 1)
         if fmt != _GRID_FORMAT:
             raise ValueError(

@@ -28,6 +28,10 @@ from mpmath.libmp import (from_man_exp, from_rational, mpf_cos_sin, mpf_shift,
                           round_nearest, to_fixed)
 
 
+# the fewest decimal digits of any working precision or stored grid
+_MIN_DIGITS = 15
+
+
 class RootFindingError(ArithmeticError):
     """Raised when an iteration breaks down or hits its cap, or a root fails
     its residual bound."""
@@ -46,9 +50,10 @@ class ArithmeticContext:
     precision_digits: int = 15
 
     def __post_init__(self) -> None:
-        if self.precision_digits < 15:
+        if self.precision_digits < _MIN_DIGITS:
             raise ValueError(
-                f"precision_digits must be >= 15, got {self.precision_digits}"
+                f"precision_digits must be >= {_MIN_DIGITS}, got "
+                f"{self.precision_digits}"
             )
 
     def workprec(self):

@@ -12,11 +12,11 @@ coefficients (in y) of the slice F(x, .), and runs the full unknown-jump 1D
 pipeline on them; its record, a :class:`Reconstruction1D`, holds the curve
 crossing xi(x), the kernel magnitudes A_l(x), and the slice itself.
 
-Failures are contained: a row that raises ``ReconstructionError`` (an
-order beyond the kernel table, or a band too short for the decimation)
-degrades to raw truncated-series evaluation and is flagged, and a failed
-slice is recorded, so neither sinks a field run.  The rows degrade all
-together, and then no slice runs: raw rows would give plausible numbers.
+The row stage runs whole or not at all: only M and d_psi, which all rows
+share, decide if a row reconstructs (d_psi <= 15 and M // (d_psi+1) >= 1),
+so one ``ReconstructionError`` degrades every row under its reason.  A
+degraded set evaluates nothing, since raw rows would give plausible
+numbers, and a field run records that refusal per x, as a failed slice.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class PsiReconstructionSet:
 
     rows: dict wy -> the row's _FixedForm, the raw series C with the seam
     stack sum_l A_l v_l built under the form's precision, its seam
-    magnitudes A_0..A_d as ``magnitudes_tilde``, for rows that reconstructed.
-    degraded: dict wy -> reason string; those rows fall back to raw
-    truncated series evaluation straight from the grid.
+    magnitudes A_0..A_d as ``magnitudes_tilde``; every row, or none.
+    degraded: dict wy -> the one reason of a row stage that could not run,
+    for every row, or empty; evaluating such a set raises it.
     """
 
     grid: CoeffGrid2D
@@ -60,26 +60,28 @@ class PsiReconstructionSet:
         """Row values at x for the rows ``wys``; caller holds the precision.
 
         The partial sums and the phase e^{ix} are taken once for all rows,
-        which share M and the working bits.  A degraded row, and a row
-        built at another precision, builds its form per call at this one.
+        which share M, the working bits and the d_psi + 1 magnitudes.  A
+        row built at another precision builds its form per call at this one.
         """
-        M = self.grid.M
-        seam = -mp.pi
-        rows = [self.rows.get(wy) for wy in wys]
-        n = max((len(r.magnitudes_tilde) for r in rows if r is not None),
-                default=0)
-        sums = _partial_sums(x, seam, M, n) if n else ()
+        if self.degraded:
+            raise ReconstructionError(
+                f"row stage: {next(iter(self.degraded.values()))}")
+        M, seam = self.grid.M, -mp.pi
+        rows = [self.rows[wy] for wy in wys]
+        sums = _partial_sums(x, seam, M, len(rows[0].magnitudes_tilde))
         z = _phase(mp.mpf(x)._mpf_, M)
         vals = []
         for wy, form in zip(wys, rows):
-            if form is None or form.prec != mp.prec:
-                mags = () if form is None else form.magnitudes_tilde
-                form = _FixedForm(self.grid.row(wy), seam, mags)
+            if form.prec != mp.prec:
+                form = _FixedForm(self.grid.row(wy), seam,
+                                  form.magnitudes_tilde)
             vals.append(form.value(x, sums, z))
         return vals
 
     def row_value(self, wy: int, x, ctx: ArithmeticContext):
-        """psi_tilde_wy(x): reconstructed if possible, raw series otherwise."""
+        """psi_tilde_wy(x); ``ReconstructionError`` on a degraded set."""
+        if abs(wy) > self.grid.N:
+            raise ValueError(f"row {wy} outside rows -N..N, N = {self.grid.N}")
         with ctx.workprec():
             return self._values((wy,), x)[0]
 
@@ -91,26 +93,24 @@ def reconstruct_psi_set(
 
     Each row's magnitudes come from :func:`solve_magnitudes_known_jump`,
     which solves at the seam -pi, and its form, the raw series with the seam
-    stack, is built once for evaluation.  A ``ReconstructionError`` (an order beyond
-    the kernel table, or a band too short for the decimation) is recorded as
-    a degraded row, not raised; any other exception, including the
-    ``ValueError`` of a negative order or a non-finite entry, is a
-    programming or input error and propagates.
+    stack, is built once for evaluation.  A ``ReconstructionError`` (the
+    kernel table, or the decimation) turns on M and d_psi alone, so it
+    degrades every row under its reason; any other exception, such as the
+    ``ValueError`` of a negative order or a non-finite entry, propagates.
     """
+    wys = range(-grid.N, grid.N + 1)
     rows: dict = {}
-    degraded: dict = {}
     with ctx.workprec():
-        seam = -mp.pi
-        for wy in range(-grid.N, grid.N + 1):
-            row = grid.row(wy)
-            try:
-                _check_order(d_psi)
+        try:
+            _check_order(d_psi)
+            for wy in wys:
+                row = grid.row(wy)
                 mags = solve_magnitudes_known_jump(row, d_psi, ctx)
-            except ReconstructionError as exc:
-                degraded[wy] = f"{type(exc).__name__}: {exc}"
-                continue
-            rows[wy] = _FixedForm(row, seam, mags)
-    return PsiReconstructionSet(grid, rows, degraded)
+                rows[wy] = _FixedForm(row, -mp.pi, mags)
+        except ReconstructionError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            return PsiReconstructionSet(grid, {}, dict.fromkeys(wys, reason))
+    return PsiReconstructionSet(grid, rows, {})
 
 
 def slice_coeff_vector(
@@ -167,8 +167,8 @@ def reconstruct_field(
 
     Emits a warning when N^2 > M (the row stage then limits the overall
     accuracy and the slice-stage rates are not guaranteed).  Slice failures
-    (``ReconstructionError`` and ``RootFindingError``) are contained per x,
-    and so is a degraded row stage; any other exception propagates.
+    (``ReconstructionError`` and ``RootFindingError``, which a degraded row
+    stage raises at every x) are contained per x; any other propagates.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
@@ -182,9 +182,6 @@ def reconstruct_field(
     slices: dict = {}
     failures: dict = {}
     for x in x_points:
-        if psi.degraded:  # rows share M and d_psi: then every row degraded
-            failures[float(x)] = f"row stage: {next(iter(psi.degraded.values()))}"
-            continue
         try:
             slices[float(x)] = reconstruct_slice(psi, x, d, ctx)
         except (ReconstructionError, RootFindingError) as exc:
@@ -195,15 +192,17 @@ def reconstruct_field(
 def truncated_slice(grid: CoeffGrid2D, x, ctx: ArithmeticContext) -> _FixedForm:
     """Raw partial 2D Fourier sum at x, as a series in y.
 
-    It is the raw series of the slice vector that :func:`slice_coeff_vector`
-    builds when no row is reconstructed; ``form.value(y)``, under
+    Each coefficient is a grid row's raw series at x, with no seam
+    correction, from one phase e^{ix}; ``form.value(y)``, under
     ``ctx.workprec()``, is the complex sum at (x, y), from N folded terms
     per part, and ``form.value(y, part="real")`` its real part alone.
     Raises ValueError, naming the entry, on a non-finite entry.
     """
-    vec = slice_coeff_vector(PsiReconstructionSet(grid, {}, {}), x, ctx)
     with ctx.workprec():
-        return _FixedForm(vec)
+        z = _phase(mp.mpf(x)._mpf_, grid.M)
+        vals = [_FixedForm(grid.row(wy)).value(x, z=z)
+                for wy in range(-grid.N, grid.N + 1)]
+        return _FixedForm(CoeffVector1D(grid.N, tuple(vals)))
 
 
 def truncated_baseline(grid: CoeffGrid2D, x, y, ctx: ArithmeticContext):

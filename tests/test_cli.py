@@ -216,6 +216,17 @@ def test_the_older_model_json_loads_normalised():
     assert model_from_json(new) == want
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_model_json_refuses_non_finite_curve_coefficients(literal):
+    # json reads these literals as floats; a NaN b_1 put every slice's jump
+    # at -pi, and the grid read as plausible numbers
+    text = json.dumps(model_to_json(Model2D.canonical(2)))
+    text = text.replace('"kind": "identity", "coeffs": []',
+                        f'"kind": "trig", "coeffs": [0.1, {literal}]')
+    with pytest.raises(ValueError, match="non-finite curve coefficient b_1"):
+        model_from_json(json.loads(text))
+
+
 @pytest.mark.parametrize("entry", [[0.5], None, True])
 def test_bare_profiles_refuse_what_is_not_a_number(entry):
     # [0.5] and null raised a bare TypeError naming neither the profile
@@ -344,7 +355,8 @@ def test_read_metrics_rejects_foreign_files(tmp_path):
 
 def test_read_metrics_rejects_ragged_rows(tmp_path):
     # a d = 2 row (9 cells) under d = 1 columns (8) would drop a cell and
-    # read as plausible numbers; a short row would lack a column
+    # read as plausible numbers; a short row would lack a column; a cell
+    # that is no number raised a bare "could not convert string to float"
     path = tmp_path / "metrics.csv"
     _append_metrics(path, ExperimentConfig(d=1), [_row(8, 1)])
     good = path.read_text()
@@ -353,6 +365,12 @@ def test_read_metrics_rejects_ragged_rows(tmp_path):
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line 4 has {cells} cells for 8 columns")):
             read_metrics(path)
+    cells = _row(12, 1).csv().split(",")
+    cells[2] = "abc"
+    path.write_text(good + ",".join(cells) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 4: could not convert string to float: 'abc'")):
+        read_metrics(path)
 
 
 def test_degenerate_entry_yields_nan_row():

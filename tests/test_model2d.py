@@ -57,6 +57,13 @@ def test_curve_validation():
     with pytest.raises(ValueError, match="b_0 must be real"):
         Curve("trig", (0.2 + 0.5j, 0.1))
     assert Curve("trig", (0.2 + 0j, 0.1)).coeffs[0] == 0.2
+    # a NaN or infinite b_k sent every slice through Model2D.slice's edge
+    # branch, with the jump at -pi: eval2d read numbers, and coeff_grid a
+    # plausible grid
+    for coeffs, k in (((mp.nan, 0.1), 0), ((0.2, math.inf), 1),
+                      ((0.2, 0.1, complex(0, math.nan)), 2), ((0.2, "-inf"), 1)):
+        with pytest.raises(ValueError, match=f"non-finite curve coefficient b_{k}"):
+            Curve("trig", coeffs)
 
 
 def test_identity_curve(ctx15):
@@ -548,11 +555,27 @@ def test_load_grid_refuses_decimal_files(tmp_path):
         "[2, 0, 0, 15]": no_header,
         '{"format": 2, "M": -1, "N": 0, "precision": 15}':
             "header M=-1, N=0 must be >= 0",
+        # written before save_grid refused it, such a file loaded with
+        # 1-bit entries under "precision": 0
+        '{"format": 2, "M": 0, "N": 0, "precision": 0}':
+            "header precision=0 must be >= 15",
+        '{"format": 2, "M": 0, "N": 0, "precision": 14}':
+            "header precision=14 must be >= 15",
     }
     for header, message in headers.items():
         path.write_text(f"{header}\n{body}")
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
             load_grid(path)
+
+
+@pytest.mark.parametrize("digits", [0, -5, 14, 15.0, True, "20"])
+def test_save_grid_refuses_a_precision_below_the_context_floor(tmp_path, digits):
+    # precision 0 wrote 1-bit entries (-0.0298 as -0.03125)
+    path = tmp_path / "grid.fec"
+    with pytest.raises(ValueError, match=re.escape(
+            f"precision_digits must be an int >= 15, got {digits!r}")):
+        save_grid(CoeffGrid2D(0, 0, ((mp.mpf("-0.0298"),),)), path, digits)
+    assert not path.exists()
 
 
 def test_save_grid_refuses_non_finite_entries(tmp_path):

@@ -51,6 +51,8 @@ def test_row_stage_reconstructs_all_rows(canonical_grid, ctx40):
     psi = reconstruct_psi_set(canonical_grid, 9, ctx40)
     assert not psi.degraded
     assert set(psi.rows) == set(range(-12, 13))
+    with pytest.raises(ValueError, match="row 13 outside rows -N..N, N = 12"):
+        psi.row_value(13, 0.7, ctx40)
 
 
 def test_row_values_match_exact_slices(canonical_grid, ctx40):
@@ -65,21 +67,21 @@ def test_row_values_match_exact_slices(canonical_grid, ctx40):
                 assert abs(got - want) < mp.mpf(10) ** -30
 
 
-def test_degraded_rows_fall_back_to_raw_series(ctx40):
+def test_a_degraded_row_set_refuses_every_evaluation(ctx40):
     # M = 4 cannot host the order-9 known-jump decimation, so every row
-    # degrades and row_value must equal the plain truncated series
+    # degrades; the raw series the rows fell back to read as plausible
+    # numbers, so the set refuses each evaluation, naming the reason
     grid = coeff_grid(Model2D.canonical(11), 4, 3, ctx40)
     psi = reconstruct_psi_set(grid, 9, ctx40)
-    assert set(psi.degraded) == set(range(-3, 4))
-    assert all("LocalizationError" in r for r in psi.degraded.values())
-    with ctx40.workprec():
-        x = mp.mpf("0.4")
-        for wy in (-2, 1):
-            row = grid.row(wy)
-            direct = sum(
-                mp.mpc(row.c(k)) * mp.expj(k * x) for k in range(-4, 5)
-            )
-            assert abs(psi.row_value(wy, x, ctx40) - direct) < mp.mpf(10) ** -35
+    assert not psi.rows and set(psi.degraded) == set(range(-3, 4))
+    reason = "LocalizationError: known-jump decimation infeasible: M=4, d=9, M1=0"
+    assert set(psi.degraded.values()) == {reason}
+    for evaluate in (lambda: psi.row_value(1, 0.4, ctx40),
+                     lambda: slice_coeff_vector(psi, 0.4, ctx40),
+                     lambda: reconstruct_slice(psi, 0.4, 1, ctx40)):
+        with pytest.raises(recon1d.ReconstructionError) as err:
+            evaluate()
+        assert str(err.value) == f"row stage: {reason}"
 
 
 def test_slice_vector_matches_exact_coefficients(canonical_grid, ctx40):
@@ -167,7 +169,55 @@ def test_a_degraded_row_stage_runs_no_slice(d_psi):
         fld = reconstruct_field(grid, d_psi, 9, (0.7, 1.1), ctx)
     assert len(fld.psi.degraded) == 25 and not fld.slices
     reason = next(iter(fld.psi.degraded.values()))
-    assert fld.failures == {0.7: f"row stage: {reason}", 1.1: f"row stage: {reason}"}
+    failure = f"ReconstructionError: row stage: {reason}"
+    assert fld.failures == {0.7: failure, 1.1: failure}
+
+
+def _row_outcome(row, d_psi, ctx):
+    """One row's row stage on its own: "ok", or the reason it failed."""
+    try:
+        recon1d._check_order(d_psi)
+        recon1d.solve_magnitudes_known_jump(row, d_psi, ctx)
+    except recon1d.ReconstructionError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+@pytest.mark.parametrize("model", [Model2D.canonical(3), _dense_model(18, 2)],
+                         ids=["canonical", "dense"])
+def test_the_row_stage_runs_whole_or_not_at_all(model):
+    # the one feasibility check rests on this: whether a row reconstructs
+    # turns on M and d_psi alone, never on the row's data, so every row of
+    # a grid reconstructs, or every row fails for one reason
+    ctx = ArithmeticContext(30)
+    grids = {M: coeff_grid(model, M, 2, ctx) for M in range(19)}
+    for d_psi in range(17):
+        for M in range(max(0, d_psi - 1), d_psi + 3):
+            grid = grids[M]
+            outcomes = {_row_outcome(grid.row(wy), d_psi, ctx)
+                        for wy in range(-2, 3)}
+            psi = reconstruct_psi_set(grid, d_psi, ctx)
+            if d_psi > 15 or M < d_psi + 1:
+                reason, = outcomes
+                assert reason != "ok" and not psi.rows
+                assert psi.degraded == dict.fromkeys(range(-2, 3), reason)
+            else:
+                assert outcomes == {"ok"} and not psi.degraded
+                assert set(psi.rows) == set(range(-2, 3))
+
+
+def test_a_degraded_field_run_reads_as_the_benchmark_check_reads_it(ctx40):
+    # the reads a field-run check makes: the degraded rows by count and by
+    # wy, the seam magnitudes of the rows (none), and each x's failure
+    grid = coeff_grid(_dense_model(9, 3), 9, 3, ctx40)
+    fld = reconstruct_field(grid, 9, 1, (-0.5, 2.0), ctx40)
+    assert len(fld.psi.degraded) == 7
+    assert sorted(fld.psi.degraded) == list(range(-3, 4))
+    assert [a for r in fld.psi.rows.values() for a in r.magnitudes_tilde] == []
+    reason = "LocalizationError: known-jump decimation infeasible: M=9, d=9, M1=0"
+    for x in (-0.5, 2.0):
+        assert fld.failures[x] == f"ReconstructionError: row stage: {reason}"
+    assert not fld.slices
 
 
 def test_orders_beyond_the_kernel_table_are_contained(ctx40):
@@ -223,18 +273,16 @@ def test_truncated_baseline_equals_dense_sum(model, ctx40):
             assert raw.value(mp.mpf(y)).real._mpf_ == want._mpf_
 
 
-def test_degraded_row_fallback_refuses_non_finite_entries(ctx40):
-    # a NaN in a degraded row would read as 0 in the fixed-point series
+def test_truncated_baseline_refuses_non_finite_entries(ctx40):
+    # a NaN entry would read as 0 in the fixed-point series of its row
     grid = coeff_grid(Model2D.canonical(11), 4, 3, ctx40)
     values = [list(col) for col in grid.values]
     values[4 + 2][3 + 1] = mp.nan  # (wx, wy) = (2, 1)
-    psi = reconstruct_psi_set(CoeffGrid2D(4, 3, values), 9, ctx40)
-    assert 1 in psi.degraded
+    grid = CoeffGrid2D(4, 3, values)
     with pytest.raises(ValueError, match="coefficient c_2"):
-        psi.row_value(1, 0.4, ctx40)
-    psi.row_value(2, 0.4, ctx40)  # the other rows still evaluate
+        truncated_slice(grid, 0.4, ctx40)
     with pytest.raises(ValueError, match="coefficient c_2"):
-        truncated_baseline(psi.grid, 0.4, -1.2, ctx40)
+        truncated_baseline(grid, 0.4, -1.2, ctx40)
 
 
 @pytest.fixture(scope="module")
