@@ -13,7 +13,9 @@ The truth of a slice F(x, .) is the 1D truth of ``Model2D.slice(x)``.
 
 Grid synthesis is exact (closed form, on fixed-point ints) for the identity
 curve; trig-poly curves run a periodic trapezoid rule in x, with a doubling
-check, over the ``synth_coeffs`` vector of each node's slice.  Beyond
+check, over the ``synth_coeffs`` vector of each node's slice.  A grid holds
+each part of its entries as two ints, mantissa and exponent, as a grid file
+writes it, and makes an mpc only when an entry is read.  Beyond
 ``Model2D.slice``, ``slice_coeff_exact`` (on ``v_fourier_coeff``) and the
 quadrature oracles share no code with synthesis: independent verification.
 """
@@ -23,10 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, mpf_neg
+from mpmath.libmp import (dps_to_prec, finf, fnan, fninf, from_float, from_int,
+                          from_man_exp, fzero, mpf_neg, round_nearest)
 
 from .kernels import v_fourier_coeff
 from .model1d import (CoeffVector1D, JumpModel1D, TrigBackground,
@@ -37,11 +43,9 @@ from .numerics import (
     _fixed_horner_pair,
     _fixed_pairs,
     _fixed_shift,
-    _from_fixed,
     _guard_bits,
     _mpc_parts,
     _over_two_pi,
-    _raw_mpc,
 )
 
 _GRID_FORMAT = 2  # hex mantissas and a sha256 trailer; format 1 was decimal
@@ -169,43 +173,179 @@ class Model2D:
             return JumpModel1D(xi, mags, TrigBackground(g))
 
 
-@dataclass(frozen=True, eq=False)
+# the raw mpf of NaN and the infinities by exponent: a part m 2^e with m = 0
+# is one of these for e != 0, and zero for e = 0
+_NON_FINITE = {f[2]: f for f in (fnan, finf, fninf)}
+
+
+def _int_part(raw) -> tuple:
+    """(m, e) of a raw mpf: signed mantissa and exponent, (0, 0) for zero."""
+    sign, man, exp, _ = raw
+    return -man if sign else man, exp
+
+
+def _mpf_of(m: int, e: int):
+    """The raw mpf of the part m 2^e, normalised, not rounded."""
+    return from_man_exp(m, e) if m or not e else _NON_FINITE[e]
+
+
+def _entry(parts, i: int):
+    """The mpc of entry i of the part lists (re m, re e, im m, im e)."""
+    mr, er, mi, ei = parts
+    return mp.make_mpc((_mpf_of(mr[i], er[i]), _mpf_of(mi[i], ei[i])))
+
+
+def _exact_raw(v) -> tuple:
+    """Raw (re, im) mpf pair of the value of ``v``, exact at any precision.
+
+    Raises TypeError for anything but an int, a float, a complex, an mpf or
+    an mpc: a decimal string, say, has no value until a precision reads it.
+    """
+    p = getattr(v, "_mpc_", None) or getattr(v, "_mpf_", None)
+    if p is not None:
+        return p if len(p) == 2 else (p, fzero)
+    if isinstance(v, numbers.Integral):
+        return from_int(int(v)), fzero
+    if isinstance(v, (float, complex)):
+        return from_float(v.real), from_float(v.imag)
+    raise TypeError(f"grid entry {v!r} is not an int, float, complex, mpf or "
+                    "mpc, whose value does not depend on the precision")
+
+
+def _rounded(ms: list, es: list, prec: int) -> tuple:
+    """(ms, es) with each part m 2^e wider than ``prec`` bits rounded to
+    nearest at ``prec`` bits, as mpmath rounds it; the lists as given when
+    none is that wide."""
+    if max(map(int.bit_length, ms)) <= prec:
+        return ms, es
+    ms, es = list(ms), list(es)
+    for i, m in enumerate(ms):
+        if m.bit_length() > prec:
+            ms[i], es[i] = _int_part(from_man_exp(m, es[i], prec, round_nearest))
+    return ms, es
+
+
+class _IntRow:
+    """Row wy of a grid, wx = -M..M, as its entries' ints ``parts``.
+
+    It reads like a CoeffVector1D: ``c(k)`` makes the mpc of one entry and
+    ``values`` those of all.  :meth:`fixed` gives a ``_FixedForm`` its
+    fixed-point pairs straight from the ints, making none.
+    """
+
+    __slots__ = ("M", "parts")
+
+    def __init__(self, M: int, parts: tuple) -> None:
+        self.M, self.parts = M, parts
+
+    def c(self, k: int):
+        if abs(k) > self.M:
+            raise ValueError(f"|k|={abs(k)} exceeds M={self.M}")
+        return _entry(self.parts, k + self.M)
+
+    @property
+    def values(self) -> tuple:
+        return tuple(_entry(self.parts, i) for i in range(2 * self.M + 1))
+
+    def fixed(self, others, wp: int):
+        """(shift, pairs): the entries c_-M..c_M as fixed-point pairs at
+        2^shift, the shift ``_fixed_shift(parts + others, wp)`` picks for the
+        raw pairs ``parts`` that ``_mpc_parts`` reads from ``values`` under
+        the working precision: a part wider than it rounded to nearest, so
+        every pair has the same bits.  ``others`` are raw (re, im) pairs, such
+        as a form's magnitudes.  None if a part is NaN or infinite, which
+        ``_mpc_parts`` then refuses by name.
+        """
+        cols, tops = [], [p[2] + p[3] for pair in others for p in pair if p[1]]
+        for ms, es in zip(self.parts[::2], self.parts[1::2]):
+            bits = list(map(int.bit_length, ms))
+            if max(bits) > mp.prec:
+                ms, es = _rounded(ms, es, mp.prec)
+                bits = list(map(int.bit_length, ms))
+            if 0 not in ms:
+                tops.append(max(map(add, es, bits)))
+            elif any(e for m, e in zip(ms, es) if not m):
+                return None
+            else:  # a zero part has no scale
+                tops.extend(e + b for e, b in zip(es, bits) if b)
+            cols.append((ms, es))
+        shift = wp - max(tops, default=0)
+        return shift, list(zip(*(
+            [m << s if (s := e + shift) >= 0 else m >> -s for m, e in zip(ms, es)]
+            for ms, es in cols)))
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class CoeffGrid2D:
     """Fourier grid Fhat(wx, wy) for |wx| <= M, |wy| <= N.
 
-    ``values[wx + M][wy + N]`` stores the coefficient; ``row(wy)`` exposes
-    one horizontal row as a CoeffVector1D over wx, which is exactly the
-    input the slice-row reconstruction stage consumes.
+    Each part of an entry is held as two Python ints, the part m 2^e, as a
+    format-2 grid line writes it: ``parts`` is four flat lists, the re
+    mantissas, re exponents, im mantissas and im exponents, entry (wx, wy)
+    at (wx + M)(2N + 1) + wy + N, the order of a grid file.  A mantissa is
+    odd, or 0 for a zero part (exponent 0) or a NaN or infinite one (the
+    exponent of mpmath's raw value).  mpc objects are made only when read,
+    each part exactly, never rounded: ``c(wx, wy)``; ``row(wy)``, one
+    horizontal row as a CoeffVector1D over wx, which is exactly the input
+    the slice-row reconstruction stage consumes; and ``values``, the
+    columns, ``values[wx + M][wy + N]``.
+
+    The constructor takes such columns of ints, floats, complex numbers, mpf
+    or mpc values, NaN and infinite parts included, each kept exactly; a
+    decimal string, whose value depends on the precision that reads it,
+    raises TypeError.
 
     eq=False keeps identity semantics: grids are large; tests compare entries.
     """
 
     M: int
     N: int
-    values: tuple
-    diagnostics: dict = field(compare=False, default_factory=dict)
+    parts: tuple
+    diagnostics: dict
 
-    def __post_init__(self) -> None:
-        if self.M < 0 or self.N < 0:
+    def __init__(self, M: int, N: int, values, diagnostics=None) -> None:
+        if M < 0 or N < 0:
             raise ValueError("M and N must be >= 0")
-        object.__setattr__(
-            self, "values", tuple(tuple(col) for col in self.values)
-        )
-        if len(self.values) != 2 * self.M + 1 or any(
-            len(col) != 2 * self.N + 1 for col in self.values
-        ):
+        cols = [tuple(col) for col in values]
+        if len(cols) != 2 * M + 1 or any(len(col) != 2 * N + 1 for col in cols):
             raise ValueError("grid shape does not match M, N")
+        entries = (_exact_raw(v) for col in cols for v in col)
+        parts = zip(*((*_int_part(re), *_int_part(im)) for re, im in entries))
+        self._set(M, N, map(list, parts), diagnostics)
+
+    def _set(self, M, N, parts, diagnostics) -> None:
+        for name, value in (("M", M), ("N", N), ("parts", tuple(parts)),
+                            ("diagnostics", {} if diagnostics is None
+                             else diagnostics)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_parts(cls, M: int, N: int, parts, diagnostics=None):
+        """A grid of the four part lists, taken as they are."""
+        grid = object.__new__(cls)
+        grid._set(M, N, parts, diagnostics)
+        return grid
 
     def c(self, wx: int, wy: int):
         if abs(wx) > self.M or abs(wy) > self.N:
             raise ValueError(f"({wx}, {wy}) outside grid ({self.M}, {self.N})")
-        return self.values[wx + self.M][wy + self.N]
+        return _entry(self.parts, (wx + self.M) * (2 * self.N + 1) + wy + self.N)
 
-    def row(self, wy: int) -> CoeffVector1D:
+    def _int_row(self, wy: int) -> _IntRow:
+        """Row wy as its entries' ints, which the row stage reads."""
         if abs(wy) > self.N:
             raise ValueError(f"row {wy} outside grid ({self.M}, {self.N})")
-        vals = tuple(self.values[i][wy + self.N] for i in range(2 * self.M + 1))
-        return CoeffVector1D(self.M, vals)
+        at = slice(wy + self.N, None, 2 * self.N + 1)
+        return _IntRow(self.M, tuple(p[at] for p in self.parts))
+
+    def row(self, wy: int) -> CoeffVector1D:
+        return CoeffVector1D(self.M, self._int_row(wy).values)
+
+    @property
+    def values(self) -> tuple:
+        n = 2 * self.N + 1
+        return tuple(tuple(_entry(self.parts, i) for i in range(j, j + n))
+                     for j in range(0, len(self.parts[0]), n))
 
 
 def eval2d(m: Model2D, x, y, ctx: ArithmeticContext):
@@ -238,6 +378,7 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     entries (q - n, n) and (q + n, -n).  The background adds
     sum_s p_s(wx) q_s(wy) after the rounding, in the order of
     ``Background2D.coeff2d``, on its terms' supports, each found once.
+    Returns the four part lists of a :class:`CoeffGrid2D`.
 
     Raises
     ------
@@ -260,8 +401,13 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
         for s, (p, q) in enumerate(terms):
             _mpc_parts(p.coeffs, f"background term {s} coefficient p_", 0)
             _mpc_parts(q.coeffs, f"background term {s} coefficient q_", 0)
-        zero = mp.mpc(0)
-        cols = [[zero] * (2 * N + 1) for _ in range(2 * M + 1)]
+        n2, prec = 2 * N + 1, mp.prec
+        grid = mr, er, mi, ei = [[0] * ((2 * M + 1) * n2) for _ in range(4)]
+
+        def put(i: int, re: int, im: int) -> None:  # entry i, rounded once
+            mr[i], er[i] = _int_part(from_man_exp(re, -shift, prec, round_nearest))
+            mi[i], ei[i] = _int_part(from_man_exp(im, -shift, prec, round_nearest))
+
         for q in range(-M - N, M + N + 1):
             k = abs(q)
             parts = [a[k] if k < len(a) else (fzero, fzero) for a in spectra]
@@ -274,25 +420,28 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
             for n in range(max(1, k - M), min(N, k + M) + 1):  # some entry in range
                 plus, minus = _fixed_horner_pair(stack, n)
                 if abs(q - n) <= M:
-                    cols[q - n + M][n + N] = _from_fixed(*plus, shift)
+                    put((q - n + M) * n2 + n + N, *plus)
                 if abs(q + n) <= M:
-                    cols[q + n + M][N - n] = _from_fixed(*minus, shift)
+                    put((q + n + M) * n2 + N - n, *minus)
         # per term, its nonzero coefficients by wx + M and by wy + N
         p_hat = [{i: c for i in range(2 * M + 1) if (c := p.coeff(i - M))}
                  for p, _ in terms]
         q_hat = [{i: c for i in range(2 * N + 1) if (c := q.coeff(i - N))}
                  for _, q in terms]
         rows = set().union(*q_hat)
-        for ix, col in enumerate(cols):
+        for ix in range(2 * M + 1):
             for iy in rows:
                 # an exact zero added is exact, so skipping it keeps every bit
-                bg = zero
+                bg = mp.mpc(0)
                 for ps, qs in zip(p_hat, q_hat):
                     if ix in ps and iy in qs:
                         bg += ps[ix] * qs[iy]
                 if bg:
-                    col[iy] += bg
-        return cols
+                    i = ix * n2 + iy
+                    re, im = (_entry(grid, i) + bg)._mpc_
+                    mr[i], er[i] = _int_part(re)
+                    mi[i], ei[i] = _int_part(im)
+        return grid
 
 
 def _trapezoid_grid(m: Model2D, wxs, wys, ctx: ArithmeticContext, T: int):
@@ -338,8 +487,8 @@ def coeff_grid(
     if M < 0 or N < 0:
         raise ValueError("M and N must be >= 0")
     if m.curve.kind == "identity":
-        values = _closed_form_grid(m, M, N, ctx)
-        return CoeffGrid2D(M, N, tuple(values), {"method": "closed-form"})
+        return CoeffGrid2D._of_parts(M, N, _closed_form_grid(m, M, N, ctx),
+                                     {"method": "closed-form"})
     slope = max(1.0, m.curve.slope_bound())
     T = 8 * max(M, math.ceil(N * slope), 1)
     values = _trapezoid_grid(m, range(-M, M + 1), range(-N, N + 1), ctx, T)
@@ -360,24 +509,17 @@ def coeff_grid(
     return CoeffGrid2D(M, N, tuple(values), diag)
 
 
-def _hex_part(part, wx: int, wy: int) -> str:
-    """A raw mpf as <sign><hex mantissa>p<binary exponent>."""
-    sign, man, exp, _ = part
-    if not man and part != fzero:
-        raise ValueError(f"grid entry ({wx}, {wy}) is not finite")
-    return f"{'-' if sign else ''}{man:x}p{exp}"
-
-
 def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
     """Write a grid file, exact at ``precision_digits``.
 
     Line 1 is a JSON header with "format": 2, "M", "N" and "precision",
     which must be an int >= 15, the floor of ``ArithmeticContext``.
-    Then one line "omega_x, omega_y, re, im" per entry: each part is rounded
-    once to the header precision (round-nearest) and written as mpmath's raw
-    value, <sign><hex mantissa>p<binary exponent>.  The last line is
-    "sha256 <hex>", the SHA-256 of every line before it.  Raises ValueError
-    naming the entry when a part is NaN or infinite.
+    Then one line "omega_x, omega_y, re, im" per entry, column by column:
+    each part m 2^e of the grid's ints is written as <hex m>p<e>, its
+    mpmath raw value, rounded once to the header precision (round-nearest)
+    if it is wider.  The last line is "sha256 <hex>", the SHA-256 of every
+    line before it.  Raises ValueError naming the entry when a part is NaN
+    or infinite.
     """
     if type(precision_digits) is not int or precision_digits < _MIN_DIGITS:
         raise ValueError(f"precision_digits must be an int >= {_MIN_DIGITS}, "
@@ -389,7 +531,10 @@ def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
         "N": grid.N,
         "precision": precision_digits,
     }
-    with open(path, "wb") as fh, mp.workdps(precision_digits):
+    prec, n2 = dps_to_prec(precision_digits), 2 * grid.N + 1
+    wys = range(-grid.N, grid.N + 1)
+    lines = "%d, %d, %xp%d, %xp%d\n" * n2  # one column; %x keeps the sign
+    with open(path, "wb") as fh:
 
         def put(line: str) -> None:
             data = line.encode("ascii")
@@ -397,39 +542,43 @@ def save_grid(grid: CoeffGrid2D, path, precision_digits: int) -> None:
             fh.write(data)
 
         put(json.dumps(header) + "\n")
-        prec = mp.prec
-        wys = range(-grid.N, grid.N + 1)
-        for wx, col in zip(range(-grid.M, grid.M + 1), grid.values):
-            lines = []
-            for wy, v in zip(wys, col):
-                # only an entry finer than the header precision is rounded
-                re, im = _raw_mpc(v, prec)
-                lines.append(f"{wx}, {wy}, {_hex_part(re, wx, wy)}, "
-                             f"{_hex_part(im, wx, wy)}\n")
-            put("".join(lines))
+        for ix, wx in enumerate(range(-grid.M, grid.M + 1)):
+            at = slice(ix * n2, ix * n2 + n2)
+            mr, er, mi, ei = (p[at] for p in grid.parts)
+            if 0 in mr or 0 in mi:  # NaN or infinite: mantissa 0, exponent not
+                for wy, a, b, c, d in zip(wys, mr, er, mi, ei):
+                    if (not a and b) or (not c and d):
+                        raise ValueError(f"grid entry ({wx}, {wy}) is not finite")
+            put(lines % tuple(chain.from_iterable(zip(
+                repeat(wx), wys, *_rounded(mr, er, prec),
+                *_rounded(mi, ei, prec)))))
         fh.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
 
 
-def _raw_part(text: bytes):
-    """The raw mpf of a part written by :func:`_hex_part`, without rounding.
-    An odd mantissa, as :func:`save_grid` writes, is normalised as it stands;
-    mpmath arithmetic needs an even or zero one normalised by from_man_exp."""
-    man, _, exp = text.partition(b"p")
-    man, exp = int(man, 16), int(exp)
-    if man & 1:
-        return (int(man < 0), abs(man), exp, abs(man).bit_length())
-    return from_man_exp(man, exp)
+class _Ints(dict):
+    """The int of each bytes token, parsed on its first lookup: a grid file
+    repeats its indices and exponents, which then share one int object."""
+
+    def __missing__(self, token: bytes) -> int:
+        value = self[token] = int(token)
+        return value
 
 
 def load_grid(path) -> CoeffGrid2D:
     """Read a grid file written by :func:`save_grid`, bit for bit.
 
+    Each line is parsed straight into the ints a :class:`CoeffGrid2D` holds,
+    every part exactly, and no mpc is made; an even mantissa, or a zero one
+    with an exponent, which ``save_grid`` does not write, is normalised.
+
     Raises ValueError naming the file unless line 1 is a JSON object with
     integer "M", "N" and "precision", M, N >= 0 and precision >= 15, when
     the header is not format 2 (a decimal format-1 file must be written
-    again by ``generate``), when the sha256 trailer is missing or does not
-    match the lines before it, and, with counts, unless every
-    (omega_x, omega_y) of the header's ranges appears exactly once.
+    again by ``generate``), naming the line when it is not
+    "omega_x, omega_y, re, im" with parts <hex m>p<e>, when the sha256
+    trailer is missing or does not match the lines before it, and, with
+    counts, unless every (omega_x, omega_y) of the header's ranges appears
+    exactly once.
     """
     digest = hashlib.sha256()
     trailer = None
@@ -455,7 +604,9 @@ def load_grid(path) -> CoeffGrid2D:
                 f"{path}: grid file format {fmt} is not readable, only format "
                 f"{_GRID_FORMAT}; re-run generate to write the grid again"
             )
-        vals = [[None] * (2 * N + 1) for _ in range(2 * M + 1)]
+        n2 = 2 * N + 1
+        parts = mr, er, mi, ei = [[None] * ((2 * M + 1) * n2) for _ in range(4)]
+        ints = _Ints()
         duplicate = outside = 0
         for lineno, line in enumerate(fh, start=2):
             if line.startswith(b"sha256 "):
@@ -464,27 +615,37 @@ def load_grid(path) -> CoeffGrid2D:
             digest.update(line)
             try:
                 swx, swy, sre, sim = line.split(b",")
-                wx, wy = int(swx), int(swy)
-                value = mp.make_mpc((_raw_part(sre), _raw_part(sim)))
+                a, _, b = sre.partition(b"p")
+                c, _, d = sim.partition(b"p")
+                wx, wy = ints[swx], ints[swy]
+                entry = int(a, 16), ints[b], int(c, 16), ints[d]
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: line {lineno} is not 'omega_x, omega_y, re, im'"
                 ) from exc
             if abs(wx) > M or abs(wy) > N:
                 outside += 1
-            elif vals[wx + M][wy + N] is not None:
+                continue
+            i = (wx + M) * n2 + wy + N
+            if mr[i] is not None:
                 duplicate += 1
             else:
-                vals[wx + M][wy + N] = value
+                mr[i], er[i], mi[i], ei[i] = entry
         if trailer is None or fh.read(1):
             raise ValueError(f"{path}: the last line is not a sha256 trailer")
     if trailer != f"sha256 {digest.hexdigest()}\n".encode("ascii"):
         raise ValueError(f"{path}: sha256 checksum does not match the file")
-    missing = sum(v is None for col in vals for v in col)
+    missing = mr.count(None)
     if missing or duplicate or outside:
         raise ValueError(
             f"{path}: grid M={M}, N={N} has {missing} missing, "
             f"{duplicate} duplicate and {outside} out-of-range entries"
         )
-    return CoeffGrid2D(M, N, tuple(tuple(col) for col in vals),
-                       {"precision": prec})
+    # save_grid writes odd mantissas, and 0p0 for zero; a hand-written even
+    # one, or a zero with an exponent, is normalised as from_man_exp does
+    for ms, es in ((mr, er), (mi, ei)):
+        if not all(map((1).__and__, ms)):
+            for i, m in enumerate(ms):
+                if not m & 1:
+                    ms[i], es[i] = _int_part(from_man_exp(m, es[i]))
+    return CoeffGrid2D._of_parts(M, N, parts, {"precision": prec})

@@ -431,7 +431,9 @@ class _FixedForm:
     ``fixed``, (shift, pairs), gives the residual as fixed-point pairs
     c_-M..c_M at 2^shift in place of the values of ``residual``, whose c_0
     such a form keeps as ``c0_given``: :meth:`residual` rounds the pairs on
-    first read.
+    first read.  A ``residual`` with a method ``fixed(mags, wp)``, a grid
+    row of :mod:`fourier_edge.model2d`, gives those pairs itself, at the
+    shift its values would get, or None to have its values read.
 
     Raises
     ------
@@ -453,6 +455,8 @@ class _FixedForm:
         self.c0_given = None if fixed is None else mp.mpc(residual.values[M])
         self.rounded = None
         mags = _mpc_parts(magnitudes, "magnitude A_", 0)
+        if fixed is None and hasattr(residual, "fixed"):  # a grid row's ints
+            fixed = residual.fixed(mags, wp)
         if fixed is None:
             parts = _mpc_parts(residual.values, "coefficient c_", -M)
             shift = _fixed_shift(parts + mags, wp)

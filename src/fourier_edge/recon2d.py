@@ -61,7 +61,8 @@ class PsiReconstructionSet:
 
         The partial sums and the phase e^{ix} are taken once for all rows,
         which share M, the working bits and the d_psi + 1 magnitudes.  A
-        row built at another precision builds its form per call at this one.
+        row built at another precision builds its form per call at this one,
+        from the grid's ints.
         """
         if self.degraded:
             raise ReconstructionError(
@@ -73,7 +74,7 @@ class PsiReconstructionSet:
         vals = []
         for wy, form in zip(wys, rows):
             if form.prec != mp.prec:
-                form = _FixedForm(self.grid.row(wy), seam,
+                form = _FixedForm(self.grid._int_row(wy), seam,
                                   form.magnitudes_tilde)
             vals.append(form.value(x, sums, z))
         return vals
@@ -92,8 +93,11 @@ def reconstruct_psi_set(
     """Solve the seam magnitudes of every grid row wy = -N..N.
 
     Each row's magnitudes come from :func:`solve_magnitudes_known_jump`,
-    which solves at the seam -pi, and its form, the raw series with the seam
-    stack, is built once for evaluation.  A ``ReconstructionError`` (the
+    which solves at the seam -pi and makes an mpc only for the d_psi + 1
+    entries it reads.  The row's form, the raw series with the seam stack,
+    is built once for evaluation, straight from the grid's ints: each part
+    is rounded to nearest at the working precision if it is wider, and no
+    mpc is made.  A ``ReconstructionError`` (the
     kernel table, or the decimation) turns on M and d_psi alone, so it
     degrades every row under its reason; any other exception, such as the
     ``ValueError`` of a negative order or a non-finite entry, propagates.
@@ -104,7 +108,7 @@ def reconstruct_psi_set(
         try:
             _check_order(d_psi)
             for wy in wys:
-                row = grid.row(wy)
+                row = grid._int_row(wy)  # an mpc only for each entry read
                 mags = solve_magnitudes_known_jump(row, d_psi, ctx)
                 rows[wy] = _FixedForm(row, -mp.pi, mags)
         except ReconstructionError as exc:
@@ -193,14 +197,15 @@ def truncated_slice(grid: CoeffGrid2D, x, ctx: ArithmeticContext) -> _FixedForm:
     """Raw partial 2D Fourier sum at x, as a series in y.
 
     Each coefficient is a grid row's raw series at x, with no seam
-    correction, from one phase e^{ix}; ``form.value(y)``, under
+    correction, from one phase e^{ix}, each row's form built straight from
+    the grid's ints; ``form.value(y)``, under
     ``ctx.workprec()``, is the complex sum at (x, y), from N folded terms
     per part, and ``form.value(y, part="real")`` its real part alone.
     Raises ValueError, naming the entry, on a non-finite entry.
     """
     with ctx.workprec():
         z = _phase(mp.mpf(x)._mpf_, grid.M)
-        vals = [_FixedForm(grid.row(wy)).value(x, z=z)
+        vals = [_FixedForm(grid._int_row(wy)).value(x, z=z)
                 for wy in range(-grid.N, grid.N + 1)]
         return _FixedForm(CoeffVector1D(grid.N, tuple(vals)))
 

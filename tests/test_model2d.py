@@ -4,12 +4,15 @@ Grid synthesis is validated against the slow 2D quadrature oracle and, for
 slices, against direct 1D integration of the pointwise model.
 """
 
+import gc
 import hashlib
 import math
 import re
+import tracemalloc
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import fzero
 
 from fourier_edge import (
     ArithmeticContext,
@@ -186,6 +189,32 @@ def test_grid_shape_and_indexing():
             g.row(wy)
     with pytest.raises(ValueError):
         CoeffGrid2D(2, 1, vals[:3])
+
+
+def test_grid_entries_of_every_type_keep_their_exact_value():
+    # the grid holds each part as ints; c(), row() and values make the mpc of
+    # the value given, which a reader then rounds at its own precision: the
+    # digest of those readings is the one of a grid holding the entries as
+    # given
+    with mp.workdps(50):
+        third = mp.mpf(1) / 3
+    with mp.workdps(20):
+        nan_part = mp.mpc(mp.mpf(2) / 7, mp.nan)
+    g = CoeffGrid2D(2, 0, ((0,), (1.5,), (0.1 + 0.3j,), (third,), (nan_part,)))
+    assert g.c(1, 0)._mpc_ == (third._mpf_, fzero)  # 50 digits, unrounded
+    assert g.c(2, 0)._mpc_ == nan_part._mpc_
+    digest = hashlib.sha256()
+    for dps in (20, 60):
+        with mp.workdps(dps):
+            for wx in range(-2, 3):
+                for v in (g.c(wx, 0), g.row(0).c(wx), g.values[wx + 2][0]):
+                    digest.update(repr(mp.mpc(v)._mpc_).encode())
+    assert digest.hexdigest() == ("9ecc434fb44347b73ee7140755c2fd0a"
+                                  "fa4c2e625e27481a14b2028395c76b7b")
+    # a decimal string has a value only at a precision: refused, not guessed
+    for entry in ("0.1", b"0.1"):
+        with pytest.raises(TypeError, match="grid entry .* is not an int"):
+            CoeffGrid2D(0, 0, ((entry,),))
 
 
 def test_slice_of_a_curve_inside_the_period_is_its_parts(ctx30):
@@ -603,6 +632,22 @@ def test_load_grid_normalises_even_mantissas(tmp_path):
         assert grid.c(0, 0) * 2 == mp.mpc(3, -192)
 
 
+@pytest.mark.parametrize("entry", [
+    "0, 1, 3p0", "0, 1, zzp-3, 1p0", "0, 1, 3, 1p0", "0, 1, 1p2.5, 1p0",
+], ids=["three fields", "non-hex mantissa", "no p", "non-integer exponent"])
+def test_load_grid_names_the_line_of_a_malformed_entry(tmp_path, ctx15, entry):
+    # the file is signed again, so the parser, not the checksum, refuses it
+    path = tmp_path / "grid.fec"
+    save_grid(coeff_grid(Model2D.canonical(1), 3, 2, ctx15), path, 15)
+    header, *lines, _ = path.read_text().splitlines()  # 7 * 5 = 35 entries
+    assert lines[18].startswith("0, 1, ")  # line 20 of the file
+    lines[18] = entry
+    path.write_text(_sign([header, *lines]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 20 is not 'omega_x, omega_y, re, im'")):
+        load_grid(path)
+
+
 def test_load_grid_requires_every_entry_once(tmp_path, ctx15):
     path = tmp_path / "grid.fec"
     save_grid(coeff_grid(Model2D.canonical(1), 3, 2, ctx15), path, 15)
@@ -645,3 +690,32 @@ def test_reconstruction_from_a_saved_grid_is_the_in_memory_one(tmp_path, ctx30):
             m._mpc_ for m in b.magnitudes_tilde]
         assert [a.value(y, ctx30)._mpf_ for y in ys] == [
             b.value(y, ctx30)._mpf_ for y in ys]
+
+
+def test_save_grid_bytes_of_a_dense_grid(tmp_path):
+    # every entry of this grid is nonzero; grid files are pinned byte for
+    # byte, whatever holds the entries in memory
+    path = tmp_path / "grid.fec"
+    save_grid(coeff_grid(_dense_model(8, 3), 8, 3, ArithmeticContext(30)),
+              path, 30)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "22e5abf00b6eddd0355f8ca1c356b799ce7a4df6e0910fe855d996d7f03754b4")
+
+
+def test_load_grid_keeps_ints_not_mpc(tmp_path):
+    # a dense grid of the benchmark's size, N = 12 and M = 144: its 7225
+    # entries held as mpc kept 3.0-3.3 MB under tracemalloc (peak 3.07-3.33
+    # MB); held as the ints of their parts they keep 1.0 MB (peak 1.06 MB)
+    path = tmp_path / "grid.fec"
+    grid = coeff_grid(_dense_model(144, 12, 11), 144, 12, ArithmeticContext(60))
+    save_grid(grid, path, 60)
+    del grid
+    gc.collect()
+    tracemalloc.start()
+    try:
+        grid = load_grid(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.c(144, 12) != 0
+    assert kept < 2.0e6 and peak < 3.07e6, (kept, peak)

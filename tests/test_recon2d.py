@@ -5,6 +5,8 @@ makes the row stage exact to working precision; slice-stage tolerances
 below come from measured behavior with a wide margin.
 """
 
+import hashlib
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +18,9 @@ from fourier_edge import (
     LocalizationError,
     Model2D,
     coeff_grid,
+    load_grid,
     reconstruct_field,
+    save_grid,
 )
 from fourier_edge import recon1d, recon2d
 from fourier_edge.kernels import v_fourier_coeff
@@ -30,7 +34,7 @@ from fourier_edge.recon2d import (
     truncated_baseline,
     truncated_slice,
 )
-from test_model2d import _dense_model
+from test_model2d import _dense_model, _sign
 from test_recon1d import (_assert_parts_match, _reference_magnitudes,
                           _reference_value)
 
@@ -436,3 +440,77 @@ def test_row_stage_refuses_a_negative_order(ctx40):
         reconstruct_psi_set(grid, -1, ctx40)
     with pytest.raises(ValueError, match="d must be >= 0"):
         reconstruct1d(grid.row(0), -1, ctx40)
+
+
+def _bits(v) -> bytes:
+    return repr(v._mpc_ if hasattr(v, "_mpc_") else v._mpf_).encode()
+
+
+def test_a_grid_file_reads_the_same_bits_at_any_precision(tmp_path):
+    # a 60-digit file read under coarser and finer contexts: the row stage
+    # rounds each entry to the context's precision or takes it whole; the
+    # digest of its magnitudes and of two slices (xi, magnitudes and 8
+    # values) was taken from the row stage on mpc entries
+    path = tmp_path / "grid.fec"
+    save_grid(coeff_grid(_dense_model(40, 4), 40, 4, ArithmeticContext(60)),
+              path, 60)
+    grid = load_grid(path)
+    digest = hashlib.sha256()
+    for dps in (30, 60, 80):
+        ctx = ArithmeticContext(dps)
+        psi = reconstruct_psi_set(grid, 3, ctx)
+        assert not psi.degraded
+        for wy in range(-4, 5):
+            digest.update(b"".join(map(_bits, psi.rows[wy].magnitudes_tilde)))
+        for x in ("-1.1", "2.3"):
+            rec = reconstruct_slice(psi, mp.mpf(x), 2, ctx)
+            digest.update(_bits(rec.xi_tilde))
+            digest.update(b"".join(map(_bits, rec.magnitudes_tilde)))
+            with ctx.workprec():
+                ys = [-mp.pi + 2 * mp.pi * (j + mp.mpf(1) / 3) / 8
+                      for j in range(8)]
+            digest.update(b"".join(_bits(rec.value(y, ctx)) for y in ys))
+    assert digest.hexdigest() == ("7ba8bc456ba370bdfed2a5c86513bf4b"
+                                  "49b7aa356dd1461ad2974078a52fbe1a")
+
+
+def _wide_part(rng) -> str:
+    """A part whose mantissa is wider than 53 bits: all ones (rounding up to
+    a power of 2), a tie at the 53rd bit, or random bits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        man = (1 << rng.randrange(54, 90)) - 1
+    elif kind == 1:
+        man = ((rng.getrandbits(52) | 1 << 52) << 8) | 0x80
+    else:
+        man = rng.getrandbits(rng.randrange(40, 200)) | 1
+    man *= rng.choice((1, -1))
+    return f"{man:x}p{rng.randrange(-260, -60)}"
+
+
+def test_mantissas_wider_than_the_file_precision(tmp_path):
+    # a hand-written 15-digit file whose mantissas are up to 200 bits wide:
+    # c() keeps every bit, and the row stage rounds each part to nearest at
+    # its context, as it did on mpc entries (the digest is from then)
+    rng = random.Random(20)
+    lines = ['{"format": 2, "M": 6, "N": 1, "precision": 15}']
+    lines += [f"{wx}, {wy}, {_wide_part(rng)}, {_wide_part(rng)}"
+              for wx in range(-6, 7) for wy in range(-1, 2)]
+    path = tmp_path / "grid.fec"
+    path.write_text(_sign(lines))
+    grid = load_grid(path)
+    digest = hashlib.sha256()
+    for wx in range(-6, 7):
+        for wy in range(-1, 2):
+            digest.update(_bits(grid.c(wx, wy)))
+    for dps in (15, 30):
+        ctx = ArithmeticContext(dps)
+        psi = reconstruct_psi_set(grid, 1, ctx)
+        assert not psi.degraded
+        for wy in range(-1, 2):
+            digest.update(b"".join(map(_bits, psi.rows[wy].magnitudes_tilde)))
+        for x in ("-2.9", "0.4"):
+            vec = slice_coeff_vector(psi, mp.mpf(x), ctx)
+            digest.update(b"".join(map(_bits, vec.values)))
+    assert digest.hexdigest() == ("fdb5016f8ac1d9c6b5fe52da10f7f631"
+                                  "a77226985a8c139efdf4e0dd7f2c0e1a")
