@@ -32,7 +32,7 @@ from operator import add
 
 from mpmath import mp
 from mpmath.libmp import (dps_to_prec, finf, fnan, fninf, from_float, from_int,
-                          from_man_exp, fzero, mpf_neg, round_nearest)
+                          from_man_exp, fzero)
 
 from .kernels import v_fourier_coeff
 from .model1d import (CoeffVector1D, JumpModel1D, TrigBackground,
@@ -41,11 +41,10 @@ from .numerics import (
     _MIN_DIGITS,
     ArithmeticContext,
     _fixed_horner_pair,
-    _fixed_pairs,
-    _fixed_shift,
     _guard_bits,
     _mpc_parts,
-    _over_two_pi,
+    _over_two_pi_ints,
+    _round_int,
 )
 
 _GRID_FORMAT = 2  # hex mantissas and a sha256 trailer; format 1 was decimal
@@ -212,17 +211,14 @@ def _exact_raw(v) -> tuple:
                     "mpc, whose value does not depend on the precision")
 
 
-def _rounded(ms: list, es: list, prec: int) -> tuple:
+def _rounded(ms: list, es: list, prec: int):
     """(ms, es) with each part m 2^e wider than ``prec`` bits rounded to
-    nearest at ``prec`` bits, as mpmath rounds it; the lists as given when
-    none is that wide."""
+    nearest at ``prec`` bits by :func:`_round_int`, as mpmath rounds it; the
+    lists as given when none is that wide, else two tuples."""
     if max(map(int.bit_length, ms)) <= prec:
         return ms, es
-    ms, es = list(ms), list(es)
-    for i, m in enumerate(ms):
-        if m.bit_length() > prec:
-            ms[i], es[i] = _int_part(from_man_exp(m, es[i], prec, round_nearest))
-    return ms, es
+    return tuple(zip(*(_round_int(m, e, prec) if m.bit_length() > prec
+                       else (m, e) for m, e in zip(ms, es))))
 
 
 class _IntRow:
@@ -284,11 +280,12 @@ class CoeffGrid2D:
     mantissas, re exponents, im mantissas and im exponents, entry (wx, wy)
     at (wx + M)(2N + 1) + wy + N, the order of a grid file.  A mantissa is
     odd, or 0 for a zero part (exponent 0) or a NaN or infinite one (the
-    exponent of mpmath's raw value).  mpc objects are made only when read,
-    each part exactly, never rounded: ``c(wx, wy)``; ``row(wy)``, one
-    horizontal row as a CoeffVector1D over wx, which is exactly the input
-    the slice-row reconstruction stage consumes; and ``values``, the
-    columns, ``values[wx + M][wy + N]``.
+    exponent of mpmath's raw value); closed-form synthesis writes each one
+    rounded once (``_round_int``).  mpc objects are made only when read, each part
+    exactly, never rounded: ``c(wx, wy)``; ``row(wy)``, one horizontal row
+    as a CoeffVector1D over wx, which is exactly the input the slice-row
+    reconstruction stage consumes; and ``values``, the columns,
+    ``values[wx + M][wy + N]``.
 
     The constructor takes such columns of ints, floats, complex numbers, mpf
     or mpc values, NaN and infinite parts included, each kept exactly; a
@@ -363,22 +360,33 @@ def slice_coeff_exact(m: Model2D, x, wy: int, ctx: ArithmeticContext):
                                         for l, a in enumerate(s.magnitudes))
 
 
+def _round_sum(m: int, e: int, n: int, f: int, prec: int) -> tuple:
+    """(m', e'): m 2^e + n 2^f rounded at ``prec`` bits as ``mpf_add`` does.
+    A part over prec + 4 bits below the other, its lowest bit over 100 below,
+    counts as one unit below them, which can round mpc_mul off the exact sum."""
+    if not (m and n):
+        return _round_int(m or n, e if m else f, prec)
+    if e < f:
+        m, e, n, f = n, f, m, e
+    if e - f > 100 and e - f + m.bit_length() - n.bit_length() > prec + 4:
+        n, f = (1 if n > 0 else -1), e - prec - 4
+    return _round_int((m << e - f) + n, f, prec)
+
+
 def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
-    """Exact grid for the identity curve: profile spectra shifted to the
-    anti-diagonal band.
+    """Exact grid for the identity curve, on ints from coefficients to parts.
 
     Entry (wx, wy != 0) is sum_l a_l(q) / (2pi (i wy)^(l+1)), q = wx + wy,
-    on Python-int fixed point, rounded once.  Each a_l(k), k = 0..M+N, is
-    scaled by 1/2pi once, and q = -k takes the conjugate of that product,
-    which is exact, since each part rounds on its own.  Each spectrum
-    a_0(q)..a_d(q) is converted once at its own scale, so spectra that
-    decay over many orders of magnitude keep their relative precision;
-    guard bits cover the factor wy^-(d+1) by which an entry may fall below
-    its largest coefficient.  One paired Horner pass per (q, n) gives the
-    entries (q - n, n) and (q + n, -n).  The background adds
-    sum_s p_s(wx) q_s(wy) after the rounding, in the order of
-    ``Background2D.coeff2d``, on its terms' supports, each found once.
-    Returns the four part lists of a :class:`CoeffGrid2D`.
+    on fixed point, rounded once.  Each a_l(k), k = 0..M+N, is read once and
+    scaled by 1/2pi; q = -k negates its imaginary mantissa.  Each spectrum
+    a_0(q)..a_d(q) is converted once at its own scale, so spectra that decay
+    over many orders of magnitude keep their relative precision; guard bits
+    cover the factor wy^-(d+1) by which an entry may fall below its largest
+    coefficient.  One paired Horner pass per (q, n) gives the entries
+    (q - n, n) and (q + n, -n).  The background adds sum_s p_s(wx) q_s(wy),
+    each coefficient read once, on its terms' supports after the rounding,
+    as ``Background2D.coeff2d`` and mpc addition round.  Returns the four
+    part lists of a :class:`CoeffGrid2D`; no mpc is made past the reads.
 
     Raises
     ------
@@ -389,58 +397,65 @@ def _closed_form_grid(m: Model2D, M: int, N: int, ctx: ArithmeticContext):
     with ctx.workprec():
         wp = mp.prec + _guard_bits(N) + len(m.magnitudes) * N.bit_length()
         try:
-            spectra = [_over_two_pi(_mpc_parts(
-                [prof.coeff(k) for k in range(min(prof.bandwidth, M + N) + 1)],
-                "", 0), wp) for prof in m.magnitudes]
+            spectra = [_over_two_pi_ints(_mpc_parts(
+                prof.coeffs[:M + N + 1], "", 0), wp) for prof in m.magnitudes]
         except ValueError:  # name the first bad coefficient in (q, l) order
             for q in range(-M - N, M + N + 1):
                 _mpc_parts([prof.coeff(q) for prof in m.magnitudes],
                            f"coefficient at q={q} of profile A_", 0)
             raise
-        terms = m.background.terms
-        for s, (p, q) in enumerate(terms):
-            _mpc_parts(p.coeffs, f"background term {s} coefficient p_", 0)
-            _mpc_parts(q.coeffs, f"background term {s} coefficient q_", 0)
-        n2, prec = 2 * N + 1, mp.prec
+        terms = [(_mpc_parts(p.coeffs, f"background term {s} coefficient p_", 0),
+                  _mpc_parts(q.coeffs, f"background term {s} coefficient q_", 0))
+                 for s, (p, q) in enumerate(m.background.terms)]
+        n2, prec, zero = 2 * N + 1, mp.prec, ((0, 0), (0, 0))
         grid = mr, er, mi, ei = [[0] * ((2 * M + 1) * n2) for _ in range(4)]
 
         def put(i: int, re: int, im: int) -> None:  # entry i, rounded once
-            mr[i], er[i] = _int_part(from_man_exp(re, -shift, prec, round_nearest))
-            mi[i], ei[i] = _int_part(from_man_exp(im, -shift, prec, round_nearest))
+            mr[i], er[i] = _round_int(re, -shift, prec)
+            mi[i], ei[i] = _round_int(im, -shift, prec)
 
         for q in range(-M - N, M + N + 1):
             k = abs(q)
-            parts = [a[k] if k < len(a) else (fzero, fzero) for a in spectra]
-            if not any(re[1] or im[1] for re, im in parts):
-                continue
+            parts = [a[k] if k < len(a) else zero for a in spectra]
             if q < 0:
-                parts = [(re, mpf_neg(im)) for re, im in parts]
-            shift = _fixed_shift(parts, wp)
-            stack = _fixed_pairs(parts, shift)
+                parts = [(re, (-b, f)) for re, (b, f) in parts]
+            tops = [e + a.bit_length() for pair in parts for a, e in pair if a]
+            if not tops:
+                continue
+            shift = wp - max(tops)
+            stack = [tuple(a << s if (s := e + shift) >= 0 else a >> -s
+                           for a, e in pair) for pair in parts]
             for n in range(max(1, k - M), min(N, k + M) + 1):  # some entry in range
                 plus, minus = _fixed_horner_pair(stack, n)
                 if abs(q - n) <= M:
                     put((q - n + M) * n2 + n + N, *plus)
                 if abs(q + n) <= M:
                     put((q + n + M) * n2 + N - n, *minus)
-        # per term, its nonzero coefficients by wx + M and by wy + N
-        p_hat = [{i: c for i in range(2 * M + 1) if (c := p.coeff(i - M))}
-                 for p, _ in terms]
-        q_hat = [{i: c for i in range(2 * N + 1) if (c := q.coeff(i - N))}
-                 for _, q in terms]
+
+        def band(raw, n: int) -> dict:  # the nonzero coefficients by index + n
+            cs = [(k, _int_part(re), _int_part(im))
+                  for k, (re, im) in enumerate(raw[:n + 1]) if re[1] or im[1]]
+            return ({n - k: (re, (-im[0], im[1])) for k, re, im in cs}
+                    | {n + k: (re, im) for k, re, im in cs})
+
+        p_hat = [band(p, M) for p, _ in terms]
+        q_hat = [band(q, N) for _, q in terms]
         rows = set().union(*q_hat)
         for ix in range(2 * M + 1):
             for iy in rows:
                 # an exact zero added is exact, so skipping it keeps every bit
-                bg = mp.mpc(0)
+                bg = zero
                 for ps, qs in zip(p_hat, q_hat):
                     if ix in ps and iy in qs:
-                        bg += ps[ix] * qs[iy]
-                if bg:
+                        ((a, e), (b, f)), ((c, g), (d, h)) = ps[ix], qs[iy]
+                        re = _round_sum(a * c, e + g, -b * d, f + h, prec)
+                        im = _round_sum(a * d, e + h, b * c, f + g, prec)
+                        bg = (_round_sum(*bg[0], *re, prec),
+                              _round_sum(*bg[1], *im, prec))
+                if bg[0][0] or bg[1][0]:
                     i = ix * n2 + iy
-                    re, im = (_entry(grid, i) + bg)._mpc_
-                    mr[i], er[i] = _int_part(re)
-                    mi[i], ei[i] = _int_part(im)
+                    mr[i], er[i] = _round_sum(mr[i], er[i], *bg[0], prec)
+                    mi[i], ei[i] = _round_sum(mi[i], ei[i], *bg[1], prec)
         return grid
 
 
@@ -647,5 +662,5 @@ def load_grid(path) -> CoeffGrid2D:
         if not all(map((1).__and__, ms)):
             for i, m in enumerate(ms):
                 if not m & 1:
-                    ms[i], es[i] = _int_part(from_man_exp(m, es[i]))
+                    ms[i], es[i] = _round_int(m, es[i])
     return CoeffGrid2D._of_parts(M, N, parts, {"precision": prec})

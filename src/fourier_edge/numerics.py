@@ -451,11 +451,36 @@ def _from_fixed(re: int, im: int, shift: int):
     ))
 
 
+def _round_int(m: int, e: int, prec: int | None = None) -> tuple:
+    """(m', e'), m' odd or (0, 0) for zero: m 2^e rounded to nearest at
+    ``prec`` bits, ties to even, as ``from_man_exp(m, e, prec, round_nearest)``
+    rounds it, on ints alone; with no prec, only normalised."""
+    a = -m if m < 0 else m
+    if prec and (n := a.bit_length() - prec) > 0:  # ties go to even
+        t = a >> (n - 1)  # the bits kept and the first dropped
+        a = (t >> 1) + 1 if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)) else t >> 1
+        e += n
+    if not a & 1:
+        if not a:
+            return 0, 0
+        z = (a & -a).bit_length() - 1  # trailing zero bits
+        a >>= z
+        e += z
+    return (-a if m < 0 else a), e
+
+
+def _over_two_pi_ints(parts, wp: int) -> list:
+    """(re, im) pairs of (m, e) ints: the raw pairs ``parts`` times 1/2pi,
+    each part's exact product rounded once at wp bits, as by mpf_mul."""
+    with mp.workprec(wp):
+        _, c, f, _ = (1 / (2 * mp.pi))._mpf_
+    return [tuple(_round_int((-a if s else a) * c, e + f, wp)
+                  for s, a, e, _ in pair) for pair in parts]
+
+
 def _over_two_pi(parts, wp: int) -> list:
     """Raw (re, im) pairs of ``parts`` times 1/2pi, each rounded at wp bits."""
-    with mp.workprec(wp):
-        inv_two_pi = 1 / (2 * mp.pi)
-        return [(mp.make_mpc(p) * inv_two_pi)._mpc_ for p in parts]
+    return [tuple(from_man_exp(*p) for p in c) for c in _over_two_pi_ints(parts, wp)]
 
 
 def _fixed_pairs(parts, shift: int) -> list:

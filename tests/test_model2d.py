@@ -8,6 +8,7 @@ import gc
 import hashlib
 import math
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -444,6 +445,84 @@ def test_closed_form_grid_is_pinned_bit_for_bit():
                 digest.update(repr(v._mpc_).encode())
     assert digest.hexdigest() == (
         "f710beb10018e6887b306f770eaa13498cfda683496e80572f7a146fd7ed9ed5")
+
+
+def _mixed_model():
+    """A model whose coefficients take every form one may: int, float,
+    complex, decimal string and an 80-digit mpc, which a read rounds.  The
+    spectrum at |q| = 3 spans 60 orders, 0.3 for A_0 down to 1e-60 for A_2."""
+    with mp.workdps(80):
+        wide = mp.mpc(mp.pi, -mp.e) / 7
+    profiles = (TrigBackground((3, 0.1, -2.5 - 0.75j, "0.3", wide)),
+                TrigBackground(("-1.7", wide, 4, 1e-3j)),
+                TrigBackground((0, 0, 0, "1e-60")))
+    background = Background2D((
+        (TrigBackground(("0.4", 1.5 - 0.25j, wide, 7)),
+         TrigBackground((0.3, "0.1", 2j))),
+        (TrigBackground((1, "-0.6")), TrigBackground((-0.2, wide))),
+    ))
+    return Model2D(2, profiles, Curve("identity"), background)
+
+
+def test_closed_form_grid_reads_every_coefficient_type_bit_for_bit():
+    # every entry of the mixed model at 15 and 50 digits, on four shapes
+    # (M = 0, N = 0 and N = 1 among them), hashed; then a background whose
+    # product p_1 q_1 mpc_mul rounds off the exact value: |b d| lies more
+    # than prec + 4 bits below |a c|, and mpf_add counts it as one unit
+    # below them, which rounds the real part to the other neighbour.  The
+    # digest was taken from grids made with mpc arithmetic throughout.
+    digest = hashlib.sha256()
+    for digits in (15, 50):
+        for M, N in ((6, 3), (0, 3), (6, 0), (6, 1)):
+            grid = coeff_grid(_mixed_model(), M, N, ArithmeticContext(digits))
+            for col in grid.values:
+                for v in col:
+                    digest.update(repr(v._mpc_).encode())
+    ctx = ArithmeticContext(50)
+    with ctx.workprec():
+        p = mp.mpc("0.82867755619713929853", "0.49143858892522923573e-26")
+        q = mp.mpc("0.64573986613185814126", "-0.72499448127615294539e-26")
+    bg = Background2D(((TrigBackground((0, p)), TrigBackground((0, q))),))
+    grid = coeff_grid(Model2D(0, (0,), Curve("identity"), bg), 1, 1, ctx)
+    with ctx.workprec():
+        for wx in (-1, 0, 1):
+            for wy in (-1, 0, 1):
+                assert grid.c(wx, wy)._mpc_ == bg.coeff2d(wx, wy)._mpc_
+    for col in grid.values:
+        for v in col:
+            digest.update(repr(v._mpc_).encode())
+    assert digest.hexdigest() == (
+        "fa2d46f43bd68f0663b47b615966f1ed60fda7c1804a3df2ad4c4f4d045e57de")
+
+
+def test_closed_form_grid_makes_no_mpc_per_entry(ctx30):
+    # synthesis runs on ints from the coefficients read to the parts it
+    # stores: it may make an mpc for a coefficient it reads (here each is a
+    # decimal string, which mp.mpc reads), never for an entry.  Every one of
+    # the 41 x 9 entries has a background part, so mpc arithmetic per entry
+    # would make over 800 mpc here, against the model's 30 coefficients
+    M, N = 20, 4
+    bg = Background2D(((TrigBackground(tuple(f"0.{k + 1}" for k in range(M + 1))),
+                        TrigBackground(tuple(f"0.{k + 3}" for k in range(N + 1)))),))
+    m = Model2D(1, ("0.5", TrigBackground(("0.25", "0.1", "0.2"))),
+                Curve("identity"), bg)
+    read = (sum(len(p.coeffs) for p in m.magnitudes)
+            + sum(len(p.coeffs) + len(q.coeffs) for p, q in bg.terms))
+    makers = {mp.mpc.__new__.__code__, mp.make_mpc.__func__.__code__}
+    made = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in makers:
+            made.append(frame.f_code.co_name)
+
+    before = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        grid = coeff_grid(m, M, N, ctx30)
+    finally:
+        sys.setprofile(before)
+    assert grid.c(M, N) != 0
+    assert read == 30 and len(made) <= read, len(made)
 
 
 def test_doubling_error_is_the_full_doubled_grid_value(ctx30):

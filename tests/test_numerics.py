@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from fourier_edge import ArithmeticContext, RootFindingError
 from fourier_edge import numerics
@@ -382,6 +383,39 @@ def test_vandermonde_validation():
         vandermonde_solve(2, 0, [(1, 0), (2, 0), (3, 0)], 0, ctx)
     with pytest.raises(ValueError):
         vandermonde_solve(2, 1, [(1, 0), (2, 0)], 0, ctx)  # wrong length
+
+
+# -- integer rounding ---------------------------------------------------------
+
+@st.composite
+def _parts_to_round(draw):
+    """(m, e, prec): a mantissa of 1 to 600 bits, or 0, either sign, with up
+    to 64 trailing zero bits, and prec None or 53..400; one draw in three
+    an exact tie at prec bits, its kept bits of either parity."""
+    prec = draw(st.none() | st.integers(53, 400))
+    if prec is not None and draw(st.integers(0, 2)) == 0:
+        kept = 2 * draw(st.integers(1 << (prec - 2), (1 << (prec - 1)) - 1))
+        m = 2 * (kept + draw(st.integers(0, 1))) + 1  # kept bits, then half
+    else:
+        bits = draw(st.integers(0, 600))
+        m = draw(st.integers(1 << bits >> 1, (1 << bits) - 1))
+    m <<= draw(st.integers(0, 64))
+    return -m if draw(st.booleans()) else m, draw(st.integers(-1100, 1100)), prec
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_parts_to_round())
+@example((0, 7, 100))
+@example((0, -3, None))
+@example((-(2 ** 53 + 1), 5, 53))  # a tie, rounded down to an even mantissa
+@example((2 ** 53 + 3, -9, 53))  # a tie, rounded up to an even mantissa
+@example(((1 << 600) - 1, 0, 400))  # rounds up to a power of two
+def test_round_int_is_mpmath_rounding(case):
+    m, e, prec = case
+    raw = (from_man_exp(m, e, prec, round_nearest) if prec
+           else from_man_exp(m, e))
+    sign, man, exp, _ = raw
+    assert numerics._round_int(m, e, prec) == (-man if sign else man, exp)
 
 
 # -- fixed-point Horner kernel and power recurrence --------------------------
